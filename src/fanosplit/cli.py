@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .equivalence import are_equivalent, normal_form, DEFAULT_BUDGET
@@ -22,6 +21,7 @@ from .polytope import (
     FULL_MODE_MAX_DIM,
     Mode,
     Polytope,
+    auto_mode,
     is_smooth_fano,
     special_facet,
     vertex_deficit,
@@ -48,14 +48,14 @@ def _load(path: str) -> Polytope:
 def _resolve_mode(flag: str | None, p: Polytope) -> Mode:
     if flag:
         return Mode(flag)
-    if p.dim > FULL_MODE_MAX_DIM:
+    mode = auto_mode(p.dim)
+    if mode is Mode.LOCAL:
         print(
             f"warning: dimension {p.dim} > {FULL_MODE_MAX_DIM}, using local "
             f"validation (pass --mode full to override)",
             file=sys.stderr,
         )
-        return Mode.LOCAL
-    return Mode.FULL
+    return mode
 
 
 def _cmd_gen(args) -> int:
@@ -216,21 +216,14 @@ def _cmd_verify(args) -> int:
         except FanoFileError as e:
             return _fail_io(str(e))
 
-    def run(item):
-        path, p = item
-        mode = Mode(args.mode) if args.mode else (
-            Mode.FULL if p.dim <= FULL_MODE_MAX_DIM else Mode.LOCAL
-        )
+    # every file is verified before anything is printed, so an error in a
+    # later file leaves stdout empty
+    results = []
+    for path, p in polys:
         try:
-            return path, verify_bounds(p, mode), None
+            results.append((path, verify_bounds(p, _resolve_mode(args.mode, p)), None))
         except NotSmoothFanoError as e:
-            return path, None, e.certificate
-
-    if len(polys) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(polys))) as pool:
-            results = list(pool.map(run, polys))
-    else:
-        results = [run(item) for item in polys]
+            results.append((path, None, e.certificate))
 
     all_pass = True
     reports = []

@@ -4,14 +4,18 @@ The central objects are an immutable vertex list (`Polytope`) and per-facet
 frames (`FacetFrame`) holding the dual basis of the facet's vertex basis and
 its primitive outer normal.  All geometry is exact:
 
+* one ratio rule (`_min_ratio`) picks every entering vertex: among vertices
+  with negative coordinate along a direction, the minimizers of
+  (level of the hyperplane - level of x) / (-coordinate of x), compared by
+  exact integer cross-multiplication;
 * an initial facet is found by gift-wrapping -- rotate a supporting
-  hyperplane one kernel direction at a time, choosing the entering vertex by
-  integer cross-multiplied ratio comparisons;
+  hyperplane one kernel direction at a time, entering the first minimizer
+  of the ratio rule;
 * the remaining facets come from breadth-first ridge pivoting: dropping a
-  frame vertex and selecting, among vertices with negative coordinate along
-  the dropped dual direction, the unique minimizer of an exact ratio;
-* ties in the ratio rule certify a non-simplicial facet and are a hard
-  error, never silently broken.
+  frame vertex and entering the unique minimizer of the ratio rule along the
+  dropped dual direction;
+* ties in the ratio rule across a ridge certify a non-simplicial facet and
+  are a hard error, never silently broken.
 
 Validation has two modes.  FULL enumerates every facet and checks each one.
 LOCAL checks only the facets it materialises (the gift-wrapped start and
@@ -217,15 +221,47 @@ def _primitive_normal(rowsum: Sequence[int], delta: int) -> tuple[LatticeVector,
     return tuple(a // g for a in rowsum), delta // g
 
 
+def _sorted_frame(indices: Sequence[int], rows: Sequence[LatticeVector]
+                  ) -> tuple[tuple[int, ...], tuple[LatticeVector, ...], LatticeVector]:
+    """(index, dual row) pairs sorted by index, plus the sum of the rows:
+    the (scaled) outer normal of the frame."""
+    paired = sorted(zip(indices, rows))
+    dual = tuple(r for _, r in paired)
+    return tuple(i for i, _ in paired), dual, tuple(sum(col) for col in zip(*dual))
+
+
+def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
+               where: Iterable[int]) -> list[int]:
+    """Every index i in `where` minimizing (delta - levels[i]) / -column[i]
+    over column[i] < 0, in index order; more than one index is a tie."""
+    best: list[int] = []
+    bn = bd = 0
+    for i in where:
+        den = -column[i]
+        if den <= 0:
+            continue
+        num = delta - levels[i]
+        if not best:
+            best, bn, bd = [i], num, den
+            continue
+        lhs = num * bd
+        rhs = bn * den
+        if lhs < rhs:
+            best, bn, bd = [i], num, den
+        elif lhs == rhs:
+            best.append(i)
+    return best
+
+
 def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
     rows = [p.vertices[i] for i in indices]
     dual, delta = linalg.scaled_dual(rows)
     if delta < 0:
         dual = tuple(linalg.vec_neg(r) for r in dual)
         delta = -delta
-    rowsum = tuple(sum(col) for col in zip(*dual))
+    indices, dual, rowsum = _sorted_frame(indices, dual)
     normal, level = _primitive_normal(rowsum, delta)
-    return _RawFacet(tuple(indices), dual, delta, normal, level)
+    return _RawFacet(indices, dual, delta, normal, level)
 
 
 def _check_facet(p: Polytope, raw: _RawFacet) -> None:
@@ -267,20 +303,15 @@ def _initial_raw(p: Polytope) -> _RawFacet:
             )
         w = kernel.rows()[0]
         wv = p.products(w)
+        neg = [-x for x in wv]
         below = [i for i, v in enumerate(values) if v < c]
-        cands = [i for i in below if wv[i] > 0]
+        cands = _min_ratio(neg, values, c, below)
         if not cands:
-            w = linalg.vec_neg(w)
-            wv = [-x for x in wv]
-            cands = [i for i in below if wv[i] > 0]
+            w, wv, neg = linalg.vec_neg(w), neg, wv
+            cands = _min_ratio(neg, values, c, below)
         if not cands:
             raise InvariantViolationError("no rotation direction during gift-wrap")
-        best, bn, bd = None, None, None
-        for i in cands:
-            num = c - values[i]
-            den = wv[i]
-            if best is None or num * bd < bn * den:
-                best, bn, bd = i, num, den
+        best = cands[0]
         scale = wv[best]
         shift = c - values[best]
         normal = tuple(scale * a + shift * b for a, b in zip(normal, w))
@@ -305,33 +336,6 @@ def _initial_raw(p: Polytope) -> _RawFacet:
     return raw
 
 
-def _ridge_targets(p: Polytope, raw: _RawFacet, coords: list[LatticeVector],
-                   levels: list[int], pos: int) -> list[int]:
-    """All minimizers of the pivot ratio across ridge `pos`; >1 means a tie."""
-    delta = raw.det
-    best: list[int] = []
-    bn = bd = None
-    for i in range(p.n):
-        den = -coords[i][pos]
-        if den <= 0:
-            continue
-        num = delta - levels[i]
-        if num == 0:
-            raise NotSimplicialError(
-                f"vertex {i} lies on the hyperplane of facet {raw.indices}"
-            )
-        if not best:
-            best, bn, bd = [i], num, den
-            continue
-        lhs = num * bd
-        rhs = bn * den
-        if lhs < rhs:
-            best, bn, bd = [i], num, den
-        elif lhs == rhs:
-            best.append(i)
-    return best
-
-
 def _neighbor_raw(p: Polytope, raw: _RawFacet, coords: list[LatticeVector],
                   pos: int, target: int) -> _RawFacet:
     """Dual-basis update when frame position `pos` is replaced by `target`."""
@@ -351,12 +355,8 @@ def _neighbor_raw(p: Polytope, raw: _RawFacet, coords: list[LatticeVector],
     if new_det < 0:
         new_det = -new_det
         new_rows = [linalg.vec_neg(r) for r in new_rows]
-    paired = sorted(
-        ((target if w == pos else raw.indices[w]), new_rows[w]) for w in range(d)
-    )
-    indices = tuple(i for i, _ in paired)
-    dual = tuple(r for _, r in paired)
-    rowsum = tuple(sum(col) for col in zip(*dual))
+    indices = [target if w == pos else raw.indices[w] for w in range(d)]
+    indices, dual, rowsum = _sorted_frame(indices, new_rows)
     normal, level = _primitive_normal(rowsum, new_det)
     return _RawFacet(indices, dual, new_det, normal, level)
 
@@ -365,7 +365,7 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
     """Breadth-first closure of ridge pivots starting from the wrapped facet."""
     from collections import deque
 
-    start = _initial_raw(p)
+    start = _initial_raw_cached(p)
     visited = {start.indices}
     queue = deque([start])
     out = []
@@ -376,8 +376,10 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
         covered.update(raw.indices)
         coords = p.coords_rows(raw.dual)
         levels = [sum(row) for row in coords]
-        for pos in range(p.dim):
-            targets = _ridge_targets(p, raw, coords, levels, pos)
+        # _check_facet has shown that only the frame vertices lie on the
+        # hyperplane, so every candidate ratio is positive
+        for pos, column in enumerate(zip(*coords)):
+            targets = _min_ratio(column, levels, raw.det, range(p.n))
             if not targets:
                 raise NoNegativeVertexError(
                     f"no vertex below ridge {pos} of facet {raw.indices}"
@@ -407,8 +409,28 @@ def _frame_from_raw(p: Polytope, raw: _RawFacet) -> FacetFrame:
         raise NotUnimodularError(
             raw.det, f"facet {raw.indices} has vertex basis with |det| = {raw.det}"
         )
-    rowsum = tuple(sum(col) for col in zip(*raw.dual))
-    return FacetFrame(raw.indices, IntMatrix(raw.dual), rowsum)
+    # with det 1 the row sum is already primitive, so it is the normal
+    return FacetFrame(raw.indices, IntMatrix(raw.dual), raw.normal)
+
+
+def _frame_opposite(indices: Sequence[int], column: Sequence[int],
+                    levels: Sequence[int], pos: int) -> int:
+    """Index of the vertex across ridge `pos` of a unimodular frame, given
+    every vertex's coordinate along the dropped dual row and its level."""
+    best = _min_ratio(column, levels, 1, range(len(column)))
+    if not best:
+        raise NoNegativeVertexError(
+            f"no vertex with negative coordinate along frame position {pos}"
+        )
+    if levels[best[0]] == 1:
+        raise NotSimplicialError(
+            f"vertex {best[0]} lies on the frame hyperplane {tuple(indices)}"
+        )
+    if len(best) > 1:
+        raise NotSimplicialError(
+            f"pivot tie across ridge {pos} of frame {tuple(indices)}"
+        )
+    return best[0]
 
 
 @dataclass
@@ -418,12 +440,6 @@ class _FrameState:
     p: Polytope
     indices: list[int]
     rows: list[LatticeVector]
-
-    @staticmethod
-    def from_raw(p: Polytope, raw: _RawFacet) -> "_FrameState":
-        if raw.det != 1:
-            raise NotUnimodularError(raw.det)
-        return _FrameState(p, list(raw.indices), [tuple(r) for r in raw.dual])
 
     @staticmethod
     def from_frame(p: Polytope, frame: FacetFrame) -> "_FrameState":
@@ -441,35 +457,7 @@ class _FrameState:
         u = self.rows[pos]
         cv = p.products(u)
         levels = p.products(self.outer_normal())
-        best, bn, bd = None, None, None
-        tie = False
-        for i in range(p.n):
-            den = -cv[i]
-            if den <= 0:
-                continue
-            num = 1 - levels[i]
-            if num == 0:
-                raise NotSimplicialError(
-                    f"vertex {i} lies on the frame hyperplane {tuple(self.indices)}"
-                )
-            if best is None:
-                best, bn, bd = i, num, den
-                continue
-            lhs = num * bd
-            rhs = bn * den
-            if lhs < rhs:
-                best, bn, bd = i, num, den
-                tie = False
-            elif lhs == rhs:
-                tie = True
-        if best is None:
-            raise NoNegativeVertexError(
-                f"no vertex with negative coordinate along frame position {pos}"
-            )
-        if tie:
-            raise NotSimplicialError(
-                f"pivot tie across ridge {pos} of frame {tuple(self.indices)}"
-            )
+        best = _frame_opposite(self.indices, cv, levels, pos)
         if cv[best] != -1:
             raise NotUnimodularError(
                 cv[best],
@@ -490,11 +478,8 @@ class _FrameState:
         return best
 
     def to_frame(self) -> FacetFrame:
-        paired = sorted(zip(self.indices, self.rows))
-        indices = tuple(i for i, _ in paired)
-        dual = tuple(r for _, r in paired)
-        rowsum = tuple(sum(col) for col in zip(*dual))
-        return FacetFrame(indices, IntMatrix(dual), rowsum)
+        indices, dual, normal = _sorted_frame(self.indices, self.rows)
+        return FacetFrame(indices, IntMatrix(dual), normal)
 
 
 def enumerate_facets(p: Polytope) -> tuple[FacetFrame, ...]:
@@ -591,21 +576,8 @@ def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
     """Vertex index of opp(F, v) for every frame position, via the pivot rule."""
     coords = p.coords_rows(frame.dual_basis.entries)
     levels = [sum(row) for row in coords]
-    out = []
-    raw = _RawFacet(frame.vertex_indices, frame.dual_basis.entries, 1,
-                    frame.outer_normal, 1)
-    for pos in range(p.dim):
-        targets = _ridge_targets(p, raw, coords, levels, pos)
-        if not targets:
-            raise NoNegativeVertexError(
-                f"no vertex with negative coordinate along frame position {pos}"
-            )
-        if len(targets) > 1:
-            raise NotSimplicialError(
-                f"pivot tie across ridge {pos} of frame {frame.vertex_indices}"
-            )
-        out.append(targets[0])
-    return out
+    return [_frame_opposite(frame.vertex_indices, column, levels, pos)
+            for pos, column in enumerate(zip(*coords))]
 
 
 def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:
@@ -630,7 +602,7 @@ def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
     if "special" in cache:
         return cache["special"]
     s = vertex_sum(p)
-    state = _FrameState.from_raw(p, _initial_raw_cached(p))
+    state = _FrameState.from_frame(p, _frame_from_raw(p, _initial_raw_cached(p)))
     for _ in range(_MAX_PIVOT_STEPS):
         gamma = state.gamma(s)
         pos = next((j for j, g in enumerate(gamma) if g < 0), None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import goodness_partition, levels_and_eta
+from .analysis import GoodnessPartition, goodness_partition, levels_and_eta
 from .errors import UnclassifiableVertexError, InvariantViolationError
 from .linalg import vec_neg, vec_sub
 from .polytope import (
@@ -185,14 +185,29 @@ def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int,
     counts = {t: tuple(v) for t, v in out.items()}
     k = vertex_deficit(p)
     if k >= 3:
-        eta1 = sum(1 for lv in levels if lv == -1)
-        if len(counts[TYPE_C_OPPOSITE]) > len(g.c):
-            raise InvariantViolationError("too many c-opposite vertices at level -1")
-        if len(counts[TYPE_B_SUPPORTED]) > (k + 1) * len(g.b):
-            raise InvariantViolationError("too many b-supported vertices at level -1")
-        if len(counts[TYPE_NEGATED_BASIS]) < eta1 - len(g.c) - (k + 1) * len(g.b):
-            raise InvariantViolationError("too few negated-basis vertices at level -1")
+        problems = _level_minus_one_bound_problems(counts, g, k)
+        if problems:
+            raise InvariantViolationError("; ".join(problems))
     return counts
+
+
+def _level_minus_one_bound_problems(counts: dict[str, tuple[int, ...]],
+                                    g: GoodnessPartition, k: int) -> list[str]:
+    """The per-type count bounds on the classified level -1 vertices."""
+    eta1 = sum(len(v) for v in counts.values())  # each has exactly one type
+    n_c = len(counts[TYPE_C_OPPOSITE])
+    n_b = len(counts[TYPE_B_SUPPORTED])
+    n_a = len(counts[TYPE_NEGATED_BASIS])
+    problems = []
+    if n_c > len(g.c):
+        problems.append(f"{n_c} c-opposite vertices > |C|={len(g.c)}")
+    if n_b > (k + 1) * len(g.b):
+        problems.append(f"{n_b} b-supported vertices > (k+1)|B|={(k + 1) * len(g.b)}")
+    if n_a < eta1 - len(g.c) - (k + 1) * len(g.b):
+        problems.append(
+            f"{n_a} negated-basis vertices < {eta1 - len(g.c) - (k + 1) * len(g.b)}"
+        )
+    return problems
 
 
 def _check_vertex_count(ctx):
@@ -448,24 +463,9 @@ def _check_level_minus_one_types(ctx):
         return True, "", False
     try:
         counts = classify_level_minus_one(ctx.p, ctx.frame)
-    except UnclassifiableVertexError as e:
+    except (UnclassifiableVertexError, InvariantViolationError) as e:
         return False, str(e), True
-    except InvariantViolationError as e:
-        return False, str(e), True
-    g, k = ctx.g, ctx.k
-    eta1 = len(ctx.v_minus1)
-    n_c = len(counts[TYPE_C_OPPOSITE])
-    n_b = len(counts[TYPE_B_SUPPORTED])
-    n_a = len(counts[TYPE_NEGATED_BASIS])
-    problems = []
-    if n_c > len(g.c):
-        problems.append(f"{n_c} c-opposite vertices > |C|={len(g.c)}")
-    if n_b > (k + 1) * len(g.b):
-        problems.append(f"{n_b} b-supported vertices > (k+1)|B|={(k + 1) * len(g.b)}")
-    if n_a < eta1 - len(g.c) - (k + 1) * len(g.b):
-        problems.append(
-            f"{n_a} negated-basis vertices < {eta1 - len(g.c) - (k + 1) * len(g.b)}"
-        )
+    problems = _level_minus_one_bound_problems(counts, ctx.g, ctx.k)
     return not problems, "; ".join(problems), True
 
 

@@ -140,6 +140,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     square = make_polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     bad = write(tmp_path, "bad.fano", square)
     assert main(["verify", good, bad]) == 1
+    out = capsys.readouterr().out
+    assert out.index(f"== {good}") < out.index(f"== {bad}")
+
+
+def test_verify_warns_on_local_fallback(tmp_path, capsys):
+    p = hexagon()
+    for _ in range(6):
+        p = direct_sum(p, hexagon())
+    path = write(tmp_path, "h7.fano", p)
+    assert main(["verify", path]) == 0
+    captured = capsys.readouterr()
+    assert "INSTANCE d=14 n=42 k=0 mode=local" in captured.out
+    assert "warning: dimension 14 > 12, using local validation" in captured.err
 
 
 def test_verify_json(tmp_path, capsys):

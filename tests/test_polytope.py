@@ -16,6 +16,7 @@ from fanosplit.polytope import (
     frame_from_indices,
     is_smooth_fano,
     make_polytope,
+    opposite_indices,
     picard_number,
     pivot,
     special_facet,
@@ -156,6 +157,21 @@ class TestSmoothFano:
         cert = is_smooth_fano(cube)
         assert not cert.valid
         assert cert.failure_kind == "FacetNotSimplex"
+        assert cert.describe() == (
+            "invalid kind=FacetNotSimplex witness=initial supporting hyperplane "
+            "contains 4 vertices: (0, 1, 2, 3)"
+        )
+        # a triangular prism: its square facets surface as a pivot tie in
+        # FULL mode, while LOCAL sees only the non-unimodular start facet
+        prism = make_polytope([(1, 1, 0), (1, 0, 1), (1, -1, -1),
+                               (-1, 1, 0), (-1, 0, 1), (-1, -1, -1)])
+        assert is_smooth_fano(prism, Mode.FULL).describe() == (
+            "invalid kind=FacetNotSimplex witness=pivot tie at ridge 0 of facet "
+            "(0, 1, 2): vertices (4, 5) are coplanar with the ridge"
+        )
+        assert is_smooth_fano(prism, Mode.LOCAL).describe() == (
+            "invalid kind=FacetNotUnimodular witness=facet (0, 1, 2) has |det| = 3"
+        )
 
     def test_local_mode_agrees_on_valid_instances(self):
         for p in (hexagon(), pentagon(), simplex(3), example4d(), bundle_b(1)):
@@ -228,8 +244,10 @@ class TestAgainstBruteForceOracle:
         expected = brute_facets(p)
         assert {f.vertex_indices for f in frames} == set(expected)
         for f in frames:
-            for v in f.vertex_indices:
+            opposites = opposite_indices(p, f)
+            for j, v in enumerate(f.vertex_indices):
                 neigh, opp = pivot(p, f, v)
                 oracle_neigh, oracle_opp = brute_neighbor(expected, f.vertex_indices, v)
                 assert neigh.vertex_indices == oracle_neigh
                 assert p.index_of(opp) == oracle_opp
+                assert opposites[j] == oracle_opp
