@@ -282,6 +282,11 @@ class IntKernel:
             return [tuple(int(x) for x in r) for r in self._np]
         return [tuple(r) for r in self._py]
 
+    def row(self, i: int) -> IntVector:
+        if self._np is not None:
+            return tuple(int(x) for x in self._np[i])
+        return tuple(self._py[i])
+
     def _fall_back(self):
         self._py = [[int(x) for x in r] for r in self._np]
         self._np = None

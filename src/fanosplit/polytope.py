@@ -17,6 +17,12 @@ its primitive outer normal.  All geometry is exact:
 * ties in the ratio rule across a ridge certify a non-simplicial facet and
   are a hard error, never silently broken.
 
+Internally a facet is one record, `_RawFacet`: its vertex indices by frame
+position, the exact rational dual basis (`dual` / `det`) and the primitive
+outer normal.  One dual-basis update (`_neighbor_raw`) crosses a ridge; the
+enumeration, the special-facet walk and `pivot` all use it.  `FacetFrame` is
+the public, sorted, unimodular view of a record.
+
 Validation has two modes.  FULL enumerates every facet and checks each one.
 LOCAL checks only the facets it materialises (the gift-wrapped start and
 anything reached by pivoting); it exists because facet counts of hexagon
@@ -205,7 +211,11 @@ class SmoothFanoCertificate:
 
 @dataclass(frozen=True)
 class _RawFacet:
-    """Internal facet record; `dual`/`det` is the exact rational dual basis."""
+    """Internal facet record; `dual`/`det` is the exact rational dual basis.
+
+    Row i of `dual` belongs to `indices[i]`.  Records are sorted by index
+    except between the steps of a walk, which keeps frame positions fixed.
+    """
 
     indices: tuple[int, ...]
     dual: tuple[LatticeVector, ...]
@@ -214,20 +224,21 @@ class _RawFacet:
     level: int  # c > 0 with <A, x> = c on the facet, <= c on P
 
 
-def _primitive_normal(rowsum: Sequence[int], delta: int) -> tuple[LatticeVector, int]:
-    g = gcd_of(list(rowsum) + [delta])
+def _make_raw(indices: Sequence[int], dual: Sequence[LatticeVector], det: int) -> _RawFacet:
+    """The record of a scaled dual basis; its row sum over `det` is the normal."""
+    rowsum = [sum(col) for col in zip(*dual)]
+    g = gcd_of(rowsum + [det])
     if g == 0:
         raise InvariantViolationError("zero outer normal")
-    return tuple(a // g for a in rowsum), delta // g
+    return _RawFacet(tuple(indices), tuple(dual), det,
+                     tuple(a // g for a in rowsum), det // g)
 
 
-def _sorted_frame(indices: Sequence[int], rows: Sequence[LatticeVector]
-                  ) -> tuple[tuple[int, ...], tuple[LatticeVector, ...], LatticeVector]:
-    """(index, dual row) pairs sorted by index, plus the sum of the rows:
-    the (scaled) outer normal of the frame."""
-    paired = sorted(zip(indices, rows))
-    dual = tuple(r for _, r in paired)
-    return tuple(i for i, _ in paired), dual, tuple(sum(col) for col in zip(*dual))
+def _sorted_raw(raw: _RawFacet) -> _RawFacet:
+    """The same record with its (index, dual row) pairs in index order."""
+    paired = sorted(zip(raw.indices, raw.dual))
+    return _RawFacet(tuple(i for i, _ in paired), tuple(r for _, r in paired),
+                     raw.det, raw.normal, raw.level)
 
 
 def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
@@ -254,14 +265,12 @@ def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
 
 
 def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
-    rows = [p.vertices[i] for i in indices]
-    dual, delta = linalg.scaled_dual(rows)
+    """The record of the sorted vertex index set `indices`."""
+    dual, delta = linalg.scaled_dual([p.vertices[i] for i in indices])
     if delta < 0:
         dual = tuple(linalg.vec_neg(r) for r in dual)
         delta = -delta
-    indices, dual, rowsum = _sorted_frame(indices, dual)
-    normal, level = _primitive_normal(rowsum, delta)
-    return _RawFacet(indices, dual, delta, normal, level)
+    return _make_raw(indices, dual, delta)
 
 
 def _check_facet(p: Polytope, raw: _RawFacet) -> None:
@@ -301,7 +310,7 @@ def _initial_raw(p: Polytope) -> _RawFacet:
             raise NotSimplicialError(
                 f"supporting hyperplane contains dependent vertex set {tuple(on)}"
             )
-        w = kernel.rows()[0]
+        w = kernel.row(0)
         wv = p.products(w)
         neg = [-x for x in wv]
         below = [i for i, v in enumerate(values) if v < c]
@@ -336,29 +345,23 @@ def _initial_raw(p: Polytope) -> _RawFacet:
     return raw
 
 
-def _neighbor_raw(p: Polytope, raw: _RawFacet, coords: list[LatticeVector],
-                  pos: int, target: int) -> _RawFacet:
-    """Dual-basis update when frame position `pos` is replaced by `target`."""
-    d = p.dim
+def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _RawFacet:
+    """Dual-basis update when frame position `pos` is replaced by `target`,
+    whose coordinate row is `ct`; every other position keeps its place."""
     delta = raw.det
-    ct = coords[target]
-    beta = ct[pos]
+    sign = -1 if ct[pos] < 0 else 1
+    beta = sign * ct[pos]
     base = raw.dual[pos]
-    new_rows = []
-    for w in range(d):
+    rows = []
+    for w, row in enumerate(raw.dual):
         if w == pos:
-            new_rows.append(base)
+            rows.append(tuple(sign * b for b in base))
         else:
-            row = tuple((a * beta - ct[w] * b) // delta for a, b in zip(raw.dual[w], base))
-            new_rows.append(row)
-    new_det = beta
-    if new_det < 0:
-        new_det = -new_det
-        new_rows = [linalg.vec_neg(r) for r in new_rows]
-    indices = [target if w == pos else raw.indices[w] for w in range(d)]
-    indices, dual, rowsum = _sorted_frame(indices, new_rows)
-    normal, level = _primitive_normal(rowsum, new_det)
-    return _RawFacet(indices, dual, new_det, normal, level)
+            # exact division: the rows are the adjugate of the new vertex basis
+            c = sign * ct[w]
+            rows.append(tuple((beta * a - c * b) // delta for a, b in zip(row, base)))
+    indices = [target if w == pos else i for w, i in enumerate(raw.indices)]
+    return _make_raw(indices, rows, beta)
 
 
 def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
@@ -392,7 +395,7 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
             key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {targets[0]}))
             if key in visited:
                 continue
-            neighbor = _neighbor_raw(p, raw, coords, pos, targets[0])
+            neighbor = _sorted_raw(_neighbor_raw(raw, coords[targets[0]], pos, targets[0]))
             _check_facet(p, neighbor)
             visited.add(neighbor.indices)
             queue.append(neighbor)
@@ -404,7 +407,8 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
     return out
 
 
-def _frame_from_raw(p: Polytope, raw: _RawFacet) -> FacetFrame:
+def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
+    raw = _sorted_raw(raw)
     if raw.det != 1:
         raise NotUnimodularError(
             raw.det, f"facet {raw.indices} has vertex basis with |det| = {raw.det}"
@@ -433,53 +437,17 @@ def _frame_opposite(indices: Sequence[int], column: Sequence[int],
     return best[0]
 
 
-@dataclass
-class _FrameState:
-    """Mutable pivot walker over unimodular frames; int64-backed when safe."""
-
-    p: Polytope
-    indices: list[int]
-    rows: list[LatticeVector]
-
-    @staticmethod
-    def from_frame(p: Polytope, frame: FacetFrame) -> "_FrameState":
-        return _FrameState(p, list(frame.vertex_indices), list(frame.dual_basis.entries))
-
-    def outer_normal(self) -> LatticeVector:
-        return tuple(sum(col) for col in zip(*self.rows))
-
-    def gamma(self, s: Sequence[int]) -> list[int]:
-        return [dot(r, s) for r in self.rows]
-
-    def pivot(self, pos: int) -> int:
-        """Replace frame position `pos` by its opposite vertex; return its index."""
-        p = self.p
-        u = self.rows[pos]
-        cv = p.products(u)
-        levels = p.products(self.outer_normal())
-        best = _frame_opposite(self.indices, cv, levels, pos)
-        if cv[best] != -1:
-            raise NotUnimodularError(
-                cv[best],
-                f"neighbor facet across position {pos} is not unimodular",
-            )
-        x = p.vertices[best]
-        coeff = [dot(r, x) for r in self.rows]
-        new_rows = []
-        for w in range(len(self.rows)):
-            if w == pos:
-                new_rows.append(linalg.vec_neg(u))
-            else:
-                new_rows.append(
-                    tuple(a + coeff[w] * b for a, b in zip(self.rows[w], u))
-                )
-        self.rows = new_rows
-        self.indices[pos] = best
-        return best
-
-    def to_frame(self) -> FacetFrame:
-        indices, dual, normal = _sorted_frame(self.indices, self.rows)
-        return FacetFrame(indices, IntMatrix(dual), normal)
+def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
+    """Cross ridge `pos` of a unimodular record to its unimodular neighbor."""
+    cv = p.products(raw.dual[pos])
+    best = _frame_opposite(raw.indices, cv, p.products(raw.normal), pos)
+    if cv[best] != -1:
+        raise NotUnimodularError(
+            cv[best],
+            f"neighbor facet across position {pos} is not unimodular",
+        )
+    x = p.vertices[best]
+    return _neighbor_raw(raw, [dot(r, x) for r in raw.dual], pos, best)
 
 
 def enumerate_facets(p: Polytope) -> tuple[FacetFrame, ...]:
@@ -489,7 +457,7 @@ def enumerate_facets(p: Polytope) -> tuple[FacetFrame, ...]:
     otherwise); use `is_smooth_fano` for a non-raising validity check.
     """
     raws = _full_raws(p)
-    frames = [_frame_from_raw(p, raw) for raw in raws]
+    frames = [_frame_from_raw(raw) for raw in raws]
     frames.sort(key=lambda f: f.vertex_indices)
     return tuple(frames)
 
@@ -566,15 +534,19 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     exact ratio (1 - level(x)) / (-coordinate of x along the dropped dual
     direction) over vertices with negative such coordinate.
     """
-    state = _FrameState.from_frame(p, frame)
+    raw = _RawFacet(frame.vertex_indices, frame.dual_basis.entries, 1, frame.outer_normal, 1)
     pos = frame.position_of(vertex_index)
-    opp = state.pivot(pos)
-    return state.to_frame(), p.vertices[opp]
+    neighbor = _cross(p, raw, pos)
+    return _frame_from_raw(neighbor), p.vertices[neighbor.indices[pos]]
 
 
 def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
     """Vertex index of opp(F, v) for every frame position, via the pivot rule."""
-    coords = p.coords_rows(frame.dual_basis.entries)
+    return _opposites(frame, p.coords_rows(frame.dual_basis.entries))
+
+
+def _opposites(frame: FacetFrame, coords: Sequence[LatticeVector]) -> list[int]:
+    """`opposite_indices` given every vertex's coordinate row in `frame`."""
     levels = [sum(row) for row in coords]
     return [_frame_opposite(frame.vertex_indices, column, levels, pos)
             for pos, column in enumerate(zip(*coords))]
@@ -587,7 +559,7 @@ def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:
         raise NotSimplicialError(f"a facet frame needs exactly {p.dim} vertices")
     raw = _raw_from_rows(p, idx)
     _check_facet(p, raw)
-    return _frame_from_raw(p, raw)
+    return _frame_from_raw(raw)
 
 
 def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
@@ -602,15 +574,14 @@ def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
     if "special" in cache:
         return cache["special"]
     s = vertex_sum(p)
-    state = _FrameState.from_frame(p, _frame_from_raw(p, _initial_raw_cached(p)))
+    raw = _initial_raw_cached(p)
     for _ in range(_MAX_PIVOT_STEPS):
-        gamma = state.gamma(s)
-        pos = next((j for j, g in enumerate(gamma) if g < 0), None)
+        pos = next((j for j, u in enumerate(raw.dual) if dot(u, s) < 0), None)
         if pos is None:
-            frame = state.to_frame()
+            frame = _frame_from_raw(raw)
             cache["special"] = frame
             return frame
-        state.pivot(pos)
+        raw = _cross(p, raw, pos)
     raise InvariantViolationError("special-facet walk did not terminate")
 
 

@@ -158,10 +158,10 @@ def _validate_factor(q: Polytope) -> None:
         )
 
 
-def _check_reassembly(p: Polytope, factors: tuple[Factor, ...], basis: IntMatrix) -> None:
-    transformed = set(p.coords_rows(basis.entries))
+def _check_reassembly(coords: list[tuple[int, ...]], factors: tuple[Factor, ...], d: int) -> None:
+    """The factors, padded back into their blocks, are the vertices `coords`."""
+    transformed = set(coords)
     rebuilt = set()
-    d = basis.rows
     for f in factors:
         lo, hi = f.block
         for v in f.polytope.vertices:
@@ -206,7 +206,7 @@ def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]],
             _validate_factor(q)
         factors.append(Factor(members, q, span, kind))
     dec = Decomposition(tuple(factors), basis, hexagons)
-    _check_reassembly(p, dec.factors, basis)
+    _check_reassembly(coords, dec.factors, basis.rows)
     return dec
 
 

@@ -24,8 +24,8 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    _opposites,
     enumerate_facets,
-    opposite_indices,
     pivot,
     require_smooth_fano,
     special_facet,
@@ -246,7 +246,7 @@ def _frames_for_global_checks(ctx):
 def _check_opposite_coordinate(ctx):
     for f in _frames_for_global_checks(ctx):
         coords = ctx.p.coords_rows(f.dual_basis.entries)
-        opp = opposite_indices(ctx.p, f)
+        opp = _opposites(f, coords)
         for j in range(ctx.d):
             if coords[opp[j]][j] != -1:
                 return False, (
@@ -259,11 +259,10 @@ def _check_opposite_coordinate(ctx):
 def _check_level_zero_opposites(ctx):
     for f in _frames_for_global_checks(ctx):
         coords = ctx.p.coords_rows(f.dual_basis.entries)
-        levels = ctx.p.products(f.outer_normal)
-        opp = opposite_indices(ctx.p, f)
+        opp = _opposites(f, coords)
         opp_set = set(opp)
-        for i, lv in enumerate(levels):
-            if lv != 0:
+        for i, row in enumerate(coords):
+            if sum(row) != 0:
                 continue
             if i not in opp_set:
                 return False, f"level-0 vertex {i} is opposite to no vertex of {f.vertex_indices}", True
@@ -412,29 +411,21 @@ def _check_shared_low_coordinate(ctx):
 
 
 def _check_separating_coordinate(ctx):
-    n, d = ctx.n, ctx.d
     coords, levels = ctx.coords, ctx.levels
     use_np = ctx.p._np64 is not None and max(
         (abs(c) for row in coords for c in row), default=0
     ) < 2**31
-    if use_np:
-        c = np.asarray(coords, dtype=np.int64)
-        lv = np.asarray(levels)
-        for i in range(n):
-            higher = np.nonzero(lv > levels[i])[0]
-            if higher.size == 0:
-                continue
-            ok = (c[i] < c[higher]).any(axis=1)
-            if not bool(ok.all()):
-                j = int(higher[int(np.nonzero(~ok)[0][0])])
-                return False, f"no coordinate separates vertex {i} from higher vertex {j}", True
-        return True, "", True
-    for i in range(n):
-        for j in range(n):
-            if levels[i] >= levels[j]:
-                continue
-            if not any(coords[i][t] < coords[j][t] for t in range(d)):
-                return False, f"no coordinate separates vertex {i} from higher vertex {j}", True
+    # object arrays keep Python ints, so the same test stays exact
+    c = np.asarray(coords, dtype=np.int64 if use_np else object)
+    lv = np.asarray(levels)
+    for i in range(ctx.n):
+        higher = np.nonzero(lv > levels[i])[0]
+        if higher.size == 0:
+            continue
+        ok = (c[i] < c[higher]).any(axis=1)
+        if not bool(ok.all()):
+            j = int(higher[int(np.nonzero(~ok)[0][0])])
+            return False, f"no coordinate separates vertex {i} from higher vertex {j}", True
     return True, "", True
 
 

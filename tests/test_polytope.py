@@ -8,10 +8,12 @@ from fanosplit.errors import (
     NotFullDimError,
     NotSimplicialError,
     NotSmoothFanoError,
+    NotUnimodularError,
 )
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
 from fanosplit.polytope import (
     Mode,
+    Polytope,
     enumerate_facets,
     frame_from_indices,
     is_smooth_fano,
@@ -109,6 +111,18 @@ class TestPivot:
         f = frame_from_indices(p, [0, 1])
         neigh, opp = pivot(p, f, 0)
         assert opp == (-1, -1)
+
+    def test_pivot_to_non_unimodular_neighbor(self):
+        p = Polytope(2, ((1, 0), (0, 1), (-1, -2)))
+        f = frame_from_indices(p, [0, 1])
+        with pytest.raises(NotUnimodularError) as info:
+            pivot(p, f, 1)
+        assert info.value.det == -2
+        assert str(info.value) == "neighbor facet across position 1 is not unimodular"
+        neigh, opp = pivot(p, f, 0)
+        assert opp == (-1, -2)
+        assert neigh.vertex_indices == (1, 2)
+        assert neigh.outer_normal == (-3, 1)
 
     def test_pivot_involution(self):
         p = example4d()
