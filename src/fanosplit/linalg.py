@@ -1,10 +1,12 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Every stored value is a Python int, so no overflow is possible.  Hot paths
-dispatch to numpy int64 only when an a-priori bound certifies that every
-intermediate fits; otherwise they fall back to pure-Python arithmetic on the
-same data.  The only rational arithmetic in the package is ratio comparison
-by integer cross-multiplication.
+Every returned value is a Python int, so no overflow is possible.  Each
+kernel is one numpy computation over an array whose dtype `_exact_array`
+picks: int64 when an a-priori bound certifies that every intermediate fits,
+otherwise `object`, on which the same numpy code runs on exact Python ints.
+A kernel whose bound breaks partway converts its working array and goes on.
+The only rational arithmetic in the package is ratio comparison by integer
+cross-multiplication.
 
 Determinants and scaled inverses use fraction-free (Bareiss/Montante)
 elimination: intermediates are true minors of the input, so they stay as
@@ -137,64 +139,20 @@ def determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _scaled_dual_python(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntVector, ...], int]:
-    n = len(rows)
-    w = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k] != 0:
-                    w[k], w[i] = w[i], w[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-        pk = w[k][k]
-        wk = w[k]
-        for i in range(n):
-            if i == k:
-                continue
-            wi = w[i]
-            wik = wi[k]
-            for j in range(2 * n):
-                wi[j] = (wi[j] * pk - wik * wk[j]) // prev
-        prev = pk
-    delta = w[0][0]
-    # right block is delta * M^-1; its transpose is the scaled dual basis
-    inv_scaled = [r[n:] for r in w]
-    dual = tuple(tuple(inv_scaled[i][j] for i in range(n)) for j in range(n))
-    return dual, delta
+def _exact_array(rows, fits_int64: bool) -> np.ndarray:
+    """`rows` as an int64 array when the caller's a-priori bound `fits_int64`
+    holds, else as an object array of exact Python ints."""
+    return np.asarray(rows, dtype=np.int64 if fits_int64 else object)
 
 
-def _scaled_dual_numpy(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntVector, ...], int] | None:
-    """int64 variant of the fraction-free Gauss-Jordan; None means 'bound broke,
-    redo in exact Python arithmetic'."""
-    n = len(rows)
-    hi0 = max((abs(int(x)) for row in rows for x in row), default=0)
-    if 2 * hi0 * hi0 >= _I64_SAFE:
-        return None
-    w = np.hstack([np.asarray(rows, dtype=np.int64), np.eye(n, dtype=np.int64)])
-    prev = 1
-    for k in range(n):
-        if w[k, k] == 0:
-            nz = np.nonzero(w[k + 1:, k])[0]
-            if nz.size == 0:
-                raise SingularMatrixError("matrix is singular")
-            i = k + 1 + int(nz[0])
-            w[[k, i]] = w[[i, k]]
-        hi = int(np.abs(w).max())
-        if 2 * hi * hi >= _I64_SAFE:
-            return None
-        pk = int(w[k, k])
-        saved = w[k].copy()
-        col = w[:, k].copy()
-        w = (w * pk - np.outer(col, saved)) // prev
-        w[k] = saved
-        prev = pk
-    delta = int(w[0, 0])
-    inv_scaled = w[:, n:]
-    dual = tuple(tuple(int(inv_scaled[i, j]) for i in range(n)) for j in range(n))
-    return dual, delta
+def _products_fit(a_max: int, b_max: int, length: int) -> bool:
+    """Whether sums of `length` products of entries bounded by `a_max` and
+    `b_max` certainly fit int64."""
+    return length * (a_max or 1) * (b_max or 1) < _I64_SAFE
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def scaled_dual(m) -> tuple[tuple[IntVector, ...], int]:
@@ -210,11 +168,29 @@ def scaled_dual(m) -> tuple[tuple[IntVector, ...], int]:
         raise DimensionError("scaled dual of a non-square matrix")
     if n == 0:
         return (), 1
-    if n >= 24:
-        out = _scaled_dual_numpy(rows)
-        if out is not None:
-            return out
-    return _scaled_dual_python(rows)
+    hi = max(abs(x) for row in rows for x in row)
+    w = np.hstack([_exact_array(rows, _products_fit(hi, hi, 2)), np.eye(n, dtype=np.int64)])
+    # fraction-free Gauss-Jordan on [m | I]: the entries are minors of m
+    prev = 1
+    for k in range(n):
+        if w[k, k] == 0:
+            nz = np.nonzero(w[k + 1:, k])[0]
+            if nz.size == 0:
+                raise SingularMatrixError("matrix is singular")
+            i = k + 1 + int(nz[0])
+            w[[k, i]] = w[[i, k]]
+        if w.dtype != object:
+            hi = _max_abs(w)
+            w = _exact_array(w, _products_fit(hi, hi, 2))
+        pk = int(w[k, k])
+        saved = w[k].copy()
+        w = (w * pk - np.outer(w[:, k], saved)) // prev
+        w[k] = saved
+        prev = pk
+    delta = int(w[0, 0])
+    # the right block is delta * m^-1; its transpose is the scaled dual basis
+    dual = tuple(map(tuple, w[:, n:].T.tolist()))
+    return dual, delta
 
 
 def inverse_if_unimodular(m) -> IntMatrix:
@@ -258,91 +234,50 @@ class IntKernel:
 
     Feeding vectors one at a time keeps an exact basis of the lattice-rational
     kernel; the rank of the fed set is dimension minus the rows remaining.
-    Uses int64 numpy arrays while a growth bound holds, then falls back to
-    Python ints.
+    The basis is one numpy array: int64 while a growth bound holds, then an
+    object array of Python ints running the same code.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._np: np.ndarray | None = np.eye(dim, dtype=np.int64)
-        self._py: list[list[int]] | None = None
+        self._rows = np.eye(dim, dtype=np.int64)
 
     @property
     def remaining(self) -> int:
-        if self._np is not None:
-            return self._np.shape[0]
-        return len(self._py)
+        return self._rows.shape[0]
 
     @property
     def rank(self) -> int:
         return self.dim - self.remaining
 
     def rows(self) -> list[IntVector]:
-        if self._np is not None:
-            return [tuple(int(x) for x in r) for r in self._np]
-        return [tuple(r) for r in self._py]
+        return list(map(tuple, self._rows.tolist()))
 
     def row(self, i: int) -> IntVector:
-        if self._np is not None:
-            return tuple(int(x) for x in self._np[i])
-        return tuple(self._py[i])
-
-    def _fall_back(self):
-        self._py = [[int(x) for x in r] for r in self._np]
-        self._np = None
+        return tuple(self._rows[i].tolist())
 
     def reduce(self, vec: Sequence[int]) -> bool:
         """Shrink the kernel by the hyperplane <., vec> = 0; True if rank grew."""
         if self.remaining == 0:
             return False
-        if self._np is not None:
-            hi = int(np.abs(self._np).max()) or 1
-            hv = max((abs(int(v)) for v in vec), default=0) or 1
-            if hi * hv * self.dim >= _I64_SAFE:
-                self._fall_back()
-        if self._np is not None:
-            k = self._np
-            w = k @ np.asarray(vec, dtype=np.int64)
-            nz = np.nonzero(w)[0]
-            if nz.size == 0:
-                return False
-            r = int(min(nz, key=lambda i: (abs(int(w[i])), int(i))))
-            wr = int(w[r])
-            hi = int(np.abs(k).max())
-            if 2 * hi * int(np.abs(w).max()) >= _I64_SAFE:
-                self._fall_back()
-            else:
-                new = k * wr - np.outer(w, k[r])
-                new = np.delete(new, r, axis=0)
-                if new.shape[0]:
-                    g = np.gcd.reduce(np.abs(new), axis=1)
-                    if (g == 0).any():
-                        raise SingularMatrixError("kernel rows became dependent")
-                    new //= g[:, None]
-                self._np = new
-                return True
-        rows = self._py
-        w = [dot(r, vec) for r in rows]
-        pick = None
-        for i, wi in enumerate(w):
-            if wi != 0 and (pick is None or abs(wi) < abs(w[pick])):
-                pick = i
-        if pick is None:
+        k = self._rows
+        hv = max((abs(int(v)) for v in vec), default=0)
+        fits = k.dtype != object and _products_fit(_max_abs(k), hv, self.dim)
+        k = _exact_array(k, fits)
+        w = k @ _exact_array(vec, fits)
+        nz = np.nonzero(w)[0]
+        if nz.size == 0:
             return False
-        wr = w[pick]
-        base = rows[pick]
-        out = []
-        for i, row in enumerate(rows):
-            if i == pick:
-                continue
-            nr = [a * wr - w[i] * b for a, b in zip(row, base)]
-            g = gcd_of(nr)
-            if g == 0:
+        r = int(min(nz, key=lambda i: (abs(int(w[i])), int(i))))
+        if fits and not _products_fit(_max_abs(k), _max_abs(w), 2):
+            k, w = _exact_array(k, False), _exact_array(w, False)
+        new = np.delete(k * w[r] - np.outer(w, k[r]), r, axis=0)
+        if new.shape[0]:
+            g = np.gcd.reduce(np.abs(new), axis=1)
+            if (g == 0).any():
                 raise SingularMatrixError("kernel rows became dependent")
-            if g > 1:
-                nr = [a // g for a in nr]
-            out.append(nr)
-        self._py = out
+            new //= g[:, None]
+        self._rows = new
         return True
 
 
@@ -356,24 +291,20 @@ def int_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
     return ker.rank
 
 
-def products_with(vertices_np: np.ndarray | None, vertices: Sequence[IntVector],
-                  u: Sequence[int], max_abs_vertices: int) -> list[int]:
-    """<x, u> for every x in vertices, int64-accelerated when certified safe."""
-    if vertices_np is not None and vertices:
-        d = len(u)
-        hu = max((abs(int(a)) for a in u), default=0)
-        if d * (max_abs_vertices or 1) * (hu or 1) < _I64_SAFE:
-            return (vertices_np @ np.asarray(u, dtype=np.int64)).tolist()
-    return [dot(x, u) for x in vertices]
+def _vertex_products(vertices: np.ndarray, rows: Sequence[Sequence[int]],
+                     max_abs_vertices: int) -> np.ndarray:
+    """<x, u> for every vertex row x of `vertices` and every u in `rows`."""
+    hu = max((abs(a) for row in rows for a in row), default=0)
+    fits = vertices.dtype != object and _products_fit(max_abs_vertices, hu, vertices.shape[1])
+    return _exact_array(vertices, fits) @ _exact_array(rows, fits).T
 
 
-def coords_rows(vertices_np: np.ndarray | None, vertices: Sequence[IntVector],
-                dual_rows: Sequence[IntVector], max_abs_vertices: int) -> list[IntVector]:
+def products_with(vertices: np.ndarray, u: Sequence[int], max_abs_vertices: int) -> list[int]:
+    """<x, u> for every vertex row x of `vertices`, exact."""
+    return _vertex_products(vertices, [u], max_abs_vertices)[:, 0].tolist()
+
+
+def coords_rows(vertices: np.ndarray, dual_rows: Sequence[IntVector],
+                max_abs_vertices: int) -> list[IntVector]:
     """Rows <U, x> for every vertex x: the coordinate matrix w.r.t. a dual basis."""
-    if vertices_np is not None and vertices and dual_rows:
-        d = len(dual_rows[0])
-        hu = max(abs(a) for row in dual_rows for a in row)
-        if d * (max_abs_vertices or 1) * (hu or 1) < _I64_SAFE:
-            m = vertices_np @ np.asarray(dual_rows, dtype=np.int64).T
-            return [tuple(int(v) for v in row) for row in m]
-    return [tuple(dot(row, x) for row in dual_rows) for x in vertices]
+    return list(map(tuple, _vertex_products(vertices, dual_rows, max_abs_vertices).tolist()))

@@ -106,10 +106,10 @@ class Polytope:
         return max((abs(x) for v in self.vertices for x in v), default=0)
 
     @cached_property
-    def _np64(self) -> np.ndarray | None:
-        if self._abs_max < 2**31 and self.n:
-            return np.asarray(self.vertices, dtype=np.int64)
-        return None
+    def _array(self) -> np.ndarray:
+        """The vertex rows as an exact array: int64 below 2**31, else object."""
+        fits = self._abs_max < 2**31
+        return linalg._exact_array(self.vertices, fits).reshape(self.n, self.dim)
 
     @cached_property
     def _cert_cache(self) -> dict:
@@ -117,11 +117,11 @@ class Polytope:
 
     def products(self, u: Sequence[int]) -> list[int]:
         """<x, u> for every vertex x."""
-        return linalg.products_with(self._np64, self.vertices, u, self._abs_max)
+        return linalg.products_with(self._array, u, self._abs_max)
 
     def coords_rows(self, dual_rows: Sequence[Sequence[int]]) -> list[LatticeVector]:
         """Coordinate rows of all vertices w.r.t. a dual basis."""
-        return linalg.coords_rows(self._np64, self.vertices, dual_rows, self._abs_max)
+        return linalg.coords_rows(self._array, dual_rows, self._abs_max)
 
 
 def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
@@ -493,6 +493,16 @@ def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate
     return cert
 
 
+# the certificate's failure kind for each validation error
+_FAILURE_KINDS = {
+    NotSimplicialError: "FacetNotSimplex",
+    NoNegativeVertexError: "OriginNotInterior",
+    OriginNotInteriorError: "OriginNotInterior",
+    NotFullDimError: "NotFullDim",
+    NotUnimodularError: "FacetNotUnimodular",
+}
+
+
 def _compute_certificate(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
     if linalg.int_rank([v + (1,) for v in p.vertices], p.dim + 1) != p.dim + 1:
         return SmoothFanoCertificate(False, mode, "NotFullDim", "vertex set does not span")
@@ -501,12 +511,8 @@ def _compute_certificate(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
             raws = _full_raws(p)
         else:
             raws = [_initial_raw_cached(p)]
-    except NotSimplicialError as e:
-        return SmoothFanoCertificate(False, mode, "FacetNotSimplex", str(e))
-    except (NoNegativeVertexError, OriginNotInteriorError) as e:
-        return SmoothFanoCertificate(False, mode, "OriginNotInterior", str(e))
-    except NotFullDimError as e:
-        return SmoothFanoCertificate(False, mode, "NotFullDim", str(e))
+    except tuple(_FAILURE_KINDS) as e:
+        return SmoothFanoCertificate(False, mode, _FAILURE_KINDS[type(e)], str(e))
     for raw in raws:
         if raw.det != 1:
             return SmoothFanoCertificate(
@@ -567,9 +573,10 @@ def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
 
     Starts from the gift-wrapped facet and pivots on any frame vertex with a
     negative gamma coordinate; the level of the vertex sum strictly increases
-    with each step, so the walk terminates.
+    with each step, so the walk terminates.  A step onto a facet that is not
+    a unimodular simplex raises NotSmoothFanoError with that witness.
     """
-    require_smooth_fano(p, mode)
+    used = require_smooth_fano(p, mode)
     cache = p._cert_cache
     if "special" in cache:
         return cache["special"]
@@ -581,7 +588,12 @@ def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
             frame = _frame_from_raw(raw)
             cache["special"] = frame
             return frame
-        raw = _cross(p, raw, pos)
+        try:
+            raw = _cross(p, raw, pos)
+        except tuple(_FAILURE_KINDS) as e:
+            # LOCAL validation never reached this facet: report it, don't crash
+            raise NotSmoothFanoError(SmoothFanoCertificate(
+                False, used, _FAILURE_KINDS[type(e)], str(e))) from None
     raise InvariantViolationError("special-facet walk did not terminate")
 
 

@@ -14,12 +14,13 @@ implementation bug (or counterexample) and fails the whole report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import GoodnessPartition, goodness_partition, levels_and_eta
 from .errors import UnclassifiableVertexError, InvariantViolationError
-from .linalg import vec_neg, vec_sub
+from .linalg import _exact_array, vec_neg, vec_sub
 from .polytope import (
     FacetFrame,
     Mode,
@@ -132,6 +133,21 @@ class _Ctx:
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
         self.s_level = sum(self.frame.coordinates(vertex_sum(p)))
 
+    @cached_property
+    def opposite_failures(self) -> tuple[str | None, str | None]:
+        """First failures of the opposite-coordinate and level-zero-opposites
+        checks, from one walk over every facet (FULL) or the special facet."""
+        frames = enumerate_facets(self.p) if self.mode is Mode.FULL else (self.frame,)
+        coord_fail = zero_fail = None
+        for f in frames:
+            coords = self.p.coords_rows(f.dual_basis.entries)
+            opp = _opposites(f, coords)
+            coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
+            zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
+            if coord_fail and zero_fail:
+                break
+        return coord_fail, zero_fail
+
 
 def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int, ...]]:
     """Assign every level -1 vertex to exactly one structural type.
@@ -237,44 +253,36 @@ def _check_sum_level(ctx):
     return ok, f"level of vertex sum is {ctx.s_level}, k={ctx.k}" if not ok else "", True
 
 
-def _frames_for_global_checks(ctx):
-    if ctx.mode is Mode.FULL:
-        return enumerate_facets(ctx.p)
-    return (ctx.frame,)
+def _opposite_coordinate_failure(f, coords, opp):
+    for j in range(len(opp)):
+        if coords[opp[j]][j] != -1:
+            return (f"facet {f.vertex_indices}: coordinate of opposite vertex "
+                    f"{opp[j]} along position {j} is {coords[opp[j]][j]}")
+    return None
+
+
+def _level_zero_failure(f, coords, opp):
+    opp_set = set(opp)
+    for i, row in enumerate(coords):
+        if sum(row) != 0:
+            continue
+        if i not in opp_set:
+            return f"level-0 vertex {i} is opposite to no vertex of {f.vertex_indices}"
+        for j, c in enumerate(row):
+            is_opp = opp[j] == i
+            if is_opp != (c < 0) or (c < 0 and c != -1):
+                return f"level-0 vertex {i}, facet position {j}: coordinate {c} vs opposite={is_opp}"
+    return None
 
 
 def _check_opposite_coordinate(ctx):
-    for f in _frames_for_global_checks(ctx):
-        coords = ctx.p.coords_rows(f.dual_basis.entries)
-        opp = _opposites(f, coords)
-        for j in range(ctx.d):
-            if coords[opp[j]][j] != -1:
-                return False, (
-                    f"facet {f.vertex_indices}: coordinate of opposite vertex "
-                    f"{opp[j]} along position {j} is {coords[opp[j]][j]}"
-                ), True
-    return True, "", True
+    details = ctx.opposite_failures[0]
+    return details is None, details or "", True
 
 
 def _check_level_zero_opposites(ctx):
-    for f in _frames_for_global_checks(ctx):
-        coords = ctx.p.coords_rows(f.dual_basis.entries)
-        opp = _opposites(f, coords)
-        opp_set = set(opp)
-        for i, row in enumerate(coords):
-            if sum(row) != 0:
-                continue
-            if i not in opp_set:
-                return False, f"level-0 vertex {i} is opposite to no vertex of {f.vertex_indices}", True
-            for j in range(ctx.d):
-                c = coords[i][j]
-                is_opp = opp[j] == i
-                if is_opp != (c < 0) or (c < 0 and c != -1):
-                    return False, (
-                        f"level-0 vertex {i}, facet position {j}: coordinate {c} "
-                        f"vs opposite={is_opp}"
-                    ), True
-    return True, "", True
+    details = ctx.opposite_failures[1]
+    return details is None, details or "", True
 
 
 def _check_unique_opposite_iff_phi(ctx):
@@ -412,12 +420,9 @@ def _check_shared_low_coordinate(ctx):
 
 def _check_separating_coordinate(ctx):
     coords, levels = ctx.coords, ctx.levels
-    use_np = ctx.p._np64 is not None and max(
-        (abs(c) for row in coords for c in row), default=0
-    ) < 2**31
-    # object arrays keep Python ints, so the same test stays exact
-    c = np.asarray(coords, dtype=np.int64 if use_np else object)
-    lv = np.asarray(levels)
+    fits = max((abs(c) for row in coords for c in row), default=0) < 2**31
+    c = _exact_array(coords, fits)
+    lv = _exact_array(levels, fits)
     for i in range(ctx.n):
         higher = np.nonzero(lv > levels[i])[0]
         if higher.size == 0:

@@ -155,6 +155,20 @@ def test_verify_warns_on_local_fallback(tmp_path, capsys):
     assert "warning: dimension 14 > 12, using local validation" in captured.err
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "split", "verify"])
+def test_local_walk_failure_is_invalid_certificate(tmp_path, capsys, cmd):
+    # LOCAL validation accepts the gift-wrapped facet; the special-facet walk
+    # then meets a facet with |det| = 2 and reports it as a certificate
+    p = make_polytope([(1, 0), (0, 1), (-1, -2)])
+    for _ in range(7):
+        p = direct_sum(p, hexagon())
+    path = write(tmp_path, "th7.fano", p)
+    assert main([cmd, path, "--mode", "local"]) == 1
+    captured = capsys.readouterr()
+    assert "invalid kind=FacetNotUnimodular witness=neighbor facet across position" in captured.out
+    assert "error:" not in captured.err
+
+
 def test_verify_json(tmp_path, capsys):
     good = write(tmp_path, "good.fano", example4d())
     assert main(["verify", good, "--json"]) == 0

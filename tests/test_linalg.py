@@ -11,6 +11,7 @@ from fanosplit.linalg import (
     coordinates_in_basis,
     determinant,
     dot,
+    gcd_of,
     int_rank,
     inverse_if_unimodular,
     scaled_dual,
@@ -169,25 +170,38 @@ def test_kernel_tracks_orthogonal_complement():
     assert dot(ker.rows()[0], (0, 0, 5)) == 0
 
 
-def test_scaled_dual_numpy_path_matches_python():
+def test_scaled_dual_crosses_from_int64_to_exact_ints():
+    # entries fit the int64 bound at the first pivot, but the later Bareiss
+    # minors and the determinant do not
     import random
 
-    from fanosplit.linalg import _scaled_dual_numpy, _scaled_dual_python
+    random.seed(11)
+    n = 5
+    m = [[random.randint(-2**29, 2**29) for _ in range(n)] for _ in range(n)]
+    dual, delta = scaled_dual(m)
+    assert abs(delta) == abs(determinant(m)) > 2**63
+    for i in range(n):
+        for j in range(n):
+            assert dot(dual[i], m[j]) == (delta if i == j else 0)
 
-    random.seed(7)
-    n = 30
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(200):
-        i, j = random.randrange(n), random.randrange(n)
-        if i == j:
-            continue
-        c = random.choice([-1, 1])
-        for t in range(n):
-            m[i][t] += c * m[j][t]
-    rows = tuple(tuple(r) for r in m)
-    fast = _scaled_dual_numpy(rows)
-    assert fast is not None
-    assert fast == _scaled_dual_python(rows)
+
+def test_kernel_reduce_crosses_from_int64_to_exact_ints():
+    import random
+
+    random.seed(5)
+    d = 7
+    vecs = [tuple(random.randint(-2**20, 2**20) for _ in range(d)) for _ in range(5)]
+    ker = IntKernel(d)
+    assert ker._rows.dtype != object
+    for v in vecs:
+        assert ker.reduce(v)
+    assert ker._rows.dtype == object  # the kernel entries outgrew the int64 bound
+    assert ker.rank == 5
+    assert ker.remaining == 2
+    for row in ker.rows():
+        assert gcd_of(row) == 1
+        for v in vecs:
+            assert dot(row, v) == 0
 
 
 def test_kernel_large_dimension_consistency():
