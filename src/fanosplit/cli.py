@@ -41,10 +41,6 @@ def _fail_io(message: str) -> int:
     return 2
 
 
-def _load(path: str) -> Polytope:
-    return load_polytope(path)
-
-
 def _resolve_mode(flag: str | None, p: Polytope) -> Mode:
     if flag:
         return Mode(flag)
@@ -79,7 +75,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        p = _load(args.file)
+        p = load_polytope(args.file)
     except FanoError as e:
         if isinstance(e, FanoFileError):
             return _fail_io(str(e))
@@ -91,16 +87,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        p = _load(args.file)
-    except FanoFileError as e:
-        return _fail_io(str(e))
-    mode = _resolve_mode(args.mode, p)
-    try:
-        f = special_facet(p, mode)
-    except NotSmoothFanoError as e:
-        print(e.certificate.describe())
-        return 1
+    p = load_polytope(args.file)
+    f = special_facet(p, _resolve_mode(args.mode, p))
     _, eta = levels_and_eta(p, f)
     g = goodness_partition(p, f)
     print(f"d={p.dim} n={p.n} k={vertex_deficit(p)}")
@@ -141,16 +129,9 @@ def _manifest_lines(dec, names: list[str]) -> list[str]:
 
 
 def _cmd_split(args) -> int:
-    try:
-        p = _load(args.file)
-    except FanoFileError as e:
-        return _fail_io(str(e))
+    p = load_polytope(args.file)
     mode = _resolve_mode(args.mode, p)
-    try:
-        dec = hexagon_split(p, mode)
-    except NotSmoothFanoError as e:
-        print(e.certificate.describe())
-        return 1
+    dec = hexagon_split(p, mode)
     d, k = p.dim, vertex_deficit(p)
     print(f"hexagons={dec.hexagon_count}")
     if d >= split_threshold(k):
@@ -174,47 +155,20 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    try:
-        p = _load(args.file)
-    except FanoFileError as e:
-        return _fail_io(str(e))
-    try:
-        nf = normal_form(p, args.budget)
-    except NotSmoothFanoError as e:
-        print(e.certificate.describe())
-        return 1
-    except SizeLimitError as e:
-        print(f"size-limit budget={e.budget}", file=sys.stderr)
-        return 3
-    print(nf.digest_text())
+    print(normal_form(load_polytope(args.file), args.budget).digest_text())
     return 0
 
 
 def _cmd_eq(args) -> int:
-    try:
-        p = _load(args.file1)
-        q = _load(args.file2)
-    except FanoFileError as e:
-        return _fail_io(str(e))
-    try:
-        same = are_equivalent(p, q, args.budget)
-    except NotSmoothFanoError as e:
-        print(e.certificate.describe())
-        return 1
-    except SizeLimitError as e:
-        print(f"size-limit budget={e.budget}", file=sys.stderr)
-        return 3
+    p = load_polytope(args.file1)
+    q = load_polytope(args.file2)
+    same = are_equivalent(p, q, args.budget)
     print("equivalent" if same else "not-equivalent")
     return 0 if same else 1
 
 
 def _cmd_verify(args) -> int:
-    polys = []
-    for path in args.files:
-        try:
-            polys.append((path, _load(path)))
-        except FanoFileError as e:
-            return _fail_io(str(e))
+    polys = [(path, load_polytope(path)) for path in args.files]
 
     # every file is verified before anything is printed, so an error in a
     # later file leaves stdout empty
@@ -306,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as e:
         print(f"size-limit budget={e.budget}", file=sys.stderr)
         return 3
+    except NotSmoothFanoError as e:
+        print(e.certificate.describe())
+        return 1
     except FanoError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

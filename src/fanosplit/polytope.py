@@ -112,6 +112,11 @@ class Polytope:
         return linalg._exact_array(self.vertices, fits).reshape(self.n, self.dim)
 
     @cached_property
+    def _full_dim(self) -> bool:
+        """Affine full dimension: the vectors (x, 1) have rank d + 1."""
+        return linalg.int_rank([v + (1,) for v in self.vertices], self.dim + 1) == self.dim + 1
+
+    @cached_property
     def _cert_cache(self) -> dict:
         return {}
 
@@ -137,18 +142,15 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     d = len(vertices[0])
     if d < 1:
         raise NotFullDimError("ambient dimension must be at least 1")
-    for v in vertices:
-        if len(v) != d:
-            raise NotFullDimError(f"vertex {v} has length {len(v)}, expected {d}")
+    p = Polytope(d, vertices)  # checks every vertex length
     seen = set()
     for v in vertices:
         if v in seen:
             raise DuplicateVertexError(f"vertex {v} appears more than once")
         seen.add(v)
-    # affine full-dimension: the augmented vectors (x, 1) must have rank d+1
-    if linalg.int_rank([v + (1,) for v in vertices], d + 1) != d + 1:
+    if not p._full_dim:
         raise NotFullDimError("vertex set is not full-dimensional")
-    return Polytope(d, vertices)
+    return p
 
 
 def vertex_sum(p: Polytope) -> LatticeVector:
@@ -504,7 +506,7 @@ _FAILURE_KINDS = {
 
 
 def _compute_certificate(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
-    if linalg.int_rank([v + (1,) for v in p.vertices], p.dim + 1) != p.dim + 1:
+    if not p._full_dim:
         return SmoothFanoCertificate(False, mode, "NotFullDim", "vertex set does not span")
     try:
         if mode is Mode.FULL:

@@ -27,14 +27,12 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    auto_mode,
     is_smooth_fano,
     require_smooth_fano,
     special_facet,
     vertex_deficit,
 )
-
-# FULL re-validation of extracted factors is affordable up to this dimension.
-_FACTOR_FULL_DIM = 10
 
 HEXAGON_VERTICES = frozenset(
     [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)]
@@ -150,8 +148,7 @@ class Decomposition:
 
 
 def _validate_factor(q: Polytope) -> None:
-    mode = Mode.FULL if q.dim <= _FACTOR_FULL_DIM else Mode.LOCAL
-    cert = is_smooth_fano(q, mode)
+    cert = is_smooth_fano(q, auto_mode(q.dim))
     if not cert.valid:
         raise InvariantViolationError(
             f"extracted factor {q} failed validation: {cert.describe()}"
@@ -254,7 +251,7 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     Link two frame positions whenever some vertex has nonzero coordinates at
     both; connected components give the coordinate blocks, and every vertex's
     support lies inside exactly one block.  Hexagon factors are recognized by
-    lattice equivalence with the standard hexagon.
+    their dimension 2 and vertex count 6.
     """
     used_mode = require_smooth_fano(p, mode)
     f = special_facet(p, used_mode)
@@ -297,17 +294,13 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
 
     dec = _extract(p, f, blocks, ["residual"] * len(blocks), assign)
 
-    # classify hexagon factors among the extracted blocks
-    from .equivalence import are_equivalent
-    from .generators import hexagon
-
-    factors = []
-    hexagons = 0
-    reference = hexagon()
-    for fac in dec.factors:
-        kind = fac.kind
-        if fac.polytope.dim == 2 and fac.polytope.n == 6 and are_equivalent(fac.polytope, reference):
-            kind = "hexagon"
-            hexagons += 1
-        factors.append(Factor(fac.vertex_indices, fac.polytope, fac.block, kind))
-    return Decomposition(tuple(factors), dec.change_of_basis, hexagons)
+    # _extract has FULL-validated every 2-dimensional factor, and the hexagon
+    # is the only smooth Fano polygon with 6 = 3d vertices (Casagrande's
+    # bound is tight in dimension 2 only for it), so no normal form is needed
+    factors = tuple(
+        Factor(fac.vertex_indices, fac.polytope, fac.block,
+               "hexagon" if (fac.polytope.dim, fac.polytope.n) == (2, 6) else fac.kind)
+        for fac in dec.factors
+    )
+    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
+    return Decomposition(factors, dec.change_of_basis, hexagons)

@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .analysis import GoodnessPartition, goodness_partition, levels_and_eta
 from .errors import UnclassifiableVertexError, InvariantViolationError
-from .linalg import _exact_array, vec_neg, vec_sub
+from .linalg import vec_neg, vec_sub
 from .polytope import (
     FacetFrame,
     Mode,
@@ -419,18 +417,12 @@ def _check_shared_low_coordinate(ctx):
 
 
 def _check_separating_coordinate(ctx):
-    coords, levels = ctx.coords, ctx.levels
-    fits = max((abs(c) for row in coords for c in row), default=0) < 2**31
-    c = _exact_array(coords, fits)
-    lv = _exact_array(levels, fits)
-    for i in range(ctx.n):
-        higher = np.nonzero(lv > levels[i])[0]
-        if higher.size == 0:
-            continue
-        ok = (c[i] < c[higher]).any(axis=1)
-        if not bool(ok.all()):
-            j = int(higher[int(np.nonzero(~ok)[0][0])])
-            return False, f"no coordinate separates vertex {i} from higher vertex {j}", True
+    # a vertex below another has a smaller coordinate somewhere, because each
+    # level is the sum of the vertex's coordinate row; checking that premise
+    # proves the claim
+    for i, (row, level) in enumerate(zip(ctx.coords, ctx.levels)):
+        if sum(row) != level:
+            return False, f"level {level} of vertex {i} is not its coordinate sum {sum(row)}", True
     return True, "", True
 
 

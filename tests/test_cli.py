@@ -169,6 +169,39 @@ def test_local_walk_failure_is_invalid_certificate(tmp_path, capsys, cmd):
     assert "error:" not in captured.err
 
 
+_ERROR_CASES = (
+    [(cmd, "square", 1) for cmd in ("analyze", "split", "nf", "eq")]
+    + [(cmd, "malformed", 2) for cmd in ("check", "analyze", "split", "nf", "eq", "verify")]
+    + [(cmd, "budget", 3) for cmd in ("nf", "eq")]
+)
+
+
+@pytest.mark.parametrize("cmd, case, code", _ERROR_CASES)
+def test_error_paths_per_command(tmp_path, capsys, cmd, case, code):
+    if case == "malformed":
+        path = tmp_path / "bad.fano"
+        path.write_text("fano 1\n2 2\n1 0\n0 x\n")
+        path = str(path)
+    elif case == "square":
+        path = write(tmp_path, "sq.fano", make_polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    else:
+        path = write(tmp_path, "x.fano", example4d())
+    argv = [cmd, path] + ([path] if cmd == "eq" else [])
+    if case == "budget":
+        argv += ["--budget", "2"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if case == "square":
+        assert captured.out.startswith("invalid kind=FacetNotUnimodular ")
+        assert "error:" not in captured.err
+    elif case == "malformed":
+        assert captured.out == ""
+        assert "line 4" in captured.err
+    else:
+        assert captured.out == ""
+        assert captured.err == "size-limit budget=2\n"
+
+
 def test_verify_json(tmp_path, capsys):
     good = write(tmp_path, "good.fano", example4d())
     assert main(["verify", good, "--json"]) == 0

@@ -196,6 +196,14 @@ class TestSmoothFano:
         cert = is_smooth_fano(square(), Mode.LOCAL)
         assert not cert.valid
 
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.LOCAL])
+    def test_flat_vertex_set_certificate(self, mode):
+        # built directly, so make_polytope's rank check never sees it
+        cert = is_smooth_fano(Polytope(2, ((1, 0), (2, 0), (3, 0))), mode)
+        assert not cert.valid
+        assert cert.failure_kind == "NotFullDim"
+        assert cert.witness == "vertex set does not span"
+
 
 class TestVertexSumAndSpecialFacet:
     def test_hexagon_sum_zero(self):

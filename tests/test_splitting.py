@@ -24,6 +24,8 @@ from fanosplit.splitting import (
     split_threshold,
 )
 
+from corpus import base_instances
+
 
 def power_sum(p, m):
     out = p
@@ -182,3 +184,12 @@ class TestFinestSplit:
             assert match is not None
             remaining.remove(match)
         assert not remaining
+
+    def test_hexagon_kind_matches_lattice_equivalence(self):
+        reference = hexagon()
+        for name, p in base_instances():
+            for q in (p, random_image(p, 1)):
+                dec = finest_split(q)
+                for f in dec.factors:
+                    assert (f.kind == "hexagon") == are_equivalent(f.polytope, reference), name
+                assert dec.hexagon_count == sum(f.kind == "hexagon" for f in dec.factors)

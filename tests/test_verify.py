@@ -54,6 +54,18 @@ class TestVerifyBounds:
         assert all(c.status in (PASS, FAIL, NOT_APPLICABLE) for c in report.checks)
         assert all(c.status != FAIL for c in report.checks)
 
+    def test_separating_coordinate_can_fail(self):
+        from types import SimpleNamespace
+
+        from fanosplit.verify import _check_separating_coordinate
+
+        ctx = SimpleNamespace(coords=[(1, 0), (0, 1), (-1, -1)], levels=[1, 1, -2])
+        assert _check_separating_coordinate(ctx) == (True, "", True)
+        ctx.levels[2] = 0
+        assert _check_separating_coordinate(ctx) == (
+            False, "level 0 of vertex 2 is not its coordinate sum -2", True
+        )
+
     def test_report_lines_shape(self):
         report = verify_bounds(pentagon())
         lines = report.lines()
