@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolationError, NotSpecialFacetError
 from .linalg import vec_add
@@ -168,3 +168,17 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
         a_bar=frozenset(a_bar),
         gamma=gamma,
     )
+
+
+def support_bound_violation(coords: Sequence[Sequence[int]], bar_positions: Sequence[int],
+                            k: int) -> tuple[int, int, int] | None:
+    """The first vertex on a negative level whose coordinate row is nonzero
+    at more than 2k + 2 paired-core positions, as (vertex, support, 2k + 2)."""
+    bound = 2 * k + 2
+    for i, row in enumerate(coords):
+        # a row's sum is the vertex's level
+        if sum(row) <= -1:
+            support = sum(1 for j in bar_positions if row[j] != 0)
+            if support > bound:
+                return i, support, bound
+    return None

@@ -118,13 +118,16 @@ def _eta_multiset(p: Polytope) -> tuple:
 def are_equivalent(p: Polytope, q: Polytope, budget: int = DEFAULT_BUDGET) -> bool:
     """Linear lattice equivalence via normal-form digest equality.
 
-    Short-circuits on cheap invariants (dimension, vertex count, the
-    multiset of facet eta vectors) before running the canonical search.
+    Validates both polytopes, then short-circuits on cheap invariants
+    (dimension, vertex count, the multiset of facet eta vectors) before
+    running the canonical search.  Inputs of different (d, n) are validated
+    in the auto mode of their dimension, since no facet walk follows.
     """
-    if (p.dim, p.n) != (q.dim, q.n):
+    mode = Mode.FULL if (p.dim, p.n) == (q.dim, q.n) else None
+    require_smooth_fano(p, mode)
+    require_smooth_fano(q, mode)
+    if mode is None:
         return False
-    require_smooth_fano(p, Mode.FULL)
-    require_smooth_fano(q, Mode.FULL)
     if _eta_multiset(p) != _eta_multiset(q):
         return False
     return normal_form(p, budget).digest == normal_form(q, budget).digest

@@ -499,6 +499,7 @@ def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate
 _FAILURE_KINDS = {
     NotSimplicialError: "FacetNotSimplex",
     NoNegativeVertexError: "OriginNotInterior",
+    NotAVertexError: "NotAVertex",
     OriginNotInteriorError: "OriginNotInterior",
     NotFullDimError: "NotFullDim",
     NotUnimodularError: "FacetNotUnimodular",
@@ -548,9 +549,22 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     return _frame_from_raw(neighbor), p.vertices[neighbor.indices[pos]]
 
 
+def frame_coords(p: Polytope, frame: FacetFrame) -> list[LatticeVector]:
+    """Coordinate rows of every vertex in `frame`, computed once per frame.
+
+    For frames that several stages read, above all the special facet; a walk
+    over every facet calls `Polytope.coords_rows` and keeps nothing.
+    """
+    cache = p._cert_cache
+    key = ("coords", frame.vertex_indices)
+    if key not in cache:
+        cache[key] = p.coords_rows(frame.dual_basis.entries)
+    return cache[key]
+
+
 def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
     """Vertex index of opp(F, v) for every frame position, via the pivot rule."""
-    return _opposites(frame, p.coords_rows(frame.dual_basis.entries))
+    return _opposites(frame, frame_coords(p, frame))
 
 
 def _opposites(frame: FacetFrame, coords: Sequence[LatticeVector]) -> list[int]:

@@ -1,35 +1,40 @@
 """Direct sums and direct-sum decompositions.
 
-Two decompositions are provided.  `hexagon_split` realizes the guarantee
-that drives this package: a smooth Fano polytope with 3d-k vertices and
-d >= 15k^2 + 37k + 2 splits off at least floor((d - 15k^2 - 37k)/2) hexagon
-factors.  It finds them constructively -- pairs from the paired core of a
-special facet whose dual coordinates vanish on every vertex outside the
-hexagon orbit set -- and verifies the guaranteed count as a post-condition,
-raising TheoremViolationError if it ever fails (a bug or a counterexample;
-never swallowed).  `finest_split` computes the finest direct-sum
-factorization of any smooth Fano polytope from the coordinate support graph
-of a single facet frame.
+Two decompositions are provided.  `finest_split` computes the finest
+direct-sum factorization of any smooth Fano polytope from the coordinate
+support graph of its special facet, and is the one place where extracted
+factors are validated: a factor whose vertex set is the standard hexagon's
+is a hexagon, every other factor is validated once in the auto mode of its
+own dimension.  `hexagon_split` realizes the guarantee that drives this
+package: a smooth Fano polytope with 3d-k vertices and d >= 15k^2 + 37k + 2
+splits off at least floor((d - 15k^2 - 37k)/2) hexagon factors.  It finds
+them constructively -- pairs from the paired core of the special facet whose
+dual coordinates vanish on every vertex outside the hexagon orbit set -- and
+verifies the guaranteed count as a post-condition, raising
+TheoremViolationError if it ever fails (a bug or a counterexample; never
+swallowed).  It runs `finest_split` first; its residual is a free sum of
+finest factors and is not validated again.
 
 Both return a `Decomposition` whose change of basis is the (unimodular)
-permuted dual basis of the frame used, so factors live in honest coordinate
-blocks and reassembly is exact.
+permuted dual basis of the special facet, so factors live in honest
+coordinate blocks and reassembly is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .analysis import GoodnessPartition, goodness_partition
-from .errors import InvariantViolationError, TheoremViolationError
+from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
+from .errors import InvariantViolationError, NotSmoothFanoError, TheoremViolationError
 from .linalg import IntMatrix, vec_neg, vec_sub
 from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    SmoothFanoCertificate,
     auto_mode,
+    frame_coords,
     is_smooth_fano,
-    require_smooth_fano,
     special_facet,
     vertex_deficit,
 )
@@ -79,7 +84,7 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     (v, phi(v)) is clean when every vertex outside W has coordinate 0 along
     both u_v and u_phi(v); each clean pair spans a hexagon direct summand.
     """
-    coords = p.coords_rows(f.dual_basis.entries)
+    coords = frame_coords(p, f)
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
     pairs = g.bar_pairs
     orbit_sets = {pair: _pair_orbit(p, *pair) for pair in pairs}
@@ -87,19 +92,14 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     for orbit in orbit_sets.values():
         w_set.update(orbit)
 
-    # support bound: a vertex on a negative level has nonzero coordinates in
-    # at most 2k + 2 paired-core directions
-    k = vertex_deficit(p)
-    levels = p.products(f.outer_normal)
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
-    for i, level in enumerate(levels):
-        if level <= -1:
-            support = sum(1 for j in bar_positions if coords[i][j] != 0)
-            if support > 2 * k + 2:
-                raise InvariantViolationError(
-                    f"vertex {i} at level {level} touches {support} paired-core "
-                    f"directions, above the bound {2 * k + 2}"
-                )
+    bad = support_bound_violation(coords, bar_positions, vertex_deficit(p))
+    if bad is not None:
+        i, support, bound = bad
+        raise InvariantViolationError(
+            f"vertex {i} at level {sum(coords[i])} touches {support} paired-core "
+            f"directions, above the bound {bound}"
+        )
 
     # orbit points of one pair must not show up in another pair's directions
     for pair, orbit in orbit_sets.items():
@@ -147,15 +147,7 @@ class Decomposition:
         return None
 
 
-def _validate_factor(q: Polytope) -> None:
-    cert = is_smooth_fano(q, auto_mode(q.dim))
-    if not cert.valid:
-        raise InvariantViolationError(
-            f"extracted factor {q} failed validation: {cert.describe()}"
-        )
-
-
-def _check_reassembly(coords: list[tuple[int, ...]], factors: tuple[Factor, ...], d: int) -> None:
+def _check_reassembly(coords: list[tuple[int, ...]], factors: list[Factor], d: int) -> None:
     """The factors, padded back into their blocks, are the vertices `coords`."""
     transformed = set(coords)
     rebuilt = set()
@@ -167,44 +159,37 @@ def _check_reassembly(coords: list[tuple[int, ...]], factors: tuple[Factor, ...]
         raise InvariantViolationError("factors do not reassemble the polytope")
 
 
-def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]],
-             kinds: list[str], assign: list[int]) -> Decomposition:
-    """Build the decomposition given per-block frame positions and a map
-    assigning every vertex to a block."""
-    order: list[int] = []
-    spans: list[tuple[int, int]] = []
-    for block in blocks:
-        start = len(order)
-        order.extend(block)
-        spans.append((start, len(order)))
-    basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
-    coords = p.coords_rows(basis.entries)
+def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[int],
+             kinds: list[str] | None) -> Decomposition:
+    """Build the decomposition given per-block frame positions, a map
+    assigning every vertex to a block and the blocks' kinds (None: find each
+    with `_finest_kind`)."""
+    order = [j for block in blocks for j in block]
+    coords = [tuple(map(row.__getitem__, order)) for row in frame_coords(p, f)]
+    members: list[list[int]] = [[] for _ in blocks]
+    for i, bi in enumerate(assign):
+        members[bi].append(i)
     factors = []
-    hexagons = 0
-    for bi, (span, kind) in enumerate(zip(spans, kinds)):
-        lo, hi = span
-        members = tuple(i for i in range(p.n) if assign[i] == bi)
-        rows = []
-        for i in members:
-            row = coords[i]
-            if any(row[t] != 0 for t in range(lo)) or any(row[t] != 0 for t in range(hi, len(order))):
+    lo = 0
+    for bi, (block, own) in enumerate(zip(blocks, members)):
+        hi = lo + len(block)
+        for i in own:
+            if any(coords[i][:lo]) or any(coords[i][hi:]):
                 raise InvariantViolationError(
-                    f"vertex {i} has support outside its block {span}"
+                    f"vertex {i} has support outside its block {(lo, hi)}"
                 )
-            rows.append(row[lo:hi])
-        q = Polytope(hi - lo, tuple(rows))
-        if kind == "hexagon":
-            if set(q.vertices) != HEXAGON_VERTICES:
-                raise InvariantViolationError(
-                    f"clean pair block {span} is not a standard hexagon: {q.vertices}"
-                )
-            hexagons += 1
-        else:
-            _validate_factor(q)
-        factors.append(Factor(members, q, span, kind))
-    dec = Decomposition(tuple(factors), basis, hexagons)
-    _check_reassembly(coords, dec.factors, basis.rows)
-    return dec
+        q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
+        kind = kinds[bi] if kinds is not None else _finest_kind(tuple(own), q)
+        if kind == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
+            raise InvariantViolationError(
+                f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}"
+            )
+        factors.append(Factor(tuple(own), q, (lo, hi), kind))
+        lo = hi
+    _check_reassembly(coords, factors, p.dim)
+    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
+    basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
+    return Decomposition(tuple(factors), basis, hexagons)
 
 
 def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
@@ -213,31 +198,33 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     All clean pairs are extracted, not just the guaranteed number; the
     guarantee is then enforced as a post-condition: above the dimension
     threshold the hexagon count must reach guaranteed_hexagons(d, k).
+
+    `finest_split` runs first and validates p and every finest factor.  Each
+    clean pair's block is one finest block, so the residual is a free sum of
+    validated finest factors and is not validated again.
     """
-    require_smooth_fano(p, mode)
+    finest_split(p, mode)
     f = special_facet(p, mode)
     g = goodness_partition(p, f)
     pairs = clean_pairs(p, f, g)
 
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
     blocks: list[list[int]] = []
-    kinds: list[str] = []
     assign = [-1] * p.n
     for bi, pair in enumerate(pairs):
         blocks.append([pos[pair[0]], pos[pair[1]]])
-        kinds.append("hexagon")
         for i in _pair_orbit(p, *pair):
             assign[i] = bi
     paired_positions = {j for b in blocks for j in b}
     rest = [j for j in range(p.dim) if j not in paired_positions]
     if rest or any(a == -1 for a in assign):
         blocks.append(rest)
-        kinds.append("residual")
         ri = len(blocks) - 1
         for i in range(p.n):
             if assign[i] == -1:
                 assign[i] = ri
-    dec = _extract(p, f, blocks, kinds, assign)
+    kinds = ["hexagon"] * len(pairs) + ["residual"] * (len(blocks) - len(pairs))
+    dec = _extract(p, f, blocks, assign, kinds)
 
     d, k = p.dim, vertex_deficit(p)
     if d >= split_threshold(k) and dec.hexagon_count < guaranteed_hexagons(d, k):
@@ -245,17 +232,37 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     return dec
 
 
+def _finest_kind(members: tuple[int, ...], q: Polytope) -> str:
+    """"hexagon" for the standard hexagon's vertex set, else validate q."""
+    # the hexagon's lattice automorphisms act transitively on its ordered
+    # edges, so a hexagon summand has this vertex set in any facet basis
+    if set(q.vertices) == HEXAGON_VERTICES:
+        return "hexagon"
+    cert = is_smooth_fano(q, auto_mode(q.dim))
+    if not cert.valid:
+        raise NotSmoothFanoError(
+            replace(cert, witness=f"factor on vertices {members}: {cert.witness}")
+        )
+    return "residual"
+
+
 def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
-    """Finest direct-sum factorization via the support graph of one frame.
+    """Finest direct-sum factorization via the support graph of the special
+    facet.
 
     Link two frame positions whenever some vertex has nonzero coordinates at
     both; connected components give the coordinate blocks, and every vertex's
-    support lies inside exactly one block.  Hexagon factors are recognized by
-    their dimension 2 and vertex count 6.
+    support lies inside exactly one block (an empty support, the origin,
+    raises NotSmoothFanoError).  A factor whose vertex set is the
+    standard hexagon's is tagged "hexagon"; every other factor is validated
+    once, in the auto mode of its own dimension, and a failure raises
+    NotSmoothFanoError naming the factor's vertex indices in p.  The result
+    is cached on p.
     """
-    used_mode = require_smooth_fano(p, mode)
-    f = special_facet(p, used_mode)
-    coords = p.coords_rows(f.dual_basis.entries)
+    f = special_facet(p, mode)
+    cache = p._cert_cache
+    if "finest" in cache:
+        return cache["finest"]
 
     parent = list(range(p.dim))
 
@@ -266,8 +273,12 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
         return a
 
     supports = []
-    for row in coords:
+    for i, row in enumerate(frame_coords(p, f)):
         sup = [j for j, c in enumerate(row) if c != 0]
+        if not sup:  # only the origin; LOCAL validation never meets it
+            raise NotSmoothFanoError(SmoothFanoCertificate(
+                False, mode if mode is not None else auto_mode(p.dim), "NotAVertex",
+                f"points at indices {(i,)} are not vertices of the hull"))
         supports.append(sup)
         for other in sup[1:]:
             ra, rb = find(sup[0]), find(other)
@@ -283,24 +294,7 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
             blocks.append([])
         blocks[roots[r]].append(j)
 
-    assign = []
-    for i, sup in enumerate(supports):
-        owners = {roots[find(j)] for j in sup}
-        if len(owners) != 1:
-            raise InvariantViolationError(
-                f"vertex {i} is supported in {len(owners)} coordinate blocks"
-            )
-        assign.append(owners.pop())
-
-    dec = _extract(p, f, blocks, ["residual"] * len(blocks), assign)
-
-    # _extract has FULL-validated every 2-dimensional factor, and the hexagon
-    # is the only smooth Fano polygon with 6 = 3d vertices (Casagrande's
-    # bound is tight in dimension 2 only for it), so no normal form is needed
-    factors = tuple(
-        Factor(fac.vertex_indices, fac.polytope, fac.block,
-               "hexagon" if (fac.polytope.dim, fac.polytope.n) == (2, 6) else fac.kind)
-        for fac in dec.factors
-    )
-    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
-    return Decomposition(factors, dec.change_of_basis, hexagons)
+    assign = [roots[find(sup[0])] for sup in supports]
+    dec = _extract(p, f, blocks, assign, None)
+    cache["finest"] = dec
+    return dec

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .analysis import GoodnessPartition, goodness_partition, levels_and_eta
+from .analysis import (GoodnessPartition, goodness_partition, levels_and_eta,
+                       support_bound_violation)
 from .errors import UnclassifiableVertexError, InvariantViolationError
 from .linalg import vec_neg, vec_sub
 from .polytope import (
@@ -25,6 +26,7 @@ from .polytope import (
     Polytope,
     _opposites,
     enumerate_facets,
+    frame_coords,
     pivot,
     require_smooth_fano,
     special_facet,
@@ -126,7 +128,7 @@ class _Ctx:
         self.levels_map, self.eta = levels_and_eta(p, self.frame)
         self.levels = [self.levels_map[i] for i in range(p.n)]
         self.g = goodness_partition(p, self.frame)
-        self.coords = p.coords_rows(self.frame.dual_basis.entries)
+        self.coords = frame_coords(p, self.frame)
         self.pos = {v: j for j, v in enumerate(self.frame.vertex_indices)}
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
         self.s_level = sum(self.frame.coordinates(vertex_sum(p)))
@@ -138,7 +140,7 @@ class _Ctx:
         frames = enumerate_facets(self.p) if self.mode is Mode.FULL else (self.frame,)
         coord_fail = zero_fail = None
         for f in frames:
-            coords = self.p.coords_rows(f.dual_basis.entries)
+            coords = self.coords if f is self.frame else self.p.coords_rows(f.dual_basis.entries)
             opp = _opposites(f, coords)
             coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
             zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
@@ -162,7 +164,7 @@ def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int,
     are asserted as well.
     """
     g = goodness_partition(p, f)
-    coords = p.coords_rows(f.dual_basis.entries)
+    coords = frame_coords(p, f)
     levels = p.products(f.outer_normal)
     pos = {v: j for j, v in enumerate(f.vertex_indices)}
     out = {TYPE_C_OPPOSITE: [], TYPE_B_SUPPORTED: [], TYPE_NEGATED_BASIS: []}
@@ -492,19 +494,13 @@ def _check_paired_core_size(ctx):
 
 
 def _check_low_vertex_support(ctx):
-    g, k = ctx.g, ctx.k
-    bar_positions = [ctx.pos[v] for v in sorted(g.a_bar)]
-    low = [i for i, lv in enumerate(ctx.levels) if lv <= -1]
-    if not low:
-        return True, "", False
-    for i in low:
-        support = sum(1 for j in bar_positions if ctx.coords[i][j] != 0)
-        if support > 2 * k + 2:
-            return False, (
-                f"vertex {i} touches {support} paired-core directions, "
-                f"bound is 2k+2={2 * k + 2}"
-            ), True
-    return True, "", True
+    bar_positions = [ctx.pos[v] for v in sorted(ctx.g.a_bar)]
+    bad = support_bound_violation(ctx.coords, bar_positions, ctx.k)
+    if bad is None:
+        return True, "", any(lv <= -1 for lv in ctx.levels)
+    i, support, bound = bad
+    return False, (f"vertex {i} touches {support} paired-core directions, "
+                   f"bound is 2k+2={bound}"), True
 
 
 _CHECKS = (

@@ -7,8 +7,9 @@ import pytest
 
 from fanosplit.cli import main
 from fanosplit.fanofile import save_polytope, serialize_fano
-from fanosplit.generators import bundle_b, example4d, hexagon
-from fanosplit.polytope import make_polytope
+from fanosplit import polytope
+from fanosplit.generators import bundle_b, example4d, hexagon, random_image, simplex
+from fanosplit.polytope import Polytope, make_polytope
 from fanosplit.splitting import direct_sum
 
 
@@ -61,7 +62,69 @@ def test_check_interior_point_exits_one(tmp_path, capsys):
     path = tmp_path / "inner.fano"
     path.write_text("fano 1\n2 4\n1 0\n0 1\n-1 -1\n0 0\n")
     assert main(["check", str(path)]) == 1
-    assert "not vertices" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "invalid kind=NotAVertex witness=points at indices (3,) are not vertices" in captured.out
+    assert "error:" not in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "split", "nf", "eq", "verify"])
+def test_interior_point_is_invalid_certificate(tmp_path, capsys, cmd):
+    path = tmp_path / "inner.fano"
+    path.write_text("fano 1\n2 4\n1 0\n0 1\n-1 -1\n0 0\n")
+    argv = [cmd, str(path)] + ([str(path)] if cmd == "eq" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert ("invalid kind=NotAVertex witness=points at indices (3,) are not "
+            "vertices of the hull\n") in captured.out
+    assert captured.err == ""
+
+
+def test_eq_validates_before_comparing_sizes(tmp_path, capsys):
+    inner = tmp_path / "inner.fano"
+    inner.write_text("fano 1\n2 4\n1 0\n0 1\n-1 -1\n0 0\n")
+    triangle = write(tmp_path, "p2.fano", make_polytope([(1, 0), (0, 1), (-1, -1)]))
+    assert main(["eq", triangle, str(inner)]) == 1
+    assert capsys.readouterr().out.startswith("invalid kind=NotAVertex ")
+
+
+@pytest.mark.parametrize("extra", [[], ["--mode", "local"]])
+def test_split_origin_row_is_invalid_certificate(tmp_path, capsys, extra):
+    # d = 13 is auto-LOCAL, and LOCAL validation accepts a point at level 0
+    p = simplex(13)
+    path = tmp_path / "origin.fano"
+    path.write_text(serialize_fano(Polytope(13, p.vertices + ((0,) * 13,))))
+    assert main(["split", str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("invalid kind=NotAVertex witness=points at indices "
+                            "(14,) are not vertices of the hull\n")
+    assert captured.err.startswith("warning:") or captured.err == ""
+    assert "error:" not in captured.err
+
+
+def test_split_invalid_factor_is_invalid_certificate(tmp_path, capsys):
+    # LOCAL validation and the special-facet walk accept this sum; the
+    # validation of its quadrilateral factor does not
+    quad = make_polytope([(-2, -2), (0, 1), (1, 0), (1, 1)])
+    path = write(tmp_path, "qh.fano", random_image(direct_sum(quad, hexagon()), 1))
+    assert main(["split", path, "--mode", "local"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "invalid kind=FacetNotUnimodular witness=factor on vertices "
+        "(0, 1, 6, 8): facet (0, 1) has |det| = 2\n"
+    )
+    assert captured.err == ""
+
+
+def test_split_enumerates_input_and_each_factor_once(tmp_path, capsys, monkeypatch):
+    p = direct_sum(direct_sum(bundle_b(1), bundle_b(1)), bundle_b(1))
+    path = write(tmp_path, "b3.fano", p)
+    calls = []
+    enumerate_raw = polytope._enumerate_raw
+    monkeypatch.setattr(polytope, "_enumerate_raw",
+                        lambda q: calls.append(q.dim) or enumerate_raw(q))
+    assert main(["split", path]) == 0
+    assert "finest-factors=3" in capsys.readouterr().out
+    assert sorted(calls) == [3, 3, 3, 9]
 
 
 def test_analyze_example4d(tmp_path, capsys):

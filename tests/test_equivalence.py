@@ -12,6 +12,7 @@ from fanosplit.generators import (
     random_image,
     simplex,
 )
+from fanosplit import polytope
 from fanosplit.polytope import Polytope, make_polytope
 
 
@@ -83,3 +84,13 @@ def test_budget_exhaustion_raises():
 def test_self_equivalence():
     p = example4d()
     assert are_equivalent(p, p)
+
+
+def test_size_mismatch_skips_full_enumeration_above_full_dim(monkeypatch):
+    # d = 14 and 15 are auto-LOCAL: inputs of different (d, n) are not enumerated
+    calls = []
+    enumerate_raw = polytope._enumerate_raw
+    monkeypatch.setattr(polytope, "_enumerate_raw",
+                        lambda q: calls.append(q.dim) or enumerate_raw(q))
+    assert not are_equivalent(simplex(14), bundle_b(5))
+    assert calls == []
