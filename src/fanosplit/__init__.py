@@ -39,6 +39,7 @@ from .polytope import (
     LatticeVector,
     Mode,
     Polytope,
+    Proof,
     SmoothFanoCertificate,
     enumerate_facets,
     frame_from_indices,
@@ -81,6 +82,7 @@ __all__ = [
     "NotSpecialFacetError",
     "NotUnimodularError",
     "Polytope",
+    "Proof",
     "SizeLimitError",
     "SmoothFanoCertificate",
     "TheoremViolationError",

@@ -21,6 +21,7 @@ from .polytope import (
     FULL_MODE_MAX_DIM,
     Mode,
     Polytope,
+    Proof,
     auto_mode,
     is_smooth_fano,
     special_facet,
@@ -42,13 +43,14 @@ def _fail_io(message: str) -> int:
 
 
 def _resolve_mode(flag: str | None, p: Polytope) -> Mode:
-    if flag:
-        return Mode(flag)
-    mode = auto_mode(p.dim)
-    if mode is Mode.LOCAL:
+    """The given mode, else the auto mode; validates p in it and warns on
+    stderr when some irreducible factor was validated only locally."""
+    mode = Mode(flag) if flag else auto_mode(p.dim)
+    cert = is_smooth_fano(p, mode)
+    if cert.proof is Proof.LOCAL_UNPROVEN:
         print(
-            f"warning: dimension {p.dim} > {FULL_MODE_MAX_DIM}, using local "
-            f"validation (pass --mode full to override)",
+            f"warning: factor of dimension {cert.unproven_dim} > {FULL_MODE_MAX_DIM} "
+            f"validated locally (pass --mode full to override)",
             file=sys.stderr,
         )
     return mode

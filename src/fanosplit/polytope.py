@@ -23,18 +23,25 @@ outer normal.  One dual-basis update (`_neighbor_raw`) crosses a ridge; the
 enumeration, the special-facet walk and `pivot` all use it.  `FacetFrame` is
 the public, sorted, unimodular view of a record.
 
-Validation has two modes.  FULL enumerates every facet and checks each one.
-LOCAL checks only the facets it materialises (the gift-wrapped start and
-anything reached by pivoting); it exists because facet counts of hexagon
-power sums grow exponentially while the splitting pipeline touches only one
-pivot path.
+Validation proves validity through the free-sum decomposition.  The
+gift-wrapped facet must be unimodular; its dual basis then gives lattice
+coordinates, and the blocks of their support graph (`coordinate_blocks`)
+split P into a free sum.  The facets of a free sum are the joins of its
+summands' facets, so P is smooth Fano iff every block polytope is, and its
+facet count is their product.  Each summand is proved alone: a standard
+hexagon by its vertex set, every other one by enumerating its facets (FULL).
+An irreducible summand above FULL_MODE_MAX_DIM is checked only at its
+start facet when LOCAL is asked for, since facet counts grow exponentially
+while the splitting pipeline touches only one pivot path; the certificate
+then says its proof is incomplete.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +66,12 @@ LatticeVector = tuple[int, ...]
 # the auto mode switch to LOCAL.
 FULL_MODE_MAX_DIM = 12
 
+# the hexagon's lattice automorphisms act transitively on its ordered edges,
+# so a hexagon summand has this vertex set in any unimodular facet's basis
+HEXAGON_VERTICES = frozenset(
+    [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)]
+)
+
 # Safety cap for the special-facet ascent; the walk must terminate long
 # before this since its objective strictly increases over a finite facet set.
 _MAX_PIVOT_STEPS = 1_000_000
@@ -67,6 +80,14 @@ _MAX_PIVOT_STEPS = 1_000_000
 class Mode(enum.Enum):
     FULL = "full"
     LOCAL = "local"
+
+
+class Proof(enum.Enum):
+    """How a valid certificate was proved."""
+
+    FULL = "full"  # every facet of P enumerated
+    BY_DECOMPOSITION = "by-decomposition"  # every free summand proved alone
+    LOCAL_UNPROVEN = "local-unproven"  # some summand checked at one facet only
 
 
 def auto_mode(dim: int) -> Mode:
@@ -133,8 +154,8 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     """Build a polytope from vertex rows.
 
     Rejects duplicates and point sets that are not full-dimensional.  Rows
-    that are not actually vertices of the hull are only detected later,
-    during facet enumeration (NotAVertexError).
+    that are not actually vertices of the hull are only detected later, by
+    validation (NotAVertexError).
     """
     vertices = tuple(tuple(int(x) for x in row) for row in rows)
     if not vertices:
@@ -196,18 +217,25 @@ class FacetFrame:
 
 @dataclass(frozen=True)
 class SmoothFanoCertificate:
-    """Outcome of smooth-Fano validation; failures carry a concrete witness."""
+    """Outcome of smooth-Fano validation; failures carry a concrete witness.
+
+    A valid certificate carries its `proof`.  A complete proof counts every
+    facet; a `local-unproven` one names the largest summand checked only
+    LOCAL in `unproven_dim`.
+    """
 
     valid: bool
     mode: Mode
     failure_kind: str | None = None
     witness: str | None = None
     facet_count: int | None = None
+    proof: Proof | None = None
+    unproven_dim: int | None = None
 
     def describe(self) -> str:
         if self.valid:
             extra = f" facets={self.facet_count}" if self.facet_count is not None else ""
-            return f"valid mode={self.mode.value}{extra}"
+            return f"valid mode={self.mode.value} proof={self.proof.value}{extra}"
         return f"invalid kind={self.failure_kind} witness={self.witness}"
 
 
@@ -482,15 +510,20 @@ def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate
     """Validity certificate: full-dimensional, origin interior, every facet a
     unimodular simplex.
 
-    FULL mode proves this for every facet.  LOCAL mode checks the single
-    gift-wrapped facet and trusts the rest by construction; pivots performed
-    later keep checking every frame they touch.
+    The gift-wrapped facet's coordinates split P into free summands, and each
+    summand is proved alone: FULL enumerates its facets, and so does LOCAL up
+    to dimension FULL_MODE_MAX_DIM.  Above it LOCAL checks the summand's
+    gift-wrapped facet only and trusts the rest (proof `local-unproven`);
+    pivots performed later keep checking every frame they touch.
     """
     cache = p._cert_cache
     key = ("cert", mode)
     if key in cache:
         return cache[key]
-    cert = _compute_certificate(p, mode)
+    if p._full_dim:
+        cert = _certify(p, mode)
+    else:
+        cert = SmoothFanoCertificate(False, mode, "NotFullDim", "vertex set does not span")
     cache[key] = cert
     return cert
 
@@ -506,24 +539,113 @@ _FAILURE_KINDS = {
 }
 
 
-def _compute_certificate(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
-    if not p._full_dim:
-        return SmoothFanoCertificate(False, mode, "NotFullDim", "vertex set does not span")
+def _not_unimodular(mode: Mode, raw: _RawFacet) -> SmoothFanoCertificate:
+    return SmoothFanoCertificate(False, mode, "FacetNotUnimodular",
+                                 f"facet {raw.indices} has |det| = {raw.det}")
+
+
+def coordinate_blocks(coords: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The blocks of the support graph of coordinate rows, and each row's block.
+
+    Two positions are linked when some row is nonzero at both; the blocks are
+    the connected components, each in position order, ordered by their first
+    position.  In a lattice basis every row's support lies in one block, so
+    the blocks split the point set into a free sum.  A row with empty support
+    is the origin, which is no vertex of a polytope with interior origin:
+    NotAVertexError.
+    """
+    positions = range(len(coords[0]))
+    parent = list(positions)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    supports = []
+    for row in coords:
+        sup = list(compress(positions, row))
+        supports.append(sup)
+        for other in sup[1:]:
+            ra, rb = find(sup[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    origin = tuple(i for i, sup in enumerate(supports) if not sup)
+    if origin:
+        raise NotAVertexError(f"points at indices {origin} are not vertices of the hull")
+
+    roots: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    for j in positions:
+        r = find(j)
+        if r not in roots:
+            roots[r] = len(blocks)
+            blocks.append([])
+        blocks[roots[r]].append(j)
+    return blocks, [roots[find(sup[0])] for sup in supports]
+
+
+def _summand_mode(mode: Mode, dim: int) -> Mode:
+    """LOCAL only for an irreducible summand above FULL_MODE_MAX_DIM."""
+    return Mode.FULL if mode is Mode.FULL else auto_mode(dim)
+
+
+def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
+    """The certificate of an affinely full-dimensional p."""
     try:
-        if mode is Mode.FULL:
-            raws = _full_raws(p)
-        else:
-            raws = [_initial_raw_cached(p)]
+        start = _initial_raw_cached(p)
+        if start.det != 1:
+            return _not_unimodular(mode, start)
+        coords = _cached_coords(p, start.indices, start.dual)
+        blocks, assign = coordinate_blocks(coords)
+        if len(blocks) > 1:
+            return _certify_summands(mode, start, coords, blocks, assign)
+        if _summand_mode(mode, p.dim) is Mode.LOCAL:
+            return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
+                                         unproven_dim=p.dim)
+        raws = _full_raws(p)
     except tuple(_FAILURE_KINDS) as e:
         return SmoothFanoCertificate(False, mode, _FAILURE_KINDS[type(e)], str(e))
-    for raw in raws:
-        if raw.det != 1:
+    bad = next((raw for raw in raws if raw.det != 1), None)
+    if bad is not None:
+        return _not_unimodular(mode, bad)
+    return SmoothFanoCertificate(True, mode, facet_count=len(raws), proof=Proof.FULL)
+
+
+def _certify_summands(mode: Mode, start: _RawFacet, coords: Sequence[LatticeVector],
+                      blocks: list[list[int]], assign: list[int]) -> SmoothFanoCertificate:
+    """The certificate of the free sum of the block polytopes, one per block."""
+    members: list[list[int]] = [[] for _ in blocks]
+    for i, b in enumerate(assign):
+        members[b].append(i)
+    count, unproven = 1, None
+    for block, own in zip(blocks, members):
+        own = tuple(own)
+        rows = tuple(tuple(coords[i][j] for j in block) for i in own)
+        if set(rows) == HEXAGON_VERTICES:
+            count *= 6
+            continue
+        # the block holds the unit vectors of its positions, which lie at
+        # level 1; it is affinely full-dimensional unless every row does
+        if all(sum(row) == 1 for row in rows):
             return SmoothFanoCertificate(
-                False, mode, "FacetNotUnimodular",
-                f"facet {raw.indices} has |det| = {raw.det}",
-            )
-    count = len(raws) if mode is Mode.FULL else None
-    return SmoothFanoCertificate(True, mode, facet_count=count)
+                False, mode, "OriginNotInterior",
+                f"factor on vertices {own}: every vertex lies on the "
+                f"hyperplane of facet {start.indices}")
+        q = Polytope(len(block), rows)
+        q.__dict__["_full_dim"] = True  # it spans, as above: skip the rank check
+        cert = is_smooth_fano(q, _summand_mode(mode, q.dim))
+        if not cert.valid:
+            return replace(cert, mode=mode, witness=f"factor on vertices {own}: {cert.witness}")
+        if cert.proof is Proof.LOCAL_UNPROVEN:
+            unproven = max(unproven or 0, q.dim)
+        else:
+            count *= cert.facet_count
+    if unproven is not None:
+        return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
+                                     unproven_dim=unproven)
+    return SmoothFanoCertificate(True, mode, facet_count=count, proof=Proof.BY_DECOMPOSITION)
 
 
 def require_smooth_fano(p: Polytope, mode: Mode | None = None) -> Mode:
@@ -555,10 +677,18 @@ def frame_coords(p: Polytope, frame: FacetFrame) -> list[LatticeVector]:
     For frames that several stages read, above all the special facet; a walk
     over every facet calls `Polytope.coords_rows` and keeps nothing.
     """
+    return _cached_coords(p, frame.vertex_indices, frame.dual_basis.entries)
+
+
+def _cached_coords(p: Polytope, indices: tuple[int, ...],
+                   dual: Sequence[LatticeVector]) -> list[LatticeVector]:
+    """Coordinate rows w.r.t. the unimodular sorted frame on `indices`, cached
+    on p: validation computes them for its start facet, which is also the
+    special facet whenever the walk takes no step."""
     cache = p._cert_cache
-    key = ("coords", frame.vertex_indices)
+    key = ("coords", indices)
     if key not in cache:
-        cache[key] = p.coords_rows(frame.dual_basis.entries)
+        cache[key] = p.coords_rows(dual)
     return cache[key]
 
 

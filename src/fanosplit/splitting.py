@@ -2,18 +2,17 @@
 
 Two decompositions are provided.  `finest_split` computes the finest
 direct-sum factorization of any smooth Fano polytope from the coordinate
-support graph of its special facet, and is the one place where extracted
-factors are validated: a factor whose vertex set is the standard hexagon's
-is a hexagon, every other factor is validated once in the auto mode of its
-own dimension.  `hexagon_split` realizes the guarantee that drives this
-package: a smooth Fano polytope with 3d-k vertices and d >= 15k^2 + 37k + 2
-splits off at least floor((d - 15k^2 - 37k)/2) hexagon factors.  It finds
-them constructively -- pairs from the paired core of the special facet whose
-dual coordinates vanish on every vertex outside the hexagon orbit set -- and
-verifies the guaranteed count as a post-condition, raising
-TheoremViolationError if it ever fails (a bug or a counterexample; never
-swallowed).  It runs `finest_split` first; its residual is a free sum of
-finest factors and is not validated again.
+support graph of its special facet (`coordinate_blocks`, the helper that
+validation splits P with) and tags a factor whose vertex set is the standard
+hexagon's as a hexagon.  It validates nothing itself: validating p already
+covers every free summand.  `hexagon_split` realizes the guarantee that
+drives this package: a smooth Fano polytope with 3d-k vertices and
+d >= 15k^2 + 37k + 2 splits off at least floor((d - 15k^2 - 37k)/2) hexagon
+factors.  It finds them constructively -- pairs from the paired core of the
+special facet whose dual coordinates vanish on every vertex outside the
+hexagon orbit set -- and verifies the guaranteed count as a post-condition,
+raising TheoremViolationError if it ever fails (a bug or a counterexample;
+never swallowed).
 
 Both return a `Decomposition` whose change of basis is the (unimodular)
 permuted dual basis of the special facet, so factors live in honest
@@ -22,25 +21,20 @@ coordinate blocks and reassembly is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
-from .errors import InvariantViolationError, NotSmoothFanoError, TheoremViolationError
+from .errors import InvariantViolationError, TheoremViolationError
 from .linalg import IntMatrix, vec_neg, vec_sub
 from .polytope import (
+    HEXAGON_VERTICES,
     FacetFrame,
     Mode,
     Polytope,
-    SmoothFanoCertificate,
-    auto_mode,
+    coordinate_blocks,
     frame_coords,
-    is_smooth_fano,
     special_facet,
     vertex_deficit,
-)
-
-HEXAGON_VERTICES = frozenset(
-    [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)]
 )
 
 
@@ -162,8 +156,8 @@ def _check_reassembly(coords: list[tuple[int, ...]], factors: list[Factor], d: i
 def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[int],
              kinds: list[str] | None) -> Decomposition:
     """Build the decomposition given per-block frame positions, a map
-    assigning every vertex to a block and the blocks' kinds (None: find each
-    with `_finest_kind`)."""
+    assigning every vertex to a block and the blocks' kinds (None: tag each
+    by its vertex set)."""
     order = [j for block in blocks for j in block]
     coords = [tuple(map(row.__getitem__, order)) for row in frame_coords(p, f)]
     members: list[list[int]] = [[] for _ in blocks]
@@ -179,8 +173,9 @@ def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[i
                     f"vertex {i} has support outside its block {(lo, hi)}"
                 )
         q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
-        kind = kinds[bi] if kinds is not None else _finest_kind(tuple(own), q)
-        if kind == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
+        is_hexagon = set(q.vertices) == HEXAGON_VERTICES
+        kind = kinds[bi] if kinds is not None else ("hexagon" if is_hexagon else "residual")
+        if kind == "hexagon" and not is_hexagon:
             raise InvariantViolationError(
                 f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}"
             )
@@ -199,11 +194,9 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     guarantee is then enforced as a post-condition: above the dimension
     threshold the hexagon count must reach guaranteed_hexagons(d, k).
 
-    `finest_split` runs first and validates p and every finest factor.  Each
-    clean pair's block is one finest block, so the residual is a free sum of
-    validated finest factors and is not validated again.
+    Validating p (in `special_facet`) covers every free summand, so the
+    factors are not validated again.
     """
-    finest_split(p, mode)
     f = special_facet(p, mode)
     g = goodness_partition(p, f)
     pairs = clean_pairs(p, f, g)
@@ -232,69 +225,19 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     return dec
 
 
-def _finest_kind(members: tuple[int, ...], q: Polytope) -> str:
-    """"hexagon" for the standard hexagon's vertex set, else validate q."""
-    # the hexagon's lattice automorphisms act transitively on its ordered
-    # edges, so a hexagon summand has this vertex set in any facet basis
-    if set(q.vertices) == HEXAGON_VERTICES:
-        return "hexagon"
-    cert = is_smooth_fano(q, auto_mode(q.dim))
-    if not cert.valid:
-        raise NotSmoothFanoError(
-            replace(cert, witness=f"factor on vertices {members}: {cert.witness}")
-        )
-    return "residual"
-
-
 def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     """Finest direct-sum factorization via the support graph of the special
     facet.
 
-    Link two frame positions whenever some vertex has nonzero coordinates at
-    both; connected components give the coordinate blocks, and every vertex's
-    support lies inside exactly one block (an empty support, the origin,
-    raises NotSmoothFanoError).  A factor whose vertex set is the
-    standard hexagon's is tagged "hexagon"; every other factor is validated
-    once, in the auto mode of its own dimension, and a failure raises
-    NotSmoothFanoError naming the factor's vertex indices in p.  The result
-    is cached on p.
+    The blocks of `coordinate_blocks` give the coordinate blocks, and every
+    vertex's support lies inside exactly one block.  A factor whose vertex
+    set is the standard hexagon's is tagged "hexagon", every other one
+    "residual".  Validating p (in `special_facet`) covers every factor, so
+    none is validated here.  The result is cached on p.
     """
     f = special_facet(p, mode)
     cache = p._cert_cache
-    if "finest" in cache:
-        return cache["finest"]
-
-    parent = list(range(p.dim))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    supports = []
-    for i, row in enumerate(frame_coords(p, f)):
-        sup = [j for j, c in enumerate(row) if c != 0]
-        if not sup:  # only the origin; LOCAL validation never meets it
-            raise NotSmoothFanoError(SmoothFanoCertificate(
-                False, mode if mode is not None else auto_mode(p.dim), "NotAVertex",
-                f"points at indices {(i,)} are not vertices of the hull"))
-        supports.append(sup)
-        for other in sup[1:]:
-            ra, rb = find(sup[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-
-    roots: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    for j in range(p.dim):
-        r = find(j)
-        if r not in roots:
-            roots[r] = len(blocks)
-            blocks.append([])
-        blocks[roots[r]].append(j)
-
-    assign = [roots[find(sup[0])] for sup in supports]
-    dec = _extract(p, f, blocks, assign, None)
-    cache["finest"] = dec
-    return dec
+    if "finest" not in cache:
+        blocks, assign = coordinate_blocks(frame_coords(p, f))
+        cache["finest"] = _extract(p, f, blocks, assign, None)
+    return cache["finest"]

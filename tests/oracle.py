@@ -8,10 +8,11 @@ property-tested on its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from fanosplit.errors import SingularMatrixError
-from fanosplit.linalg import dot, gcd_of, scaled_dual
+from fanosplit.linalg import determinant, dot, gcd_of, scaled_dual
 from fanosplit.polytope import Polytope
 
 
@@ -39,6 +40,21 @@ def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], in
             continue  # hyperplane carries more points; not this subset's facet
         facets[subset] = (normal, level)
     return facets
+
+
+def brute_valid(p: Polytope) -> bool:
+    """Smooth Fano by exhaustion.
+
+    `brute_facets` keeps only supporting simplices with the origin strictly
+    inside their half-space.  They are every facet iff each of their ridges
+    lies in exactly two of them; then p is smooth Fano iff every point lies
+    on one and every one has |det| = 1.
+    """
+    facets = brute_facets(p)
+    ridges = Counter(r for f in facets for r in combinations(f, p.dim - 1))
+    return (bool(facets) and all(c == 2 for c in ridges.values())
+            and set().union(*facets) == set(range(p.n))
+            and all(abs(determinant([p.vertices[i] for i in f])) == 1 for f in facets))
 
 
 def brute_neighbor(facets: dict, facet: tuple[int, ...], dropped: int) -> tuple[tuple[int, ...], int]:

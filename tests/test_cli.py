@@ -124,7 +124,7 @@ def test_split_enumerates_input_and_each_factor_once(tmp_path, capsys, monkeypat
                         lambda q: calls.append(q.dim) or enumerate_raw(q))
     assert main(["split", path]) == 0
     assert "finest-factors=3" in capsys.readouterr().out
-    assert sorted(calls) == [3, 3, 3, 9]
+    assert sorted(calls) == [3, 3, 3]
 
 
 def test_analyze_example4d(tmp_path, capsys):
@@ -208,6 +208,15 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 
 def test_verify_warns_on_local_fallback(tmp_path, capsys):
+    path = write(tmp_path, "s13h.fano", direct_sum(simplex(13), hexagon()))
+    assert main(["verify", path]) == 0
+    captured = capsys.readouterr()
+    assert "INSTANCE d=15 n=20 k=25 mode=local" in captured.out
+    assert captured.err == (
+        "warning: factor of dimension 13 > 12 validated locally "
+        "(pass --mode full to override)\n"
+    )
+    # every factor of hexagon^7 is proved, so LOCAL mode warns of nothing
     p = hexagon()
     for _ in range(6):
         p = direct_sum(p, hexagon())
@@ -215,21 +224,59 @@ def test_verify_warns_on_local_fallback(tmp_path, capsys):
     assert main(["verify", path]) == 0
     captured = capsys.readouterr()
     assert "INSTANCE d=14 n=42 k=0 mode=local" in captured.out
-    assert "warning: dimension 14 > 12, using local validation" in captured.err
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "split", "verify"])
 def test_local_walk_failure_is_invalid_certificate(tmp_path, capsys, cmd):
-    # LOCAL validation accepts the gift-wrapped facet; the special-facet walk
-    # then meets a facet with |det| = 2 and reports it as a certificate
+    # LOCAL validation proves the triangle summand by enumerating its facets
     p = make_polytope([(1, 0), (0, 1), (-1, -2)])
     for _ in range(7):
         p = direct_sum(p, hexagon())
     path = write(tmp_path, "th7.fano", p)
     assert main([cmd, path, "--mode", "local"]) == 1
     captured = capsys.readouterr()
-    assert "invalid kind=FacetNotUnimodular witness=neighbor facet across position" in captured.out
+    assert ("invalid kind=FacetNotUnimodular witness=factor on vertices (0, 1, 2): "
+            "facet (0, 2) has |det| = 2\n") in captured.out
     assert "error:" not in captured.err
+
+
+# the auto-mode commands on the interior-point file are pinned above
+@pytest.mark.parametrize("case, argv", [
+    ("inner", ["check", "--mode", "local"]),
+    ("simplex13+origin", ["check"]),
+    ("simplex13+origin", ["check", "--mode", "local"]),
+    ("simplex13+origin", ["analyze"]),
+    ("simplex13+origin", ["verify"]),
+])
+def test_origin_row_is_not_a_vertex_in_every_mode(tmp_path, capsys, case, argv):
+    path = tmp_path / f"{case}.fano"
+    if case == "inner":
+        path.write_text("fano 1\n2 4\n1 0\n0 1\n-1 -1\n0 0\n")
+        index = 3
+    else:
+        path.write_text(serialize_fano(Polytope(13, simplex(13).vertices + ((0,) * 13,))))
+        index = 14
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert (f"invalid kind=NotAVertex witness=points at indices ({index},) are not "
+            f"vertices of the hull") in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--mode", "local"]])
+@pytest.mark.parametrize("hexagons, line", [
+    (0, "invalid kind=FacetNotUnimodular witness=facet (0, 2) has |det| = 2 d=2 n=3\n"),
+    (7, "invalid kind=FacetNotUnimodular witness=factor on vertices (0, 1, 2): "
+        "facet (0, 2) has |det| = 2 d=16 n=45\n"),
+])
+def test_check_rejects_triangle(tmp_path, capsys, extra, hexagons, line):
+    p = make_polytope([(1, 0), (0, 1), (-1, -2)])
+    for _ in range(hexagons):
+        p = direct_sum(p, hexagon())
+    path = write(tmp_path, "t.fano", p)
+    assert main(["check", path] + extra) == 1
+    assert capsys.readouterr() == (line, "")
 
 
 _ERROR_CASES = (

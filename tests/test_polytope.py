@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fanosplit import linalg
 from fanosplit.errors import (
     DuplicateVertexError,
+    FanoError,
     NotAVertexError,
     NotFullDimError,
     NotSimplicialError,
     NotSmoothFanoError,
     NotUnimodularError,
 )
-from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
+from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
 from fanosplit.polytope import (
     Mode,
     Polytope,
+    Proof,
+    _enumerate_raw,
     enumerate_facets,
     frame_from_indices,
     is_smooth_fano,
@@ -25,8 +31,10 @@ from fanosplit.polytope import (
     vertex_deficit,
     vertex_sum,
 )
+from fanosplit.splitting import direct_sum
 
-from oracle import brute_facets, brute_neighbor
+from corpus import base_instances, imaged
+from oracle import brute_facets, brute_neighbor, brute_valid
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -175,16 +183,20 @@ class TestSmoothFano:
             "invalid kind=FacetNotSimplex witness=initial supporting hyperplane "
             "contains 4 vertices: (0, 1, 2, 3)"
         )
-        # a triangular prism: its square facets surface as a pivot tie in
-        # FULL mode, while LOCAL sees only the non-unimodular start facet
+        # a triangular prism: the gift-wrapped triangle's |det| = 3 is found
+        # before its square facets, in both modes
         prism = make_polytope([(1, 1, 0), (1, 0, 1), (1, -1, -1),
                                (-1, 1, 0), (-1, 0, 1), (-1, -1, -1)])
-        assert is_smooth_fano(prism, Mode.FULL).describe() == (
+        for mode in Mode:
+            assert is_smooth_fano(prism, mode).describe() == (
+                "invalid kind=FacetNotUnimodular witness=facet (0, 1, 2) has |det| = 3"
+            )
+        # a hexagon with three collinear vertices: its start facet is
+        # unimodular, and the enumeration meets the long edge as a pivot tie
+        flat = make_polytope([(-2, -2), (-1, -2), (-1, -1), (-1, 2), (0, 1), (1, -2)])
+        assert is_smooth_fano(flat).describe() == (
             "invalid kind=FacetNotSimplex witness=pivot tie at ridge 0 of facet "
-            "(0, 1, 2): vertices (4, 5) are coplanar with the ridge"
-        )
-        assert is_smooth_fano(prism, Mode.LOCAL).describe() == (
-            "invalid kind=FacetNotUnimodular witness=facet (0, 1, 2) has |det| = 3"
+            "(4, 5): vertices (0, 1) are coplanar with the ridge"
         )
 
     def test_local_mode_agrees_on_valid_instances(self):
@@ -273,3 +285,92 @@ class TestAgainstBruteForceOracle:
                 assert neigh.vertex_indices == oracle_neigh
                 assert p.index_of(opp) == oracle_opp
                 assert opposites[j] == oracle_opp
+
+
+class TestCertifyByDecomposition:
+    """The certificate proves each free summand alone; it must agree with
+    enumerating every facet of the whole polytope and with the brute oracle."""
+
+    @pytest.mark.parametrize("name, base", base_instances())
+    def test_matches_monolithic_enumeration(self, name, base):
+        for p in [base] + imaged(base, range(1, 3)):
+            cert = is_smooth_fano(p, Mode.FULL)
+            raws = _enumerate_raw(p)
+            assert cert.valid == all(raw.det == 1 for raw in raws)
+            assert cert.facet_count == len(raws)
+
+    def test_proof_kinds(self):
+        b = bundle_b(1)
+        b4 = direct_sum(direct_sum(b, b), direct_sum(b, b))
+        assert is_smooth_fano(b).describe() == "valid mode=full proof=full facets=12"
+        assert is_smooth_fano(random_image(b4, 1), Mode.LOCAL).describe() == (
+            "valid mode=local proof=by-decomposition facets=20736")
+        big = direct_sum(simplex(13), direct_sum(simplex(14), hexagon()))
+        cert = is_smooth_fano(big, Mode.LOCAL)
+        assert (cert.proof, cert.unproven_dim, cert.facet_count) == (
+            Proof.LOCAL_UNPROVEN, 14, None)
+        assert cert.describe() == "valid mode=local proof=local-unproven"
+        assert is_smooth_fano(big, Mode.FULL).facet_count == 14 * 15 * 6
+
+    def test_summands_need_no_rank_check(self, monkeypatch):
+        # each block holds a lattice basis of its own coordinates
+        b = bundle_b(1)
+        p = random_image(direct_sum(direct_sum(b, simplex(13)), pentagon()), 2)
+        p = Polytope(p.dim, p.vertices)
+        ranks = []
+        int_rank = linalg.int_rank
+        monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
+        assert is_smooth_fano(p, Mode.LOCAL).unproven_dim == 13
+        assert ranks == [p.dim + 1]
+
+    # one failing summand per failure kind, next to a hexagon
+    @pytest.mark.parametrize("rows, witness", [
+        ([(1, 0), (0, 1), (-1, -2)],
+         "FacetNotUnimodular witness=factor on vertices (0, 1, 2): "
+         "facet (0, 2) has |det| = 2"),
+        ([(-2, 1), (-1, 1), (0, 1), (1, 0)],
+         "FacetNotSimplex witness=factor on vertices (0, 1, 2, 3): "
+         "initial supporting hyperplane contains 3 vertices: (0, 1, 2)"),
+        ([(1, -1), (1, 0), (2, -1)],
+         "OriginNotInterior witness=factor on vertices (0, 1, 2): "
+         "no vertex below ridge 1 of facet (0, 2)"),
+        ([(-2, -2), (0, -1), (1, 1)],
+         "OriginNotInterior witness=factor on vertices (1,): "
+         "every vertex lies on the hyperplane of facet (1, 2, 5, 7)"),
+        ([(-2, -2), (-1, -1), (0, 1), (1, -2)],
+         "NotAVertex witness=factor on vertices (0, 1, 2, 3): "
+         "points at indices (1,) are not vertices of the hull"),
+    ])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_failing_factor_keeps_its_kind(self, rows, witness, mode):
+        p = direct_sum(Polytope(2, tuple(rows)), hexagon())
+        assert is_smooth_fano(p, mode).describe() == "invalid kind=" + witness
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_origin_row_is_not_a_vertex(self, mode):
+        p = Polytope(13, simplex(13).vertices + ((0,) * 13,))
+        assert is_smooth_fano(p, mode).describe() == (
+            "invalid kind=NotAVertex witness=points at indices (14,) are not "
+            "vertices of the hull")
+
+    # coordinates in [-1, 1] make valid sets common, [-2, 2] adds failures
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda db: st.tuples(
+        st.sets(st.tuples(*[st.integers(-db[1], db[1])] * db[0]),
+                min_size=db[0] + 1, max_size=db[0] + 3),
+        st.booleans())))
+    def test_matches_brute_oracle(self, case):
+        points, plus_hexagon = case
+        try:
+            p = make_polytope(sorted(points))
+        except FanoError:
+            return
+        if plus_hexagon:
+            p = direct_sum(p, hexagon())
+        cert = is_smooth_fano(p)
+        assert cert.valid == brute_valid(p)
+        assert is_smooth_fano(p, Mode.LOCAL).valid == cert.valid
+        if cert.valid:
+            assert cert.facet_count == len(brute_facets(p))
+        else:
+            assert cert.failure_kind and cert.witness
