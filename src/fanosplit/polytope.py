@@ -30,6 +30,7 @@ split P into a free sum.  The facets of a free sum are the joins of its
 summands' facets, so P is smooth Fano iff every block polytope is, and its
 facet count is their product.  Each summand is proved alone: a standard
 hexagon by its vertex set, every other one by enumerating its facets (FULL).
+The proved block polytopes stay on P (`free_summands`), for the normal form.
 An irreducible summand above FULL_MODE_MAX_DIM is checked only at its
 start facet when LOCAL is asked for, since facet counts grow exponentially
 while the splitting pipeline touches only one pivot path; the certificate
@@ -597,10 +598,9 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
         start = _initial_raw_cached(p)
         if start.det != 1:
             return _not_unimodular(mode, start)
-        coords = _cached_coords(p, start.indices, start.dual)
-        blocks, assign = coordinate_blocks(coords)
-        if len(blocks) > 1:
-            return _certify_summands(mode, start, coords, blocks, assign)
+        summands = _block_summands(p, start)
+        if summands:
+            return _certify_summands(mode, start, summands)
         if _summand_mode(mode, p.dim) is Mode.LOCAL:
             return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
                                          unproven_dim=p.dim)
@@ -613,27 +613,42 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
     return SmoothFanoCertificate(True, mode, facet_count=len(raws), proof=Proof.FULL)
 
 
-def _certify_summands(mode: Mode, start: _RawFacet, coords: Sequence[LatticeVector],
-                      blocks: list[list[int]], assign: list[int]) -> SmoothFanoCertificate:
-    """The certificate of the free sum of the block polytopes, one per block."""
-    members: list[list[int]] = [[] for _ in blocks]
-    for i, b in enumerate(assign):
-        members[b].append(i)
+def _block_summands(p: Polytope, start: _RawFacet) -> tuple[tuple[tuple[int, ...], Polytope], ...]:
+    """(vertex indices, block polytope) of every block of the unimodular start
+    facet, or () when there is one block.  Cached on p, so that the
+    certificates of both modes prove the same summand objects."""
+    cache = p._cert_cache
+    if "summands" not in cache:
+        coords = _cached_coords(p, start.indices, start.dual)
+        blocks, assign = coordinate_blocks(coords)
+        if len(blocks) == 1:
+            cache["summands"] = ()
+        else:
+            members: list[list[int]] = [[] for _ in blocks]
+            for i, b in enumerate(assign):
+                members[b].append(i)
+            cache["summands"] = tuple(
+                (tuple(own), Polytope(len(block), tuple(tuple(coords[i][j] for j in block)
+                                                         for i in own)))
+                for block, own in zip(blocks, members))
+    return cache["summands"]
+
+
+def _certify_summands(mode: Mode, start: _RawFacet,
+                      summands: Sequence[tuple[tuple[int, ...], Polytope]]) -> SmoothFanoCertificate:
+    """The certificate of the free sum of the block polytopes."""
     count, unproven = 1, None
-    for block, own in zip(blocks, members):
-        own = tuple(own)
-        rows = tuple(tuple(coords[i][j] for j in block) for i in own)
-        if set(rows) == HEXAGON_VERTICES:
+    for own, q in summands:
+        if set(q.vertices) == HEXAGON_VERTICES:
             count *= 6
             continue
         # the block holds the unit vectors of its positions, which lie at
         # level 1; it is affinely full-dimensional unless every row does
-        if all(sum(row) == 1 for row in rows):
+        if all(sum(row) == 1 for row in q.vertices):
             return SmoothFanoCertificate(
                 False, mode, "OriginNotInterior",
                 f"factor on vertices {own}: every vertex lies on the "
                 f"hyperplane of facet {start.indices}")
-        q = Polytope(len(block), rows)
         q.__dict__["_full_dim"] = True  # it spans, as above: skip the rank check
         cert = is_smooth_fano(q, _summand_mode(mode, q.dim))
         if not cert.valid:
@@ -646,6 +661,17 @@ def _certify_summands(mode: Mode, start: _RawFacet, coords: Sequence[LatticeVect
         return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
                                      unproven_dim=unproven)
     return SmoothFanoCertificate(True, mode, facet_count=count, proof=Proof.BY_DECOMPOSITION)
+
+
+def free_summands(p: Polytope, mode: Mode | None = None) -> tuple[Polytope, ...]:
+    """The irreducible free summands of p, or (p,) when p is irreducible.
+
+    Each summand is the block polytope that validation proved, in the
+    lattice coordinates of the gift-wrapped facet restricted to its block,
+    in block order.
+    """
+    require_smooth_fano(p, mode)
+    return tuple(q for _, q in p._cert_cache["summands"]) or (p,)
 
 
 def require_smooth_fano(p: Polytope, mode: Mode | None = None) -> Mode:

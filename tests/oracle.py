@@ -1,9 +1,12 @@
-"""Independent brute-force facet oracle for small instances.
+"""Reference implementations the fast paths are checked against.
 
-Enumerates every d-subset of vertices, solves for its hyperplane exactly and
-keeps the supporting ones.  Completely independent of the package's
-gift-wrap/pivot path: only the scaled-dual solver is shared, and that is
-property-tested on its own.
+`brute_facets` enumerates every d-subset of vertices, solves for its
+hyperplane exactly and keeps the supporting ones.  It is completely
+independent of the package's gift-wrap/pivot path: only the scaled-dual
+solver is shared, and that is property-tested on its own.
+
+`monolithic_digest` is the normal form searched over every facet of P and
+every surviving frame ordering, without splitting P into free summands.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+from fanosplit.equivalence import DEFAULT_BUDGET, _orderings, _serialize
 from fanosplit.errors import SingularMatrixError
 from fanosplit.linalg import determinant, dot, gcd_of, scaled_dual
-from fanosplit.polytope import Polytope
+from fanosplit.polytope import Mode, Polytope, enumerate_facets, require_smooth_fano
 
 
 def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
@@ -72,3 +76,19 @@ def brute_neighbor(facets: dict, facet: tuple[int, ...], dropped: int) -> tuple[
     extra = set(neighbor) - ridge
     assert len(extra) == 1
     return neighbor, extra.pop()
+
+
+def monolithic_digest(p: Polytope, budget: int = DEFAULT_BUDGET) -> bytes:
+    """Digest of the minimal sorted coordinate matrix over all facet frames
+    of p and their surviving orderings."""
+    require_smooth_fano(p, Mode.FULL)
+    best: tuple[tuple[int, ...], ...] | None = None
+    budget_state = [0]
+    for f in enumerate_facets(p):
+        rows = p.coords_rows(f.dual_basis.entries)
+        cols = tuple(tuple(r[j] for r in rows) for j in range(p.dim))
+        for perm in _orderings(cols, budget_state, budget):
+            mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))
+            if best is None or mat < best:
+                best = mat
+    return _serialize(best)

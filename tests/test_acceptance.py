@@ -212,7 +212,7 @@ def test_criterion_09_normal_form_invariance():
     for i, (na, a) in enumerate(gens):
         for nb, b in gens[i + 1:]:
             assert not are_equivalent(a, b), f"{na} vs {nb}"
-    announce(9, f"normal-form invariance on {len(members)} members x 20 seeds", t0)
+    announce(9, f"normal-form invariance on {len(members)} members x 20 seeds", t0, budget=15.0)
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

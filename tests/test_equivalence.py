@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from fanosplit import equivalence
+from fanosplit.cli import main
 from fanosplit.equivalence import are_equivalent, normal_form
 from fanosplit.errors import SizeLimitError
+from fanosplit.fanofile import save_polytope
 from fanosplit.generators import (
     bundle_b,
     example4d,
@@ -13,7 +16,11 @@ from fanosplit.generators import (
     simplex,
 )
 from fanosplit import polytope
-from fanosplit.polytope import Polytope, make_polytope
+from fanosplit.polytope import Polytope, free_summands, is_smooth_fano, make_polytope, vertex_sum
+from fanosplit.splitting import direct_sum
+
+from corpus import base_instances
+from oracle import monolithic_digest
 
 
 def apply_map(p, rows):
@@ -94,3 +101,66 @@ def test_size_mismatch_skips_full_enumeration_above_full_dim(monkeypatch):
                         lambda q: calls.append(q.dim) or enumerate_raw(q))
     assert not are_equivalent(simplex(14), bundle_b(5))
     assert calls == []
+
+
+def power_sum(p, m):
+    out = p
+    for _ in range(m - 1):
+        out = direct_sum(out, p)
+    return out
+
+
+def test_factored_equivalence_matches_monolithic_reference():
+    members = [p for _, p in base_instances() if p.dim <= 6]
+    polys = [x for p in members for x in [p] + [random_image(p, seed) for seed in (1, 2, 3)]]
+    mono = [monolithic_digest(x) for x in polys]
+    for i, a in enumerate(polys):
+        for j in range(i + 1, len(polys)):
+            assert are_equivalent(a, polys[j]) == (mono[i] == mono[j]), (a, polys[j])
+    for x, digest in zip(polys, mono):
+        nf = normal_form(x)
+        assert list(nf.canonical_matrix.entries) == sorted(nf.canonical_matrix.entries)
+        canonical = make_polytope(nf.canonical_matrix.entries)
+        assert is_smooth_fano(canonical).valid
+        assert monolithic_digest(canonical) == digest
+        if len(free_summands(x)) == 1 and not any(vertex_sum(x)):
+            assert nf.digest == digest  # unchanged for irreducible, vertex sum 0
+
+
+def test_summand_shape_mismatch_skips_factor_search(tmp_path, capsys, monkeypatch):
+    calls = []
+    factor_form = equivalence._factor_form
+    monkeypatch.setattr(equivalence, "_factor_form",
+                        lambda q, *args: calls.append(q.dim) or factor_form(q, *args))
+    a, b = tmp_path / "a.fano", tmp_path / "b.fano"
+    save_polytope(power_sum(bundle_b(1), 2), a)
+    save_polytope(direct_sum(example4d(), hexagon()), b)
+    assert main(["eq", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "not-equivalent\n"
+    assert calls == []
+
+
+def test_large_sum_normal_form_matches_disguise():
+    p = direct_sum(power_sum(bundle_b(1), 3), power_sum(hexagon(), 20))
+    assert p.dim == 49
+    assert normal_form(p).digest == normal_form(random_image(p, 1)).digest
+
+
+def _ordering_count(p) -> int:
+    """The least budget under which normal_form(p) completes."""
+    budget = 1
+    while True:
+        try:
+            normal_form(p, budget)
+            return budget
+        except SizeLimitError:
+            budget += 1
+
+
+def test_budget_covers_all_summands_together():
+    a, b = example4d(), hexagon()
+    counts = [_ordering_count(a), _ordering_count(b)]
+    p = direct_sum(a, b)
+    with pytest.raises(SizeLimitError):
+        normal_form(p, budget=max(counts))
+    normal_form(p, budget=sum(counts))
