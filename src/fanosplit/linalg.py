@@ -291,20 +291,24 @@ def int_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
     return ker.rank
 
 
-def _vertex_products(vertices: np.ndarray, rows: Sequence[Sequence[int]],
-                     max_abs_vertices: int) -> np.ndarray:
-    """<x, u> for every vertex row x of `vertices` and every u in `rows`."""
-    hu = max((abs(a) for row in rows for a in row), default=0)
+def _vertex_products(vertices: np.ndarray, rows, max_abs_vertices: int) -> np.ndarray:
+    """<x, u> for every vertex row x of `vertices` and every u in `rows`, an
+    exact array (bounded by `_max_abs`) or a sequence of int sequences."""
+    if isinstance(rows, np.ndarray):
+        hu = _max_abs(rows)
+    else:
+        hu = max((abs(a) for row in rows for a in row), default=0)
     fits = vertices.dtype != object and _products_fit(max_abs_vertices, hu, vertices.shape[1])
     return _exact_array(vertices, fits) @ _exact_array(rows, fits).T
 
 
-def products_with(vertices: np.ndarray, u: Sequence[int], max_abs_vertices: int) -> list[int]:
-    """<x, u> for every vertex row x of `vertices`, exact."""
-    return _vertex_products(vertices, [u], max_abs_vertices)[:, 0].tolist()
+def products_with(vertices: np.ndarray, u, max_abs_vertices: int) -> list[int]:
+    """<x, u> for every vertex row x of `vertices`, exact; `u` is an int
+    sequence or a 1-d exact array."""
+    rows = u if isinstance(u, np.ndarray) else [u]
+    return _vertex_products(vertices, rows, max_abs_vertices).ravel().tolist()
 
 
-def coords_rows(vertices: np.ndarray, dual_rows: Sequence[IntVector],
-                max_abs_vertices: int) -> list[IntVector]:
+def coords_rows(vertices: np.ndarray, dual_rows, max_abs_vertices: int) -> list[IntVector]:
     """Rows <U, x> for every vertex x: the coordinate matrix w.r.t. a dual basis."""
     return list(map(tuple, _vertex_products(vertices, dual_rows, max_abs_vertices).tolist()))

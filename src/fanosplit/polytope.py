@@ -19,9 +19,13 @@ its primitive outer normal.  All geometry is exact:
 
 Internally a facet is one record, `_RawFacet`: its vertex indices by frame
 position, the exact rational dual basis (`dual` / `det`) and the primitive
-outer normal.  One dual-basis update (`_neighbor_raw`) crosses a ridge; the
-enumeration, the special-facet walk and `pivot` all use it.  `FacetFrame` is
-the public, sorted, unimodular view of a record.
+outer normal.  The scaled dual basis is one exact d x d array for the
+record's whole life, under `linalg._exact_array`'s rule: int64 when
+`_products_fit` proves its entries fit, else exact Python ints.  One
+dual-basis update (`_neighbor_raw`), a single numpy rank-1 update, crosses a
+ridge; the enumeration, the special-facet walk and `pivot` all use it.
+`FacetFrame` is the public, sorted, unimodular view of a record, and keeps
+its record for the next pivot.
 
 Validation proves validity through the free-sum decomposition.  The
 gift-wrapped facet must be unimodular; its dual basis then gives lattice
@@ -134,6 +138,11 @@ class Polytope:
         return linalg._exact_array(self.vertices, fits).reshape(self.n, self.dim)
 
     @cached_property
+    def _vertex_sum(self) -> LatticeVector:
+        fits = linalg._products_fit(self._abs_max, 1, self.n)
+        return tuple(linalg._exact_array(self._array, fits).sum(axis=0).tolist())
+
+    @cached_property
     def _full_dim(self) -> bool:
         """Affine full dimension: the vectors (x, 1) have rank d + 1."""
         return linalg.int_rank([v + (1,) for v in self.vertices], self.dim + 1) == self.dim + 1
@@ -176,12 +185,8 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
 
 
 def vertex_sum(p: Polytope) -> LatticeVector:
-    """Coordinatewise sum of all vertices."""
-    acc = [0] * p.dim
-    for v in p.vertices:
-        for i, x in enumerate(v):
-            acc[i] += x
-    return tuple(acc)
+    """Coordinatewise sum of all vertices, computed once per polytope."""
+    return p._vertex_sum
 
 
 def vertex_deficit(p: Polytope) -> int:
@@ -215,6 +220,12 @@ class FacetFrame:
     def level(self, x: Sequence[int]) -> int:
         return dot(self.outer_normal, x)
 
+    @cached_property
+    def _raw(self) -> _RawFacet:
+        """The frame's record; a frame built from a record keeps that one."""
+        dual, hi = _exact_dual(self.dual_basis.entries)
+        return _RawFacet(self.vertex_indices, dual, hi, 1, self.outer_normal, 1)
+
 
 @dataclass(frozen=True)
 class SmoothFanoCertificate:
@@ -240,36 +251,52 @@ class SmoothFanoCertificate:
         return f"invalid kind={self.failure_kind} witness={self.witness}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RawFacet:
     """Internal facet record; `dual`/`det` is the exact rational dual basis.
 
-    Row i of `dual` belongs to `indices[i]`.  Records are sorted by index
-    except between the steps of a walk, which keeps frame positions fixed.
+    `dual` is one d x d array under `linalg._exact_array`'s rule, int64
+    exactly when its entries fit, else exact Python ints; it is never turned
+    back into tuples while the record lives.  Row i of `dual` belongs to
+    `indices[i]`.  Records are sorted by index except between the steps of a
+    walk, which keeps frame positions fixed.
     """
 
     indices: tuple[int, ...]
-    dual: tuple[LatticeVector, ...]
+    dual: np.ndarray
+    dual_max: int  # max |entry| of dual: the bound on products with it
     det: int  # > 0; facet vertex basis is unimodular iff det == 1
     normal: LatticeVector  # primitive outer normal A
     level: int  # c > 0 with <A, x> = c on the facet, <= c on P
 
 
-def _make_raw(indices: Sequence[int], dual: Sequence[LatticeVector], det: int) -> _RawFacet:
+def _exact_dual(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, int]:
+    """Dual rows as one exact array, with their max |entry|."""
+    hi = max((abs(x) for row in rows for x in row), default=0)
+    return linalg._exact_array(rows, linalg._products_fit(hi, 1, 1)), hi
+
+
+def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> _RawFacet:
     """The record of a scaled dual basis; its row sum over `det` is the normal."""
-    rowsum = [sum(col) for col in zip(*dual)]
+    hi = linalg._max_abs(dual)
+    dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
+    sums = linalg._exact_array(dual, linalg._products_fit(hi, 1, len(indices)))
+    rowsum = sums.sum(axis=0).tolist()
     g = gcd_of(rowsum + [det])
     if g == 0:
         raise InvariantViolationError("zero outer normal")
-    return _RawFacet(tuple(indices), tuple(dual), det,
+    return _RawFacet(tuple(indices), dual, hi, det,
                      tuple(a // g for a in rowsum), det // g)
 
 
 def _sorted_raw(raw: _RawFacet) -> _RawFacet:
     """The same record with its (index, dual row) pairs in index order."""
-    paired = sorted(zip(raw.indices, raw.dual))
-    return _RawFacet(tuple(i for i, _ in paired), tuple(r for _, r in paired),
-                     raw.det, raw.normal, raw.level)
+    idx = raw.indices
+    if all(a < b for a, b in zip(idx, idx[1:])):
+        return raw
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    return _RawFacet(tuple(idx[w] for w in order), raw.dual.take(order, axis=0),
+                     raw.dual_max, raw.det, raw.normal, raw.level)
 
 
 def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
@@ -297,10 +324,10 @@ def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
 
 def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
     """The record of the sorted vertex index set `indices`."""
-    dual, delta = linalg.scaled_dual([p.vertices[i] for i in indices])
+    rows, delta = linalg.scaled_dual([p.vertices[i] for i in indices])
+    dual, _ = _exact_dual(rows)
     if delta < 0:
-        dual = tuple(linalg.vec_neg(r) for r in dual)
-        delta = -delta
+        dual, delta = -dual, -delta
     return _make_raw(indices, dual, delta)
 
 
@@ -378,19 +405,23 @@ def _initial_raw(p: Polytope) -> _RawFacet:
 
 def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _RawFacet:
     """Dual-basis update when frame position `pos` is replaced by `target`,
-    whose coordinate row is `ct`; every other position keeps its place."""
-    delta = raw.det
+    whose coordinate row (exact ints) is `ct`; every other position keeps its
+    place.
+
+    One rank-1 update, rows = (beta D - c outer (sign D[pos])) // delta; its
+    entries are at most 2 max|c| max|D|, so it runs in int64 when that bound
+    (and delta) fits and on exact Python ints otherwise.
+    """
     sign = -1 if ct[pos] < 0 else 1
     beta = sign * ct[pos]
-    base = raw.dual[pos]
-    rows = []
-    for w, row in enumerate(raw.dual):
-        if w == pos:
-            rows.append(tuple(sign * b for b in base))
-        else:
-            # exact division: the rows are the adjugate of the new vertex basis
-            c = sign * ct[w]
-            rows.append(tuple((beta * a - c * b) // delta for a, b in zip(row, base)))
+    fits = (linalg._products_fit(max(map(abs, ct)), raw.dual_max, 2)
+            and linalg._products_fit(raw.det, 1, 1))
+    dual = linalg._exact_array(raw.dual, fits)
+    base = dual[pos] if sign == 1 else -dual[pos]
+    rows = beta * dual - linalg._exact_array(ct, fits)[:, None] * base
+    if raw.det != 1:
+        rows //= raw.det  # exact: the rows are the adjugate of the new vertex basis
+    rows[pos] = base
     indices = [target if w == pos else i for w, i in enumerate(raw.indices)]
     return _make_raw(indices, rows, beta)
 
@@ -445,7 +476,9 @@ def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
             raw.det, f"facet {raw.indices} has vertex basis with |det| = {raw.det}"
         )
     # with det 1 the row sum is already primitive, so it is the normal
-    return FacetFrame(raw.indices, IntMatrix(raw.dual), raw.normal)
+    frame = FacetFrame(raw.indices, IntMatrix(tuple(map(tuple, raw.dual.tolist()))), raw.normal)
+    frame.__dict__["_raw"] = raw  # the frame's next pivot starts from the array
+    return frame
 
 
 def _frame_opposite(indices: Sequence[int], column: Sequence[int],
@@ -477,8 +510,8 @@ def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
             cv[best],
             f"neighbor facet across position {pos} is not unimodular",
         )
-    x = p.vertices[best]
-    return _neighbor_raw(raw, [dot(r, x) for r in raw.dual], pos, best)
+    ct = linalg.products_with(raw.dual, p.vertices[best], raw.dual_max)  # D @ x
+    return _neighbor_raw(raw, ct, pos, best)
 
 
 def enumerate_facets(p: Polytope) -> tuple[FacetFrame, ...]:
@@ -691,9 +724,8 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     exact ratio (1 - level(x)) / (-coordinate of x along the dropped dual
     direction) over vertices with negative such coordinate.
     """
-    raw = _RawFacet(frame.vertex_indices, frame.dual_basis.entries, 1, frame.outer_normal, 1)
     pos = frame.position_of(vertex_index)
-    neighbor = _cross(p, raw, pos)
+    neighbor = _cross(p, frame._raw, pos)
     return _frame_from_raw(neighbor), p.vertices[neighbor.indices[pos]]
 
 
@@ -703,11 +735,11 @@ def frame_coords(p: Polytope, frame: FacetFrame) -> list[LatticeVector]:
     For frames that several stages read, above all the special facet; a walk
     over every facet calls `Polytope.coords_rows` and keeps nothing.
     """
-    return _cached_coords(p, frame.vertex_indices, frame.dual_basis.entries)
+    return _cached_coords(p, frame.vertex_indices, frame._raw.dual)
 
 
 def _cached_coords(p: Polytope, indices: tuple[int, ...],
-                   dual: Sequence[LatticeVector]) -> list[LatticeVector]:
+                   dual: np.ndarray) -> list[LatticeVector]:
     """Coordinate rows w.r.t. the unimodular sorted frame on `indices`, cached
     on p: validation computes them for its start facet, which is also the
     special facet whenever the walk takes no step."""
@@ -755,7 +787,8 @@ def special_facet(p: Polytope, mode: Mode | None = None) -> FacetFrame:
     s = vertex_sum(p)
     raw = _initial_raw_cached(p)
     for _ in range(_MAX_PIVOT_STEPS):
-        pos = next((j for j, u in enumerate(raw.dual) if dot(u, s) < 0), None)
+        gamma = linalg.products_with(raw.dual, s, raw.dual_max)  # D @ s
+        pos = next((j for j, g in enumerate(gamma) if g < 0), None)
         if pos is None:
             frame = _frame_from_raw(raw)
             cache["special"] = frame

@@ -131,7 +131,7 @@ class _Ctx:
         self.coords = frame_coords(p, self.frame)
         self.pos = {v: j for j, v in enumerate(self.frame.vertex_indices)}
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
-        self.s_level = sum(self.frame.coordinates(vertex_sum(p)))
+        self.s_level = self.frame.level(vertex_sum(p))  # the sum of its coordinates
 
     @cached_property
     def opposite_failures(self) -> tuple[str | None, str | None]:
@@ -140,7 +140,7 @@ class _Ctx:
         frames = enumerate_facets(self.p) if self.mode is Mode.FULL else (self.frame,)
         coord_fail = zero_fail = None
         for f in frames:
-            coords = self.coords if f is self.frame else self.p.coords_rows(f.dual_basis.entries)
+            coords = self.coords if f is self.frame else self.p.coords_rows(f._raw.dual)
             opp = _opposites(f, coords)
             coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
             zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
@@ -429,23 +429,26 @@ def _check_separating_coordinate(ctx):
 
 
 def _check_no_shared_minus_one(ctx):
+    # one pass over the level -1 vertices; the reported failure is the first
+    # in (good pair, vertex) order
     g = ctx.g
     good = sorted(g.a | g.b)
-    applicable = False
-    for ai in range(len(good)):
-        for bi in range(ai + 1, len(good)):
-            v, w = good[ai], good[bi]
-            if g.opp[v] == g.opp[w]:
-                continue
-            applicable = True
-            jv, jw = ctx.pos[v], ctx.pos[w]
-            for i in ctx.v_minus1:
-                if ctx.coords[i][jv] == -1 and ctx.coords[i][jw] == -1:
-                    return False, (
-                        f"level -1 vertex {i} has coordinate -1 at both {v} and {w} "
-                        f"despite distinct opposites"
-                    ), True
-    return True, "", applicable
+    good_pos = [ctx.pos[v] for v in good]
+    first = None
+    for i in ctx.v_minus1:
+        row = ctx.coords[i]
+        hits = [v for v, j in zip(good, good_pos) if row[j] == -1]
+        pair = next(((v, w) for x, v in enumerate(hits) for w in hits[x + 1:]
+                     if g.opp[v] != g.opp[w]), None)
+        if pair is not None and (first is None or pair < first[0]):
+            first = pair, i
+    if first is not None:
+        (v, w), i = first
+        return False, (
+            f"level -1 vertex {i} has coordinate -1 at both {v} and {w} "
+            f"despite distinct opposites"
+        ), True
+    return True, "", len({g.opp[v] for v in good}) > 1
 
 
 def _check_level_minus_one_types(ctx):

@@ -7,6 +7,10 @@ solver is shared, and that is property-tested on its own.
 
 `monolithic_digest` is the normal form searched over every facet of P and
 every surviving frame ordering, without splitting P into free summands.
+
+`neighbor_raw_tuples` is the ridge-crossing dual-basis update row by row on
+tuples of Python ints, the reference for the array update
+`polytope._neighbor_raw`.
 """
 
 from __future__ import annotations
@@ -92,3 +96,24 @@ def monolithic_digest(p: Polytope, budget: int = DEFAULT_BUDGET) -> bytes:
             if best is None or mat < best:
                 best = mat
     return _serialize(best)
+
+
+def neighbor_raw_tuples(indices, dual, det, ct, pos, target):
+    """(indices, dual, det, normal, level) of the record across frame position
+    `pos` of the record (indices, dual, det), entering `target`, whose
+    coordinate row is `ct`."""
+    sign = -1 if ct[pos] < 0 else 1
+    beta = sign * ct[pos]
+    base = dual[pos]
+    rows = []
+    for w, row in enumerate(dual):
+        if w == pos:
+            rows.append(tuple(sign * b for b in base))
+        else:
+            # exact division: the rows are the adjugate of the new vertex basis
+            c = sign * ct[w]
+            rows.append(tuple((beta * a - c * b) // det for a, b in zip(row, base)))
+    rowsum = [sum(col) for col in zip(*rows)]
+    g = gcd_of(rowsum + [beta])
+    indices = tuple(target if w == pos else i for w, i in enumerate(indices))
+    return indices, tuple(rows), beta, tuple(a // g for a in rowsum), beta // g

@@ -4,6 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+from functools import reduce
+
+import numpy as np
+
 from fanosplit import linalg
 from fanosplit.errors import (
     DuplicateVertexError,
@@ -16,10 +21,13 @@ from fanosplit.errors import (
 )
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
 from fanosplit.polytope import (
+    FacetFrame,
     Mode,
     Polytope,
     Proof,
     _enumerate_raw,
+    _neighbor_raw,
+    _raw_from_rows,
     enumerate_facets,
     frame_from_indices,
     is_smooth_fano,
@@ -34,7 +42,7 @@ from fanosplit.polytope import (
 from fanosplit.splitting import direct_sum
 
 from corpus import base_instances, imaged
-from oracle import brute_facets, brute_neighbor, brute_valid
+from oracle import brute_facets, brute_neighbor, brute_valid, neighbor_raw_tuples
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -227,6 +235,10 @@ class TestVertexSumAndSpecialFacet:
     def test_bundle_sum(self):
         assert vertex_sum(bundle_b(1)) == (0, 0, 1)
 
+    def test_sum_beyond_int64(self):
+        p = Polytope(2, ((2**62, 1), (2**62, -3), (-1, 2**70)))
+        assert vertex_sum(p) == (2**63 - 1, 2**70 - 2)
+
     def test_special_facet_gamma_nonnegative(self):
         for p in (hexagon(), pentagon(), simplex(2), example4d(), bundle_b(1), bundle_b(2)):
             f = special_facet(p)
@@ -285,6 +297,100 @@ class TestAgainstBruteForceOracle:
                 assert neigh.vertex_indices == oracle_neigh
                 assert p.index_of(opp) == oracle_opp
                 assert opposites[j] == oracle_opp
+
+
+def _record(rows):
+    """The sorted record of a nonsingular integer basis."""
+    return _raw_from_rows(Polytope(len(rows), tuple(map(tuple, rows))), range(len(rows)))
+
+
+def _shears(rng, d, steps):
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+class TestNeighborUpdate:
+    """The array rank-1 update against the row-by-row tuple reference."""
+
+    def check(self, rows, x, pos, target=99):
+        """Cross position `pos` of the record of `rows` onto the point x."""
+        raw = _record(rows)
+        dual = tuple(map(tuple, raw.dual.tolist()))
+        ct = [linalg.dot(u, x) for u in dual]
+        new = _neighbor_raw(raw, ct, pos, target)
+        expected = neighbor_raw_tuples(raw.indices, dual, raw.det, ct, pos, target)
+        got = tuple(map(tuple, new.dual.tolist()))
+        assert (new.indices, got, new.det, new.normal, new.level) == expected
+        # the new rows are the scaled dual of the new basis
+        basis = [x if w == pos else row for w, row in enumerate(rows)]
+        for i, u in enumerate(got):
+            assert [linalg.dot(u, b) for b in basis] == [new.det * (i == j) for j in range(len(rows))]
+        assert new.dual_max == max(abs(a) for row in got for a in row)
+        assert (new.dual.dtype == object) == (new.dual_max >= linalg._I64_SAFE)
+        return raw, ct, new
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32))
+    def test_unimodular_records(self, d, seed):
+        rng = random.Random(seed)
+        rows = _shears(rng, d, 3 * d)
+        pos = rng.randrange(d)
+        ct = [rng.randint(-3, 3) for _ in range(d)]
+        ct[pos] = rng.choice((-1, 1))
+        x = [sum(c * row[t] for c, row in zip(ct, rows)) for t in range(d)]
+        _, _, new = self.check(rows, x, pos)
+        assert new.det == 1 and new.dual.dtype == np.int64
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2**32))
+    def test_records_with_det_above_one(self, d, seed):
+        rng = random.Random(seed)
+        rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        if linalg.determinant(rows) in (-1, 0, 1):
+            return
+        x = [rng.randint(-5, 5) for _ in range(d)]
+        raw = _record(rows)
+        pos = next((j for j, u in enumerate(raw.dual.tolist()) if linalg.dot(u, x)), None)
+        if pos is not None:
+            self.check(rows, x, pos)
+
+    def test_update_crosses_from_int64_to_exact_ints(self):
+        # an int64 record whose update fails the product bound, and whose
+        # neighbor fits int64 again
+        rng = random.Random(3)
+        rows = [[rng.randint(-2**10, 2**10) for _ in range(4)] for _ in range(4)]
+        x = [rng.randint(-2**10, 2**10) for _ in range(4)]
+        raw, ct, new = self.check(rows, x, 1)
+        assert raw.dual.dtype == np.int64 and raw.det > 1
+        assert not linalg._products_fit(max(map(abs, ct)), raw.dual_max, 2)
+        assert new.dual.dtype == np.int64
+        # an int64 record whose neighbor does not fit int64
+        rows = [[rng.randint(-2**12, 2**12) for _ in range(5)] for _ in range(5)]
+        x = [rng.randint(-2**40, 2**40) for _ in range(5)]
+        raw, _, new = self.check(rows, x, 2)
+        assert raw.dual.dtype == np.int64 and new.dual.dtype == object
+        # a record of exact ints, crossed on
+        rows = [[rng.randint(-2**13, 2**13) for _ in range(6)] for _ in range(6)]
+        raw, _, new = self.check(rows, [rng.randint(-9, 9) for _ in range(6)], 0)
+        assert raw.dual.dtype == object
+
+    def test_pivot_at_d100_matches_frame_from_indices(self):
+        p = random_image(direct_sum(example4d(), reduce(direct_sum, [hexagon()] * 48)), 5)
+        assert p.dim == 100
+        f = special_facet(p)
+        hand_built = FacetFrame(f.vertex_indices, f.dual_basis, f.outer_normal)
+        for z in f.vertex_indices[::17]:
+            neigh, opp = pivot(p, f, z)
+            assert neigh == frame_from_indices(p, neigh.vertex_indices)
+            assert set(neigh.vertex_indices) - set(f.vertex_indices) == {p.index_of(opp)}
+            assert pivot(p, hand_built, z) == (neigh, opp)
+            # a pivot from a pivoted frame crosses back
+            back, back_opp = pivot(p, neigh, p.index_of(opp))
+            assert back == f and p.index_of(back_opp) == z
 
 
 class TestCertifyByDecomposition:

@@ -66,6 +66,27 @@ class TestVerifyBounds:
             False, "level 0 of vertex 2 is not its coordinate sum -2", True
         )
 
+    def test_no_shared_minus_one_can_fail(self):
+        from types import SimpleNamespace
+
+        from fanosplit.verify import _check_no_shared_minus_one
+
+        # good frame vertices 0, 1, 2 at positions 0, 1, 2; 1 and 2 share an opposite
+        g = SimpleNamespace(a={0}, b={1, 2}, opp={0: 10, 1: 11, 2: 11})
+        ctx = SimpleNamespace(g=g, pos={0: 0, 1: 1, 2: 2}, v_minus1=[5, 6],
+                              coords={5: (-1, 0, -1), 6: (-1, -1, 0)})
+        # the failing pair comes first, then the vertex
+        assert _check_no_shared_minus_one(ctx) == (False, (
+            "level -1 vertex 6 has coordinate -1 at both 0 and 1 despite "
+            "distinct opposites"), True)
+        ctx.coords[6] = (0, -1, -1)  # a pair with one opposite is no failure
+        assert _check_no_shared_minus_one(ctx)[1].startswith(
+            "level -1 vertex 5 has coordinate -1 at both 0 and 2 ")
+        ctx.coords[5] = (0, 0, -1)
+        assert _check_no_shared_minus_one(ctx) == (True, "", True)
+        g.opp[0] = 11  # every good vertex has one opposite: no pair to check
+        assert _check_no_shared_minus_one(ctx) == (True, "", False)
+
     def test_report_lines_shape(self):
         report = verify_bounds(pentagon())
         lines = report.lines()
