@@ -27,6 +27,21 @@ def _significant_lines(text: str):
 
 
 def _parse_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
+    """The `expected` integers of a line.  A well-formed line is split and
+    converted in one pass; any other line goes to `_scan_ints`, which
+    locates its error."""
+    tokens = body.split()
+    if len(tokens) == expected:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return _scan_ints(lineno, body, expected, what)
+
+
+def _scan_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
+    """Token by token, raising FanoFileError at the first offending column
+    (`\\S+` and `str.split` agree on whitespace, so the tokens are the same)."""
     tokens = list(_TOKEN.finditer(body))
     if len(tokens) != expected:
         col = tokens[expected].start() + 1 if len(tokens) > expected else len(body.rstrip()) + 1

@@ -27,6 +27,12 @@ ridge; the enumeration, the special-facet walk and `pivot` all use it.
 `FacetFrame` is the public, sorted, unimodular view of a record, and keeps
 its record for the next pivot.
 
+The gift-wrap runs once per polytope (`_initial_raw_cached`, which keeps a
+failure too) and is the first thing `make_polytope` does after its duplicate
+check: a wrapped facet of d independent vertices, carrying no other vertex,
+proves the vertex set affinely full-dimensional when n > d.  Only when
+n <= d or the gift-wrap fails does the exact rank of the rows (x, 1) decide.
+
 Validation proves validity through the free-sum decomposition.  The
 gift-wrapped facet must be unimodular; its dual basis then gives lattice
 coordinates, and the blocks of their support graph (`coordinate_blocks`)
@@ -54,6 +60,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DuplicateVertexError,
+    FanoError,
     InvariantViolationError,
     NoNegativeVertexError,
     NotAVertexError,
@@ -144,7 +151,20 @@ class Polytope:
 
     @cached_property
     def _full_dim(self) -> bool:
-        """Affine full dimension: the vectors (x, 1) have rank d + 1."""
+        """Affine full dimension: the vectors (x, 1) have rank d + 1.
+
+        With n > d a gift-wrapped facet proves it: its d linearly independent
+        vertices span the one affine hyperplane through them, which
+        `_check_facet` has shown to carry no other vertex.  The exact rank
+        decides only when n <= d or the gift-wrap fails; validation re-raises
+        that failure from the cache.
+        """
+        if self.n > self.dim:
+            try:
+                _initial_raw_cached(self)
+                return True
+            except FanoError:
+                pass
         return linalg.int_rank([v + (1,) for v in self.vertices], self.dim + 1) == self.dim + 1
 
     @cached_property
@@ -163,11 +183,12 @@ class Polytope:
 def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     """Build a polytope from vertex rows.
 
-    Rejects duplicates and point sets that are not full-dimensional.  Rows
-    that are not actually vertices of the hull are only detected later, by
-    validation (NotAVertexError).
+    Rejects duplicates and point sets that are not full-dimensional.  The
+    full-dimension proof gift-wraps the start facet that validation reuses
+    (`Polytope._full_dim`).  Rows that are not actually vertices of the hull
+    are only detected later, by validation (NotAVertexError).
     """
-    vertices = tuple(tuple(int(x) for x in row) for row in rows)
+    vertices = tuple(tuple(map(int, row)) for row in rows)
     if not vertices:
         raise NotFullDimError("empty vertex list")
     d = len(vertices[0])
@@ -534,10 +555,21 @@ def _full_raws(p: Polytope) -> list[_RawFacet]:
 
 
 def _initial_raw_cached(p: Polytope) -> _RawFacet:
+    """`_initial_raw`, run once per polytope.  A failure is kept without its
+    traceback and each caller gets a fresh copy of it (same type, arguments
+    and attributes), so no raise pins frames or arrays in the cache."""
     cache = p._cert_cache
     if "initial" not in cache:
-        cache["initial"] = _initial_raw(p)
-    return cache["initial"]
+        try:
+            cache["initial"] = _initial_raw(p)
+        except FanoError as e:
+            cache["initial"] = e.with_traceback(None)
+    found = cache["initial"]
+    if isinstance(found, FanoError):
+        err = type(found).__new__(type(found), *found.args)
+        err.__dict__.update(found.__dict__)
+        raise err
+    return found
 
 
 def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate:
@@ -682,7 +714,7 @@ def _certify_summands(mode: Mode, start: _RawFacet,
                 False, mode, "OriginNotInterior",
                 f"factor on vertices {own}: every vertex lies on the "
                 f"hyperplane of facet {start.indices}")
-        q.__dict__["_full_dim"] = True  # it spans, as above: skip the rank check
+        q.__dict__["_full_dim"] = True  # it spans, as above: skip the proof
         cert = is_smooth_fano(q, _summand_mode(mode, q.dim))
         if not cert.valid:
             return replace(cert, mode=mode, witness=f"factor on vertices {own}: {cert.witness}")

@@ -1,0 +1,148 @@
+"""One digest of the CLI's observable behaviour, for byte-identity checks.
+
+    PYTHONPATH=src python tests/cli_digest.py
+
+Runs `fanosplit.cli.main` in-process over a fixed list of argument vectors
+and prints the run count and one sha256 over every run's (argv, exit code,
+stdout, stderr).  Two commits that print the same digest behave the same on
+these inputs, byte for byte, including every error message.  The inputs:
+
+* SETS seeded random point sets in dimension 1-4, 30 % of them affinely or
+  linearly flat, each through `check`, `check --mode local`, `analyze`,
+  `split`, `nf`, `verify` and `eq` against the previous set;
+* two disguises of each corpus base (`tests/corpus.py`), each through
+  `check`, `analyze`, `split`, `split -o`, `nf` and `verify`, and the pair
+  through `eq` (the files `split -o` writes are digested too);
+* a fixed list of malformed files.
+
+The files are written to a fresh temporary directory, which is the working
+directory during the runs and is deleted afterwards; argv and the output name
+them by relative path, so the digest does not depend on where it runs.  An
+exception escaping `main` is recorded by type and message, so a crash changes
+the digest instead of stopping the run.  Not a test: the digest of a parent
+commit is the expected value (run this script with the parent's `src` on
+PYTHONPATH to get it).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from corpus import base_instances  # noqa: E402
+from fanosplit import cli  # noqa: E402
+from fanosplit.fanofile import serialize_fano  # noqa: E402
+from fanosplit.generators import random_image  # noqa: E402
+
+SETS = 1200
+
+MALFORMED = [
+    "",
+    "fano 2\n2 3\n1 0\n0 1\n-1 -1\n",
+    "fano 1\n",
+    "fano 1\n2\n1 0\n",
+    "fano 1\n2 3 4\n1 0\n",
+    "fano 1\n0 3\n",
+    "fano 1\n2 2\n1 0\n0 x\n",
+    "fano 1\n2 3\n1 0\n0 1\n",
+    "fano 1\n2 2\n1 0\n0 1\n9 9\n",
+    "fano 1\n2 2\n1 0 3\n0 1\n",
+    "fano 1\n2 3\n1\t0\n0  1 # c\n-1 -1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1 \xe9\n",
+]
+
+
+def _point_set(rng: random.Random) -> list[tuple[int, ...]]:
+    """A random point set; about 30 % lie in a proper affine or linear subspace."""
+    d = rng.randint(1, 4)
+    n = rng.randint(1, 3 * d + 1)
+    if rng.random() >= 0.3:
+        return [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]
+    k = rng.randint(0, d - 1)
+    base = [0] * d if rng.random() < 0.5 else [rng.randint(-2, 2) for _ in range(d)]
+    dirs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+    points = []
+    for _ in range(n):
+        cs = [rng.randint(-2, 2) for _ in range(k)]
+        points.append(tuple(b + sum(c * v[j] for c, v in zip(cs, dirs))
+                            for j, b in enumerate(base)))
+    return points
+
+
+def _fano_text(points: list[tuple[int, ...]]) -> str:
+    lines = ["fano 1", f"{len(points[0])} {len(points)}"]
+    lines.extend(" ".join(map(str, v)) for v in points)
+    return "\n".join(lines) + "\n"
+
+
+def _argvs():
+    """Write every input file to the working directory and yield each
+    argument vector in order."""
+    rng = random.Random(20261018)
+    prev = None
+    for i in range(SETS):
+        f = f"random_{i:04d}.fano"
+        Path(f).write_text(_fano_text(_point_set(rng)), encoding="ascii")
+        yield from (["check", f], ["check", "--mode", "local", f], ["analyze", f],
+                    ["split", f], ["nf", f], ["verify", f])
+        if prev is not None:
+            yield ["eq", prev, f]
+        prev = f
+    for name, base in base_instances():
+        files = []
+        for seed in (1, 2):
+            f = f"{name}_{seed}.fano"
+            Path(f).write_text(serialize_fano(random_image(base, seed)), encoding="ascii")
+            files.append(f)
+        for f in files:
+            yield from (["check", f], ["analyze", f], ["split", f],
+                        ["split", f, "-o", f + ".split"], ["nf", f], ["verify", f])
+        yield ["eq", *files]
+    for i, text in enumerate(MALFORMED):
+        f = f"malformed_{i:02d}.fano"
+        Path(f).write_bytes(text.encode("latin-1"))
+        yield ["check", f]
+        yield ["verify", f]
+
+
+def _run(argv: list[str]) -> tuple[int | str, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as e:  # a crash is an outcome to digest, not to stop on
+            code = f"{type(e).__name__}: {e}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    runs = 0
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="fanosplit-cli-digest-") as work:
+        os.chdir(work)
+        try:
+            for run_argv in _argvs():
+                code, out, err = _run(run_argv)
+                digest.update(repr((run_argv, code, out, err)).encode())
+                outdir = Path(run_argv[-1])
+                if "-o" in run_argv and outdir.is_dir():
+                    for path in sorted(outdir.iterdir()):
+                        digest.update(repr((path.name, path.read_text())).encode())
+                runs += 1
+        finally:
+            os.chdir(home)
+    print(f"runs={runs} sha256={digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

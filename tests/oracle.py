@@ -11,15 +11,19 @@ every surviving frame ordering, without splitting P into free summands.
 `neighbor_raw_tuples` is the ridge-crossing dual-basis update row by row on
 tuples of Python ints, the reference for the array update
 `polytope._neighbor_raw`.
+
+`parse_ints_scan` is the token-by-token line parser, the reference for
+`fanofile._parse_ints`: the same integers, or the same FanoFileError.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 
 from fanosplit.equivalence import DEFAULT_BUDGET, _orderings, _serialize
-from fanosplit.errors import SingularMatrixError
+from fanosplit.errors import FanoFileError, SingularMatrixError
 from fanosplit.linalg import determinant, dot, gcd_of, scaled_dual
 from fanosplit.polytope import Mode, Polytope, enumerate_facets, require_smooth_fano
 
@@ -117,3 +121,21 @@ def neighbor_raw_tuples(indices, dual, det, ct, pos, target):
     g = gcd_of(rowsum + [beta])
     indices = tuple(target if w == pos else i for w, i in enumerate(indices))
     return indices, tuple(rows), beta, tuple(a // g for a in rowsum), beta // g
+
+
+def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> list[int]:
+    """The `expected` integers of a line, token by token with regex offsets;
+    FanoFileError at the first extra token, the line end or a non-integer."""
+    tokens = list(re.finditer(r"\S+", body))
+    if len(tokens) != expected:
+        col = tokens[expected].start() + 1 if len(tokens) > expected else len(body.rstrip()) + 1
+        raise FanoFileError(lineno, col, f"expected {expected} {what}, got {len(tokens)}")
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok.group()))
+        except ValueError:
+            raise FanoFileError(
+                lineno, tok.start() + 1, f"not an integer: {tok.group()!r}"
+            ) from None
+    return out

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanosplit.errors import FanoFileError
-from fanosplit.fanofile import parse_fano, serialize_fano
+from fanosplit.fanofile import _parse_ints, _significant_lines, parse_fano, serialize_fano
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
+
+from oracle import parse_ints_scan
 
 HEX_TEXT = """fano 1
 2 6
@@ -65,6 +67,28 @@ def test_error_column_points_at_bad_token():
     with pytest.raises(FanoFileError) as exc:
         parse_fano("fano 1\n2 2\n1 0\n0 abc\n")
     assert (exc.value.line, exc.value.col) == (4, 3)
+
+
+def _outcome(parse, line: str):
+    """The ints a vertex line of dimension 3 parses to, or its error's place
+    and message; the line goes through the comment stripping first."""
+    ((lineno, body),) = _significant_lines(line)
+    try:
+        return parse(lineno, body, 3, "coordinates")
+    except FanoFileError as e:
+        return e.line, e.col, str(e)
+
+
+@pytest.mark.parametrize("line", [
+    # well-formed: the split fast path
+    "1 0 -1", "1\t0\t-1", "  1   0 \t  -1  ", "1 0 -1 # comment", "1 0 -1#c 7",
+    "+1 -0 1_0", "007 0 -1\r", "\u0661 0 -1", "1 0 " + "9" * 40,
+    # malformed: the scan locates the error
+    "1 0 -1 2", "1 0 -1 2 3 # c", "1 0", "1", "   1  ", "x 0 -1", "1 x -1", "1 0 x",
+    "1.5 0 -1", "1 0 1__0", "1 0 +-1", "1 0 _1", "1 0 0x1", "1 0 " + "9" * 5000,
+])
+def test_parse_ints_matches_scan(line):
+    assert _outcome(_parse_ints, line) == _outcome(parse_ints_scan, line)
 
 
 @settings(max_examples=50)

@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 
-from fanosplit import linalg
+from fanosplit import linalg, polytope
 from fanosplit.errors import (
     DuplicateVertexError,
     FanoError,
@@ -78,6 +78,64 @@ class TestMakePolytope:
         p = make_polytope([(1, 0), (0, 1), (-1, -1), (0, 0)])
         with pytest.raises(NotAVertexError):
             enumerate_facets(p)
+
+
+def _points(d: int, k: int, origin: bool):
+    """Point lists in dimension d inside an affine subspace of dimension k,
+    through the origin when `origin`; k = d is the whole space."""
+    coef = st.integers(-2, 2)
+    vec = st.tuples(*[coef] * d)
+    return st.tuples(st.just((0,) * d) if origin else vec, st.lists(vec, min_size=k, max_size=k),
+                     st.lists(st.lists(coef, min_size=k, max_size=k), min_size=1, max_size=3 * d + 1)
+                     ).map(lambda t: [tuple(b + sum(c * v[j] for c, v in zip(cs, t[1]))
+                                            for j, b in enumerate(t[0])) for cs in t[2]])
+
+
+class TestFullDim:
+    """The gift-wrapped facet proves full dimension; the exact rank decides
+    only when n <= d or the gift-wrap fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(0, d), st.booleans()).flatmap(
+        lambda kb: _points(d, *kb))))
+    def test_matches_exact_rank(self, points):
+        d = len(points[0])
+        p = Polytope(d, tuple(points))
+        assert p._full_dim == (linalg.int_rank([v + (1,) for v in points], d + 1) == d + 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_polytope([(1, 0), (0, 1), (2, -1)]),
+        lambda: is_smooth_fano(Polytope(2, ((1, 0), (2, 0), (3, 0)))),
+    ])
+    def test_flat_input_makes_one_rank_call(self, build, monkeypatch):
+        ranks = []
+        int_rank = linalg.int_rank
+        monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
+        try:
+            build()
+        except NotFullDimError:
+            pass
+        assert ranks == [3]
+
+    @pytest.mark.parametrize("rows, witness", [
+        ([(1, 1), (1, -1), (-1, 1), (-1, -1)],
+         "FacetNotUnimodular witness=facet (0, 1) has |det| = 2"),
+        ([(1, 0), (0, 1), (-1, -2)],
+         "FacetNotUnimodular witness=facet (0, 2) has |det| = 2"),
+        ([(0, 1), (-1, 0), (-1, 2)],
+         "OriginNotInterior witness=all vertices have non-positive first coordinate"),
+    ])
+    def test_gift_wrap_runs_once(self, rows, witness, monkeypatch):
+        calls = []
+        initial_raw = polytope._initial_raw
+        monkeypatch.setattr(polytope, "_initial_raw", lambda p: calls.append(p) or initial_raw(p))
+        p = make_polytope(rows)
+        for mode in (Mode.FULL, Mode.LOCAL, Mode.FULL):
+            assert is_smooth_fano(p, mode).describe() == "invalid kind=" + witness
+        assert len(calls) == 1
+        cached = p._cert_cache["initial"]
+        if isinstance(cached, FanoError):
+            assert cached.__traceback__ is None
 
 
 class TestFacetEnumeration:
@@ -427,7 +485,7 @@ class TestCertifyByDecomposition:
         int_rank = linalg.int_rank
         monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
         assert is_smooth_fano(p, Mode.LOCAL).unproven_dim == 13
-        assert ranks == [p.dim + 1]
+        assert ranks == []
 
     # one failing summand per failure kind, next to a hexagon
     @pytest.mark.parametrize("rows, witness", [
@@ -448,9 +506,13 @@ class TestCertifyByDecomposition:
          "points at indices (1,) are not vertices of the hull"),
     ])
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_failing_factor_keeps_its_kind(self, rows, witness, mode):
+    def test_failing_factor_keeps_its_kind(self, rows, witness, mode, monkeypatch):
         p = direct_sum(Polytope(2, tuple(rows)), hexagon())
+        ranks = []
+        int_rank = linalg.int_rank
+        monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
         assert is_smooth_fano(p, mode).describe() == "invalid kind=" + witness
+        assert ranks == []
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_origin_row_is_not_a_vertex(self, mode):
