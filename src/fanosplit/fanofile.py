@@ -17,6 +17,7 @@ from .polytope import Polytope, make_polytope
 HEADER = "fano 1"
 
 _TOKEN = re.compile(r"\S+")
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 
 def _significant_lines(text: str):
@@ -95,7 +96,14 @@ def serialize_fano(p: Polytope) -> str:
 
 
 def load_polytope(path: str | Path) -> Polytope:
-    return parse_fano(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        pos = _NON_ASCII.search(data).start()
+        raise FanoFileError(data.count(b"\n", 0, pos) + 1, pos - data.rfind(b"\n", 0, pos),
+                            f"non-ASCII byte 0x{data[pos]:02x}") from None
+    return parse_fano(text)
 
 
 def save_polytope(p: Polytope, path: str | Path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .polytope import Polytope, make_polytope
+from .polytope import Polytope
 
 # entry bound for random unimodular maps; keeps transformed coordinates
 # comfortably below 2**31 for readable test output
@@ -14,12 +14,12 @@ _MAP_ENTRY_BOUND = 2**12
 
 def hexagon() -> Polytope:
     """The smooth Fano hexagon: maximal vertex count in dimension 2."""
-    return make_polytope([(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)])
+    return Polytope(2, ((1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)))
 
 
 def pentagon() -> Polytope:
     """The hexagon with vertex (1, -1) removed; still smooth Fano."""
-    return make_polytope([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)])
+    return Polytope(2, ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)))
 
 
 def simplex(d: int) -> Polytope:
@@ -28,13 +28,13 @@ def simplex(d: int) -> Polytope:
         raise ValueError(f"simplex dimension must be positive, got {d}")
     rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rows.append(tuple(-1 for _ in range(d)))
-    return make_polytope(rows)
+    return Polytope(d, tuple(rows))
 
 
 def example4d() -> Polytope:
     """A 4-dimensional smooth Fano polytope with 10 vertices (deficit k = 2)
     in which two pairs of facet vertices share an opposite vertex."""
-    return make_polytope([
+    return Polytope(4, (
         (1, 0, 0, 0),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
@@ -45,7 +45,7 @@ def example4d() -> Polytope:
         (0, -1, 0, 0),
         (0, 0, -1, 0),
         (0, 0, 0, -1),
-    ])
+    ))
 
 
 _HEX_BLOCK = ((1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1))
@@ -77,7 +77,7 @@ def bundle_b(dprime: int) -> Polytope:
             w[base] = a
             w[base + 1] = b
             rows.append(tuple(w))
-    return make_polytope(rows)
+    return Polytope(d, tuple(rows))
 
 
 def random_image(p: Polytope, seed: int) -> Polytope:

@@ -8,9 +8,9 @@ A kernel whose bound breaks partway converts its working array and goes on.
 The only rational arithmetic in the package is ratio comparison by integer
 cross-multiplication.
 
-Determinants and scaled inverses use fraction-free (Bareiss/Montante)
-elimination: intermediates are true minors of the input, so they stay as
-small as the problem allows.
+A dual basis of _MODULAR_MIN_DIM or more rows is first the inverse mod _P,
+kept only when the exact product m @ X is I, which proves det m = +-1 and
+X = m^-1; otherwise fraction-free (Bareiss) elimination runs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .errors import DimensionError, NotUnimodularError, SingularMatrixError
 
 IntVector = tuple[int, ...]
 
-# int64 products are trusted only below this bound (headroom under 2**63).
-_I64_SAFE = 2**62
+_I64_SAFE = 2**62  # int64 entries and products stay below this, so np.abs is safe
+_P = 2147483629  # the modular dual's prime: a product of two residues fits int64
+_MODULAR_MIN_DIM = 80  # below this size Bareiss beats the modular pass
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -46,18 +47,7 @@ def vec_neg(u: Sequence[int]) -> IntVector:
 
 
 def gcd_of(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
-def _as_rows(m) -> tuple[IntVector, ...]:
-    if isinstance(m, IntMatrix):
-        return m.entries
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return math.gcd(*values)
 
 
 @dataclass(frozen=True)
@@ -107,47 +97,13 @@ class IntMatrix:
         return determinant(self)
 
 
-def determinant(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    rows = _as_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError(f"determinant of a non-square {n}x{len(rows[0])} matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        ak = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
 def _exact_array(rows, fits_int64: bool) -> np.ndarray:
-    """`rows` as an int64 array when the caller's a-priori bound `fits_int64`
-    holds, else as an object array of exact Python ints."""
+    """`rows` as int64 when the caller's bound `fits_int64` holds, else as exact ints."""
     return np.asarray(rows, dtype=np.int64 if fits_int64 else object)
 
 
 def _products_fit(a_max: int, b_max: int, length: int) -> bool:
-    """Whether sums of `length` products of entries bounded by `a_max` and
-    `b_max` certainly fit int64."""
+    """Whether sums of `length` products of entries <= a_max, b_max fit int64."""
     return length * (a_max or 1) * (b_max or 1) < _I64_SAFE
 
 
@@ -155,30 +111,31 @@ def _max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def scaled_dual(m) -> tuple[tuple[IntVector, ...], int]:
-    """Return (U, delta) with U[i]/delta the dual basis of the rows of m.
+def _to_array(rows, square: bool = False) -> tuple[np.ndarray, int]:
+    """`rows` or an `IntMatrix` as a new exact array (int64 below _I64_SAFE), max |entry|."""
+    rows = rows.entries if isinstance(rows, IntMatrix) else rows
+    if square and any(len(r) != len(rows) for r in rows):
+        raise DimensionError("matrix is not square")
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    hi = max(int(a.max()), -int(a.min())) if a.size else 0  # np.abs overflows at -2**63
+    return _exact_array(a.reshape(len(a), len(a)) if square else a, hi < _I64_SAFE), hi
 
-    U is integral: U = delta * (m^-1)^T, so <U[i], m[j]> = delta * delta_ij.
-    delta is det(m) up to the sign introduced by internal row swaps; callers
-    normalise the sign as needed (U and delta always flip together).
-    """
-    rows = _as_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("scaled dual of a non-square matrix")
-    if n == 0:
-        return (), 1
-    hi = max(abs(x) for row in rows for x in row)
-    w = np.hstack([_exact_array(rows, _products_fit(hi, hi, 2)), np.eye(n, dtype=np.int64)])
-    # fraction-free Gauss-Jordan on [m | I]: the entries are minors of m
-    prev = 1
+
+def _bareiss(w: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Fraction-free Gauss-Jordan on the first n columns of the n-row exact
+    array w: returns (w, sign), those columns now delta * I, det = sign * delta."""
+    prev, sign = 1, 1
     for k in range(n):
         if w[k, k] == 0:
-            nz = np.nonzero(w[k + 1:, k])[0]
+            nz = np.flatnonzero(w[k + 1:, k])
             if nz.size == 0:
                 raise SingularMatrixError("matrix is singular")
             i = k + 1 + int(nz[0])
             w[[k, i]] = w[[i, k]]
+            sign = -sign
         if w.dtype != object:
             hi = _max_abs(w)
             w = _exact_array(w, _products_fit(hi, hi, 2))
@@ -187,60 +144,99 @@ def scaled_dual(m) -> tuple[tuple[IntVector, ...], int]:
         w = (w * pk - np.outer(w[:, k], saved)) // prev
         w[k] = saved
         prev = pk
-    delta = int(w[0, 0])
-    # the right block is delta * m^-1; its transpose is the scaled dual basis
-    dual = tuple(map(tuple, w[:, n:].T.tolist()))
-    return dual, delta
+    return w, sign
+
+
+def determinant(m) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a, _ = _to_array(m, square=True)
+    try:
+        w, sign = _bareiss(a, len(a))
+    except SingularMatrixError:
+        return 0
+    return sign * int(w[-1, -1]) if a.size else 1
+
+
+def _inverse_mod_p(a: np.ndarray) -> np.ndarray | None:
+    """a^-1 mod _P in symmetric residues (None if singular mod _P), by Gauss-Jordan
+    in place on int64; a step changes only the rows nonzero in its pivot column."""
+    n = len(a)
+    w = (a % _P).astype(np.int64)
+    swaps = []
+    for k in range(n):
+        nz = np.flatnonzero(w[k:, k])
+        if nz.size == 0:
+            return None
+        i = k + int(nz[0])
+        if i != k:
+            w[[k, i]] = w[[i, k]]
+            swaps.append((k, i))
+        inv = pow(int(w[k, k]), -1, _P)
+        w[k, k] = 1
+        w[k] = w[k] * inv % _P
+        rows = np.flatnonzero(w[:, k])
+        rows = rows[rows != k]
+        f = w[rows, k]
+        w[rows, k] = 0
+        w[rows] = (w[rows] - np.outer(f, w[k])) % _P
+    for k, i in reversed(swaps):
+        w[:, [k, i]] = w[:, [i, k]]
+    return np.where(w > _P // 2, w - _P, w)
+
+
+def scaled_dual(m) -> tuple[np.ndarray, int]:
+    """Return (U, delta) with U[i]/delta the dual basis of the rows of m.
+
+    U is one exact array, U = delta * (m^-1)^T, so <U[i], m[j]> = delta * delta_ij.
+    A modular inverse X with m @ X = I (summed over X's nonzeros) gives U = X^T,
+    delta = 1; Bareiss gives delta = det(m) up to the sign of its row swaps.
+    Callers normalise the sign as needed (U and delta always flip together).
+    """
+    a, hi = _to_array(m, square=True)
+    n = len(a)
+    x = _inverse_mod_p(a) if n >= _MODULAR_MIN_DIM else None
+    if x is not None:
+        fits = _products_fit(hi, _max_abs(x), n)
+        ax, x = _exact_array(a, fits), _exact_array(x, fits)
+        prod = np.zeros(ax.shape, dtype=ax.dtype)
+        for k, row in enumerate(x):
+            cols = np.flatnonzero(row)
+            prod[:, cols] += np.multiply.outer(ax[:, k], row[cols])
+        if np.array_equal(prod, np.eye(n, dtype=np.int64)):
+            return np.ascontiguousarray(x.T), 1
+    w, _ = _bareiss(np.hstack([a, np.eye(n, dtype=np.int64)]), n)
+    return np.ascontiguousarray(w[:, n:].T), (int(w[0, 0]) if n else 1)
 
 
 def inverse_if_unimodular(m) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    Raises NotUnimodularError (carrying the determinant) if |det| != 1.
-    """
-    rows = _as_rows(m)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionError("inverse of a non-square matrix")
+    """Exact inverse of a unimodular integer matrix, else NotUnimodularError(det)."""
     try:
-        dual, delta = scaled_dual(rows)
+        dual, delta = scaled_dual(m)
     except SingularMatrixError:
         raise NotUnimodularError(0) from None
     if delta not in (1, -1):
-        # delta may differ from det(m) by a swap sign; magnitude is what counts
-        d = determinant(rows)
-        raise NotUnimodularError(d)
-    # dual = delta * m^-T, hence m^-1 = delta * dual^T
-    inv = tuple(tuple(delta * dual[j][i] for j in range(n)) for i in range(n))
-    return IntMatrix(inv)
+        raise NotUnimodularError(determinant(m))  # |delta| = |det m| here
+    return IntMatrix(tuple(map(tuple, (delta * dual.T).tolist())))
 
 
 def coordinates_in_basis(basis, x: Sequence[int]) -> IntVector:
     """Coordinates c with x = sum_i c[i] * basis_row[i], for a unimodular basis."""
-    rows = _as_rows(basis)
-    if len(x) != len(rows):
+    if len(x) != len(basis.entries if isinstance(basis, IntMatrix) else basis):
         raise DimensionError("vector length does not match basis dimension")
-    try:
-        dual, delta = scaled_dual(rows)
-    except SingularMatrixError:
-        raise NotUnimodularError(0) from None
-    if delta not in (1, -1):
-        raise NotUnimodularError(determinant(rows))
-    return tuple(delta * dot(u, x) for u in dual)
+    return inverse_if_unimodular(basis).transpose().matvec(x)
 
 
 class IntKernel:
     """Primitive integer basis of the orthogonal complement of a growing vector set.
 
-    Feeding vectors one at a time keeps an exact basis of the lattice-rational
-    kernel; the rank of the fed set is dimension minus the rows remaining.
-    The basis is one numpy array: int64 while a growth bound holds, then an
-    object array of Python ints running the same code.
+    The rank of the vectors fed in is dimension minus the rows remaining.  The
+    basis is one exact array, int64 while a growth bound holds.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows = np.eye(dim, dtype=np.int64)
+        self._max = 1  # bounds every |entry| of _rows
 
     @property
     def remaining(self) -> int:
@@ -253,31 +249,40 @@ class IntKernel:
     def rows(self) -> list[IntVector]:
         return list(map(tuple, self._rows.tolist()))
 
-    def row(self, i: int) -> IntVector:
-        return tuple(self._rows[i].tolist())
+    def row(self, i: int) -> np.ndarray:
+        """Row i as an exact array, a view valid until the next `reduce`."""
+        return self._rows[i]
 
-    def reduce(self, vec: Sequence[int]) -> bool:
-        """Shrink the kernel by the hyperplane <., vec> = 0; True if rank grew."""
+    def reduce(self, vec, bound: int | None = None) -> bool:
+        """Shrink the kernel by the hyperplane <., vec> = 0 (|vec| <= `bound`, if given);
+        True if rank grew.  The pivot has the least nonzero |rows @ vec|, lowest index first."""
         if self.remaining == 0:
             return False
+        vec, bound = _to_array(vec) if bound is None else (vec, bound)
         k = self._rows
-        hv = max((abs(int(v)) for v in vec), default=0)
-        fits = k.dtype != object and _products_fit(_max_abs(k), hv, self.dim)
+        fits = k.dtype != object and _products_fit(self._max, bound, self.dim)
         k = _exact_array(k, fits)
         w = k @ _exact_array(vec, fits)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
+        nz = w.nonzero()[0]
+        if not nz.size:
             return False
-        r = int(min(nz, key=lambda i: (abs(int(w[i])), int(i))))
-        if fits and not _products_fit(_max_abs(k), _max_abs(w), 2):
+        aw = np.abs(w[nz])
+        j = int(aw.argmin())
+        r = int(nz[j])
+        if w[r] < 0:
+            k, w = -k, -w
+        if fits and not _products_fit(self._max, int(aw.max()), 2):
             k, w = _exact_array(k, False), _exact_array(w, False)
-        new = np.delete(k * w[r] - np.outer(w, k[r]), r, axis=0)
-        if new.shape[0]:
+        upd = np.concatenate((nz[:j], nz[j + 1:]))
+        if upd.size:
+            new = k[upd] * w[r] - np.multiply.outer(w[upd], k[r])
             g = np.gcd.reduce(np.abs(new), axis=1)
-            if (g == 0).any():
+            if not g.all():
                 raise SingularMatrixError("kernel rows became dependent")
             new //= g[:, None]
-        self._rows = new
+            k[upd] = new
+            self._max = max(self._max, _max_abs(new))
+        self._rows = np.concatenate((k[:r], k[r + 1:]))
         return True
 
 
@@ -286,25 +291,20 @@ def int_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
     ker = IntKernel(dim)
     for r in rows:
         ker.reduce(r)
-        if ker.remaining == 0:
-            break
     return ker.rank
 
 
 def _vertex_products(vertices: np.ndarray, rows, max_abs_vertices: int) -> np.ndarray:
     """<x, u> for every vertex row x of `vertices` and every u in `rows`, an
     exact array (bounded by `_max_abs`) or a sequence of int sequences."""
-    if isinstance(rows, np.ndarray):
-        hu = _max_abs(rows)
-    else:
-        hu = max((abs(a) for row in rows for a in row), default=0)
+    hu = (_max_abs(rows) if isinstance(rows, np.ndarray)
+          else max((abs(a) for row in rows for a in row), default=0))
     fits = vertices.dtype != object and _products_fit(max_abs_vertices, hu, vertices.shape[1])
     return _exact_array(vertices, fits) @ _exact_array(rows, fits).T
 
 
 def products_with(vertices: np.ndarray, u, max_abs_vertices: int) -> list[int]:
-    """<x, u> for every vertex row x of `vertices`, exact; `u` is an int
-    sequence or a 1-d exact array."""
+    """<x, u> for every vertex row x of `vertices`; `u` is 1-d, exact or ints."""
     rows = u if isinstance(u, np.ndarray) else [u]
     return _vertex_products(vertices, rows, max_abs_vertices).ravel().tolist()
 

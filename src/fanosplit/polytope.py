@@ -135,14 +135,19 @@ class Polytope:
         return self._vertex_index.get(tuple(v))
 
     @cached_property
-    def _abs_max(self) -> int:
-        return max((abs(x) for v in self.vertices for x in v), default=0)
+    def _exact(self) -> tuple[np.ndarray, int]:
+        """The vertex rows as an exact array, int64 below 2**31 and object
+        otherwise, with their max |entry|."""
+        a, hi = linalg._to_array(self.vertices)
+        return linalg._exact_array(a, hi < 2**31).reshape(self.n, self.dim), hi
 
-    @cached_property
+    @property
     def _array(self) -> np.ndarray:
-        """The vertex rows as an exact array: int64 below 2**31, else object."""
-        fits = self._abs_max < 2**31
-        return linalg._exact_array(self.vertices, fits).reshape(self.n, self.dim)
+        return self._exact[0]
+
+    @property
+    def _abs_max(self) -> int:
+        return self._exact[1]
 
     @cached_property
     def _vertex_sum(self) -> LatticeVector:
@@ -244,7 +249,8 @@ class FacetFrame:
     @cached_property
     def _raw(self) -> _RawFacet:
         """The frame's record; a frame built from a record keeps that one."""
-        dual, hi = _exact_dual(self.dual_basis.entries)
+        dual, hi = linalg._to_array(self.dual_basis.entries)
+        dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
         return _RawFacet(self.vertex_indices, dual, hi, 1, self.outer_normal, 1)
 
 
@@ -289,12 +295,6 @@ class _RawFacet:
     det: int  # > 0; facet vertex basis is unimodular iff det == 1
     normal: LatticeVector  # primitive outer normal A
     level: int  # c > 0 with <A, x> = c on the facet, <= c on P
-
-
-def _exact_dual(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, int]:
-    """Dual rows as one exact array, with their max |entry|."""
-    hi = max((abs(x) for row in rows for x in row), default=0)
-    return linalg._exact_array(rows, linalg._products_fit(hi, 1, 1)), hi
 
 
 def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> _RawFacet:
@@ -345,8 +345,7 @@ def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
 
 def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
     """The record of the sorted vertex index set `indices`."""
-    rows, delta = linalg.scaled_dual([p.vertices[i] for i in indices])
-    dual, _ = _exact_dual(rows)
+    dual, delta = linalg.scaled_dual(p._array[list(indices)])
     if delta < 0:
         dual, delta = -dual, -delta
     return _make_raw(indices, dual, delta)
@@ -370,58 +369,79 @@ def _check_facet(p: Polytope, raw: _RawFacet) -> None:
         )
 
 
+def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int, below: np.ndarray) -> int | None:
+    """The first vertex the ratio rule enters when the hyperplane at level c
+    rotates towards w: the lowest index minimizing (c - values[i]) / wv[i]
+    over vertices below c with wv[i] > 0, or None.  Only the vertices with
+    the least floor of that ratio can minimize it; `_min_ratio` ranks them."""
+    idx = (below & (wv > 0)).nonzero()[0]
+    if idx.size > 1:
+        q = (c - values[idx]) // wv[idx]
+        idx = idx[q == q.min()]
+    if idx.size > 1:
+        cands = _min_ratio((-wv[idx]).tolist(), values[idx].tolist(), c, range(idx.size))
+        idx = idx[cands[:1]]
+    return int(idx[0]) if idx.size else None
+
+
 def _initial_raw(p: Polytope) -> _RawFacet:
     """Gift-wrap one facet: rotate a supporting hyperplane onto new vertices
-    one kernel direction at a time until it supports a full-rank vertex set."""
+    one kernel direction at a time until it supports a full-rank vertex set.
+
+    The hyperplane is its level c and the exact array of its values <a, x>
+    at the vertices, both divided by their gcd, which leaves every choice as
+    it is.  A rotation to scale * a + shift * w updates the values from the
+    products <w, x> alone: scale * values + shift * <w, x>.
+    """
     d = p.dim
-    first = [v[0] for v in p.vertices]
-    c = max(first)
+    vertices, hx = p._exact
+    values = vertices[:, 0]
+    c = int(values.max())
     if c <= 0:
         raise OriginNotInteriorError("all vertices have non-positive first coordinate")
-    normal = tuple(1 if j == 0 else 0 for j in range(d))
-    values = first
-    on = [i for i, v in enumerate(values) if v == c]
+    hv = hx  # bounds |values|
+    on = values == c
     kernel = IntKernel(d)
-    for i in on:
-        kernel.reduce(p.vertices[i])
+    for i in on.nonzero()[0].tolist():
+        kernel.reduce(vertices[i], hx)
     while kernel.remaining > 0:
-        if len(on) > d - kernel.remaining:
+        if np.count_nonzero(on) > d - kernel.remaining:
             raise NotSimplicialError(
-                f"supporting hyperplane contains dependent vertex set {tuple(on)}"
+                f"supporting hyperplane contains dependent vertex set {_indices(on)}"
             )
-        w = kernel.row(0)
-        wv = p.products(w)
-        neg = [-x for x in wv]
-        below = [i for i, v in enumerate(values) if v < c]
-        cands = _min_ratio(neg, values, c, below)
-        if not cands:
-            w, wv, neg = linalg.vec_neg(w), neg, wv
-            cands = _min_ratio(neg, values, c, below)
-        if not cands:
+        wv = linalg._vertex_products(vertices, kernel.row(0), hx)
+        hw = linalg._max_abs(wv)
+        fits = values.dtype != object and linalg._products_fit(hw, hv + c, 2)
+        values, wv = linalg._exact_array(values, fits), linalg._exact_array(wv, fits)
+        below = values < c
+        best = _wrap_target(values, wv, c, below)
+        if best is None:
+            wv = -wv
+            best = _wrap_target(values, wv, c, below)
+        if best is None:
             raise InvariantViolationError("no rotation direction during gift-wrap")
-        best = cands[0]
-        scale = wv[best]
-        shift = c - values[best]
-        normal = tuple(scale * a + shift * b for a, b in zip(normal, w))
-        c = scale * c
-        g = gcd_of(list(normal) + [c])
-        if g > 1:
-            normal = tuple(a // g for a in normal)
-            c = c // g
-        values = p.products(normal)
-        new_on = [i for i, v in enumerate(values) if v == c]
-        previous = set(on)
-        for i in new_on:
-            if i not in previous:
-                kernel.reduce(p.vertices[i])
-        on = new_on
-    if len(on) != d:
+        scale, shift = int(wv[best]), c - int(values[best])
+        values = scale * values + shift * wv
+        c *= scale
+        g = gcd_of([c, int(np.gcd.reduce(values))])
+        values //= g
+        c //= g
+        hv = linalg._max_abs(values)
+        was_on, on = on, values == c
+        for i in (on & ~was_on).nonzero()[0].tolist():
+            kernel.reduce(vertices[i], hx)
+    if np.count_nonzero(on) != d:
+        found = _indices(on)
         raise NotSimplicialError(
-            f"initial supporting hyperplane contains {len(on)} vertices: {tuple(on)}"
+            f"initial supporting hyperplane contains {len(found)} vertices: {found}"
         )
-    raw = _raw_from_rows(p, sorted(on))
+    raw = _raw_from_rows(p, on.nonzero()[0].tolist())
     _check_facet(p, raw)
     return raw
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(mask.nonzero()[0].tolist())
 
 
 def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _RawFacet:

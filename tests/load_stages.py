@@ -1,0 +1,90 @@
+"""Time the four stages of the LOCAL split pipeline on large disguised inputs.
+
+    PYTHONPATH=src python tests/load_stages.py
+
+For each input it prints the wall time of, in turn:
+
+* load: `make_polytope` on the vertex rows (the duplicate check and the
+  full-dimension proof, which gift-wraps the start facet and takes its
+  scaled dual);
+* certify: `is_smooth_fano(p, Mode.LOCAL)`;
+* special: `special_facet(p, Mode.LOCAL)`;
+* split: `hexagon_split(p, Mode.LOCAL)`.
+
+The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489 and 809 under
+`random_image` (seed 1), and at d = 249 two denser disguises: 3d random
++-1 shears (about 10 % of the gift-wrapped basis nonzero) and 30d shears
+(fully dense, entries in the millions).  Not a test: run it on two commits
+to compare them.  Where the load runs Bareiss elimination on every dual, the
+d = 809 and 30d rows take minutes each.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+
+import numpy as np
+
+from fanosplit.generators import bundle_b, hexagon, random_image
+from fanosplit.polytope import Mode, Polytope, is_smooth_fano, make_polytope, special_facet
+from fanosplit.splitting import direct_sum, hexagon_split
+
+
+def _family(m: int) -> Polytope:
+    p = bundle_b(1)
+    for _ in range(2):
+        p = direct_sum(p, bundle_b(1))
+    for _ in range(m):
+        p = direct_sum(p, hexagon())
+    return p
+
+
+def _sheared(p: Polytope, shears: int, seed: int) -> Polytope:
+    """Image of p under a product of `shears` random +-1 shears, vertex
+    order shuffled."""
+    rng = random.Random(seed)
+    d = p.dim
+    m = [[1 if j == i else 0 for j in range(d)] for i in range(d)]
+    for _ in range(shears):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((-1, 1))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    if max(abs(a) for row in m for a in row) * d >= 2**62:
+        raise OverflowError("shear entries outgrew the int64 image")
+    image = np.array(p.vertices, dtype=np.int64) @ np.array(m, dtype=np.int64)
+    vertices = list(map(tuple, image.tolist()))
+    rng.shuffle(vertices)
+    return Polytope(d, tuple(vertices))
+
+
+def _stages(label: str, p: Polytope) -> None:
+    rows = [list(v) for v in p.vertices]
+    times = []
+    t = time.perf_counter()
+    q = make_polytope(rows)
+    times.append(time.perf_counter() - t)
+    for stage in (lambda: is_smooth_fano(q, Mode.LOCAL),
+                  lambda: special_facet(q, Mode.LOCAL),
+                  lambda: hexagon_split(q, Mode.LOCAL)):
+        t = time.perf_counter()
+        stage()
+        times.append(time.perf_counter() - t)
+    spans = "  ".join(f"{name} {s:7.3f} s"
+                      for name, s in zip(("load", "certify", "special", "split"), times))
+    print(f"{label:<24} {spans}", flush=True)
+
+
+def main() -> int:
+    for m in (120, 240, 400):
+        p = _family(m)
+        _stages(f"d={p.dim} random_image", random_image(p, 1))
+    p = _family(120)
+    _stages(f"d={p.dim} shears 3d", _sheared(p, 3 * p.dim, 1))
+    _stages(f"d={p.dim} shears 30d", _sheared(p, 30 * p.dim, 1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,16 @@ tuples of Python ints, the reference for the array update
 
 `parse_ints_scan` is the token-by-token line parser, the reference for
 `fanofile._parse_ints`: the same integers, or the same FanoFileError.
+
+`determinant_rows` is fraction-free (Bareiss) elimination on lists of
+Python ints, the reference for `linalg.determinant`.
+
+`kernel_reduce_rows` is the kernel update on lists of Python ints, the
+reference for `linalg.IntKernel.reduce`.
+
+`initial_raw_lists` is the gift-wrap on lists of Python ints, recomputing
+the hyperplane's values from its normal after every rotation, the
+reference for `polytope._initial_raw`.
 """
 
 from __future__ import annotations
@@ -23,9 +33,23 @@ from collections import Counter
 from itertools import combinations
 
 from fanosplit.equivalence import DEFAULT_BUDGET, _orderings, _serialize
-from fanosplit.errors import FanoFileError, SingularMatrixError
-from fanosplit.linalg import determinant, dot, gcd_of, scaled_dual
-from fanosplit.polytope import Mode, Polytope, enumerate_facets, require_smooth_fano
+from fanosplit.errors import (
+    FanoFileError,
+    InvariantViolationError,
+    NotSimplicialError,
+    OriginNotInteriorError,
+    SingularMatrixError,
+)
+from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual
+from fanosplit.polytope import (
+    Mode,
+    Polytope,
+    _check_facet,
+    _min_ratio,
+    _raw_from_rows,
+    enumerate_facets,
+    require_smooth_fano,
+)
 
 
 def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
@@ -37,8 +61,9 @@ def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], in
             dual, delta = scaled_dual(rows)
         except SingularMatrixError:
             continue
+        dual = dual.tolist()
         if delta < 0:
-            dual = tuple(tuple(-a for a in r) for r in dual)
+            dual = [[-a for a in r] for r in dual]
             delta = -delta
         rowsum = tuple(sum(col) for col in zip(*dual))
         g = gcd_of(list(rowsum) + [delta])
@@ -139,3 +164,105 @@ def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> list[in
                 lineno, tok.start() + 1, f"not an integer: {tok.group()!r}"
             ) from None
     return out
+
+
+def determinant_rows(rows) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination on lists."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = a[k][k]
+        ak = a[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
+            ai[k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
+
+
+def kernel_reduce_rows(rows: list[list[int]], vec) -> bool:
+    """Shrink the kernel basis `rows` (lists, changed in place) by the
+    hyperplane <., vec> = 0: pivot on the smallest nonzero |w|, lowest index
+    first, combine every row with it and take primitive parts."""
+    w = [dot(r, vec) for r in rows]
+    nz = [i for i, x in enumerate(w) if x != 0]
+    if not nz:
+        return False
+    r = min(nz, key=lambda i: (abs(w[i]), i))
+    new = []
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        comb = [a * w[r] - w[i] * b for a, b in zip(row, rows[r])]
+        g = gcd_of(abs(x) for x in comb)
+        new.append([x // g for x in comb])
+    rows[:] = new
+    return True
+
+
+def initial_raw_lists(p: Polytope):
+    """The gift-wrapped start facet's record, on lists of Python ints."""
+    d = p.dim
+    first = [v[0] for v in p.vertices]
+    c = max(first)
+    if c <= 0:
+        raise OriginNotInteriorError("all vertices have non-positive first coordinate")
+    normal = tuple(1 if j == 0 else 0 for j in range(d))
+    values = first
+    on = [i for i, v in enumerate(values) if v == c]
+    kernel = IntKernel(d)
+    for i in on:
+        kernel.reduce(p.vertices[i])
+    while kernel.remaining > 0:
+        if len(on) > d - kernel.remaining:
+            raise NotSimplicialError(
+                f"supporting hyperplane contains dependent vertex set {tuple(on)}"
+            )
+        w = tuple(kernel.row(0).tolist())
+        wv = [dot(w, v) for v in p.vertices]
+        neg = [-x for x in wv]
+        below = [i for i, v in enumerate(values) if v < c]
+        cands = _min_ratio(neg, values, c, below)
+        if not cands:
+            w, wv, neg = tuple(-a for a in w), neg, wv
+            cands = _min_ratio(neg, values, c, below)
+        if not cands:
+            raise InvariantViolationError("no rotation direction during gift-wrap")
+        best = cands[0]
+        scale = wv[best]
+        shift = c - values[best]
+        normal = tuple(scale * a + shift * b for a, b in zip(normal, w))
+        c = scale * c
+        g = gcd_of(list(normal) + [c])
+        if g > 1:
+            normal = tuple(a // g for a in normal)
+            c = c // g
+        values = [dot(normal, v) for v in p.vertices]
+        new_on = [i for i, v in enumerate(values) if v == c]
+        previous = set(on)
+        for i in new_on:
+            if i not in previous:
+                kernel.reduce(p.vertices[i])
+        on = new_on
+    if len(on) != d:
+        raise NotSimplicialError(
+            f"initial supporting hyperplane contains {len(on)} vertices: {tuple(on)}"
+        )
+    raw = _raw_from_rows(p, sorted(on))
+    _check_facet(p, raw)
+    return raw

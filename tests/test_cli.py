@@ -53,6 +53,14 @@ def test_check_parse_error(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["check", "verify"])
+def test_non_ascii_byte_is_a_parse_error(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.fano"
+    bad.write_bytes(b"fano 1\n2 3\n1 0\n0 1\n-1 \xe9\n")
+    assert main([cmd, str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 5, column 4: non-ASCII byte 0xe9\n"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/nowhere.fano"]) == 2
 

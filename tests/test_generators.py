@@ -11,7 +11,7 @@ from fanosplit.generators import (
     random_image,
     simplex,
 )
-from fanosplit.polytope import Mode, is_smooth_fano, picard_number, vertex_deficit
+from fanosplit.polytope import Mode, is_smooth_fano, make_polytope, picard_number, vertex_deficit
 
 
 def test_hexagon():
@@ -91,3 +91,16 @@ def test_generate_rejects_unknown_and_bad_params():
         generate("random_image", ["hexagon"])  # no seed
     with pytest.raises(ValueError):
         generate("hexagon", [2])
+
+
+@pytest.mark.parametrize("build", [
+    hexagon, pentagon, lambda: simplex(1), lambda: simplex(4), example4d,
+    lambda: bundle_b(1), lambda: bundle_b(2), lambda: bundle_b(3),
+])
+def test_generators_skip_the_checks_of_make_polytope(build):
+    # a known-valid generator builds its Polytope directly; make_polytope on
+    # the same rows accepts them and gives the same polytope
+    p = build()
+    assert "_full_dim" not in p.__dict__
+    assert make_polytope(p.vertices) == p
+    assert is_smooth_fano(p, Mode.FULL).valid

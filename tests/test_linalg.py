@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanosplit.errors import DimensionError, NotUnimodularError
+from fanosplit import linalg
+from fanosplit.errors import DimensionError, NotUnimodularError, SingularMatrixError
 from fanosplit.linalg import (
     IntKernel,
     IntMatrix,
@@ -16,6 +20,7 @@ from fanosplit.linalg import (
     inverse_if_unimodular,
     scaled_dual,
 )
+from oracle import determinant_rows, kernel_reduce_rows
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -213,3 +218,167 @@ def test_kernel_large_dimension_consistency():
     for row in ker.rows():
         for v in vecs:
             assert dot(row, v) == 0
+
+
+# --- the modular dual against Bareiss elimination -------------------------
+
+P = linalg._P
+N = linalg._MODULAR_MIN_DIM
+
+
+def _shear_matrix(seed, n, steps):
+    rng = random.Random(seed)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _bareiss_dual(m):
+    """The Bareiss path alone, on exact ints, normalised to delta > 0."""
+    n = len(m)
+    w, _ = linalg._bareiss(np.hstack([np.array(m, dtype=object), np.eye(n, dtype=np.int64)]), n)
+    dual, delta = w[:, n:].T, int(w[0, 0])
+    return (dual.tolist(), delta) if delta > 0 else ((-dual).tolist(), -delta)
+
+
+def _spy_bareiss(monkeypatch):
+    calls = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda w, n: calls.append(n) or bareiss(w, n))
+    return calls
+
+
+def _assert_contract(m, dual, delta):
+    assert (np.array(dual, dtype=object) @ np.array(m, dtype=object).T
+            == delta * np.eye(len(m), dtype=np.int64)).all()
+
+
+@pytest.mark.parametrize("steps", [3 * N, 30 * N])
+def test_modular_dual_of_unimodular_matches_bareiss(steps, monkeypatch):
+    # 3n +-1 shears leave a sixth of the entries nonzero here, 30n fill it
+    m = _shear_matrix(steps, N, steps)
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == []
+    assert (dual.tolist(), delta) == _bareiss_dual(m)
+    assert dual.flags.c_contiguous
+
+
+@pytest.mark.parametrize("factor", [2, -2, 7, -7])
+def test_non_unimodular_falls_back_to_bareiss(factor, monkeypatch):
+    m = _shear_matrix(factor, N, 3 * N)
+    m[5] = [factor * a for a in m[5]]
+    assert linalg._inverse_mod_p(np.array(m)) is not None  # invertible mod p
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == [N]
+    assert abs(delta) == abs(factor)
+    _assert_contract(m, dual.tolist(), delta)
+    with pytest.raises(NotUnimodularError) as exc:
+        inverse_if_unimodular(m)
+    assert exc.value.det == factor == determinant_rows(m)
+
+
+def test_singular_falls_back_to_bareiss(monkeypatch):
+    m = _shear_matrix(3, N, 3 * N)
+    m[1] = [a + b for a, b in zip(m[0], m[2])]
+    assert linalg._inverse_mod_p(np.array(m)) is None
+    calls = _spy_bareiss(monkeypatch)
+    with pytest.raises(SingularMatrixError):
+        linalg.scaled_dual(m)
+    assert calls == [N]
+    with pytest.raises(NotUnimodularError) as exc:
+        inverse_if_unimodular(m)
+    assert exc.value.det == 0
+
+
+def test_identity_mod_p_is_rejected_by_the_exact_check(monkeypatch):
+    m = [[int(i == j) for j in range(N)] for i in range(N)]
+    m[0][0] = P + 1
+    x = linalg._inverse_mod_p(np.array(m))
+    assert (x == np.eye(N, dtype=np.int64)).all()  # m is the identity mod p
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == [N] and delta == P + 1
+    _assert_contract(m, dual.tolist(), delta)
+    with pytest.raises(NotUnimodularError) as exc:
+        inverse_if_unimodular(m)
+    assert exc.value.det == P + 1
+
+
+def test_singular_mod_p_falls_back_to_bareiss(monkeypatch):
+    m = [[int(i == j) for j in range(N)] for i in range(N)]
+    m[0][0] = P
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == [N] and delta == P
+    _assert_contract(m, dual.tolist(), delta)
+
+
+@pytest.mark.parametrize("big, modular", [(2**29, True), (2**40, False), (2**70, False)])
+def test_modular_dual_crossings(big, modular, monkeypatch):
+    # m = I + big E01 + E23 has the inverse I - big E01 - E23: below p/2 the
+    # modular result stands, checked on exact ints since n * big**2 > 2**62;
+    # above it the lifted residue of -big is wrong, the check fails and
+    # Bareiss runs
+    m = [[int(i == j) for j in range(N)] for i in range(N)]
+    m[0][1], m[2][3] = big, 1
+    assert not linalg._products_fit(big, big, N)
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == ([] if modular else [N])
+    assert ((delta * dual).tolist(), 1) == _bareiss_dual(m)
+    inv = inverse_if_unimodular(m)
+    assert inv.entries[0][1] == -big and inv.entries[2][3] == -1
+    assert inv @ IntMatrix.from_rows(m) == IntMatrix.identity(N)
+
+
+def test_size_rule_keeps_small_matrices_on_bareiss(monkeypatch):
+    modular = []
+    inverse_mod_p = linalg._inverse_mod_p
+    monkeypatch.setattr(linalg, "_inverse_mod_p", lambda a: modular.append(len(a)) or inverse_mod_p(a))
+    for n in (N - 1, N):
+        linalg.scaled_dual(_shear_matrix(n, n, 3 * n))
+    assert modular == [N]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.one_of(unimodular(n), square(n), square(n, st.integers(-2**40, 2**40)))))
+def test_modular_dual_agrees_with_bareiss_on_small_matrices(rows):
+    want = None if determinant_rows(rows) == 0 else _bareiss_dual(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_MODULAR_MIN_DIM", 1)  # every size tries mod p first
+        try:
+            dual, delta = linalg.scaled_dual(rows)
+        except SingularMatrixError:
+            assert want is None
+            return
+    if delta < 0:
+        dual, delta = -dual, -delta
+    assert (dual.tolist(), delta) == want
+
+
+big_entries = st.one_of(entries, st.integers(-2**70, 2**70), st.sampled_from([2**63 - 1, -2**63, 2**64]))
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: square(n, big_entries)))
+def test_determinant_matches_list_reference(rows):
+    assert determinant(rows) == determinant_rows(rows)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda d: st.lists(
+    st.lists(st.one_of(entries, st.integers(-2**40, 2**40)), min_size=d, max_size=d),
+    min_size=1, max_size=d + 2)))
+def test_kernel_reduce_matches_list_reference(vecs):
+    d = len(vecs[0])
+    ker = IntKernel(d)
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for v in vecs:
+        assert ker.reduce(v) == (bool(rows) and kernel_reduce_rows(rows, v))
+        assert ker.rows() == [tuple(r) for r in rows]

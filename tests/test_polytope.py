@@ -42,7 +42,7 @@ from fanosplit.polytope import (
 from fanosplit.splitting import direct_sum
 
 from corpus import base_instances, imaged
-from oracle import brute_facets, brute_neighbor, brute_valid, neighbor_raw_tuples
+from oracle import brute_facets, brute_neighbor, brute_valid, initial_raw_lists, neighbor_raw_tuples
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -136,6 +136,62 @@ class TestFullDim:
         cached = p._cert_cache["initial"]
         if isinstance(cached, FanoError):
             assert cached.__traceback__ is None
+
+
+class TestArrayGiftWrap:
+    """The array gift-wrap against `initial_raw_lists`, the list reference:
+    the same record, or the same error."""
+
+    @staticmethod
+    def _same(p):
+        try:
+            want = initial_raw_lists(p)
+        except FanoError as e:
+            with pytest.raises(type(e)) as exc:
+                polytope._initial_raw(p)
+            assert str(exc.value) == str(e)
+            return
+        got = polytope._initial_raw(p)
+        assert got.indices == want.indices
+        assert got.dual.tolist() == want.dual.tolist()
+        assert (got.det, got.normal, got.level) == (want.det, want.normal, want.level)
+
+    @pytest.mark.parametrize("name, base", base_instances(), ids=[n for n, _ in base_instances()])
+    def test_corpus_and_two_disguises(self, name, base):
+        for q in [base] + imaged(base, range(1, 3)):
+            self._same(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.integers(0, d), st.booleans()).flatmap(
+        lambda kb: _points(d, *kb))))
+    def test_point_sets_flat_ones_included(self, points):
+        self._same(Polytope(len(points[0]), tuple(points)))
+
+    @pytest.mark.parametrize("factor", [2**20, 2**29, 2**30 - 1, 2**40])
+    def test_large_entries(self, factor):
+        # vertices below 2**31 whose products with a kernel row leave the
+        # int64 bound mid-wrap (2**29 and up), and object vertices (2**40)
+        base = direct_sum(bundle_b(1), direct_sum(hexagon(), example4d()))
+        for q in imaged(base, range(1, 3)):
+            rows = [list(v) for v in q.vertices]
+            for row in rows:
+                row[1] += factor * row[0] + (factor // 3) * row[4]
+                row[6] -= factor * row[2]
+            sheared = Polytope(q.dim, tuple(map(tuple, rows)))
+            assert (sheared._array.dtype == object) == (sheared._abs_max >= 2**31)
+            self._same(sheared)
+
+
+@pytest.mark.parametrize("x", [2**31 - 1, -(2**31 - 1), 2**31, -2**31,
+                               2**63 - 1, -2**63, 2**64, -2**64])
+def test_exact_vertex_array_boundaries(x):
+    # -2**63 fits int64 but np.abs overflows on it; 2**64 fits no int64
+    rows = ((x, 1), (0, -1), (1, 0))
+    p = Polytope(2, rows)
+    hi = max(abs(a) for row in rows for a in row)
+    assert p._abs_max == hi and type(p._abs_max) is int
+    assert p._array.dtype == (np.int64 if hi < 2**31 else object)
+    assert p._array.tolist() == [list(row) for row in rows]
 
 
 class TestFacetEnumeration:
