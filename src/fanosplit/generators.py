@@ -117,8 +117,8 @@ def generate(name: str, params: Sequence = (), seed: int | None = None) -> Polyt
     """Build a named polytope.
 
     Names: hexagon, pentagon, simplex (param: dimension), example4d,
-    bundleB (param: d'), random_image (params: base name with its params;
-    requires a seed).
+    bundleB (param: d'), random_image (params: base name other than
+    random_image with its params; requires a seed).
     """
     if name in _NO_PARAMS:
         if params:
@@ -135,6 +135,8 @@ def generate(name: str, params: Sequence = (), seed: int | None = None) -> Polyt
     if name == "random_image":
         if not params:
             raise ValueError("random_image needs a base generator name")
+        if params[0] == "random_image":
+            raise ValueError("random_image cannot be the base of random_image")
         if seed is None:
             raise ValueError("random_image needs a seed")
         base = generate(str(params[0]), tuple(params[1:]))

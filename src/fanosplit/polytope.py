@@ -40,7 +40,8 @@ split P into a free sum.  The facets of a free sum are the joins of its
 summands' facets, so P is smooth Fano iff every block polytope is, and its
 facet count is their product.  Each summand is proved alone: a standard
 hexagon by its vertex set, every other one by enumerating its facets (FULL).
-The proved block polytopes stay on P (`free_summands`), for the normal form.
+The proved block polytopes stay on P (`free_summands`, `free_sum`), for the
+normal form, the finest split and FULL `verify`.
 An irreducible summand above FULL_MODE_MAX_DIM is checked only at its
 start facet when LOCAL is asked for, since facet counts grow exponentially
 while the splitting pipeline touches only one pivot path; the certificate
@@ -467,6 +468,21 @@ def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _
     return _make_raw(indices, rows, beta)
 
 
+def _ridge_target(indices: tuple[int, ...], column: Sequence[int],
+                  levels: Sequence[int], delta: int, pos: int) -> int:
+    """The vertex entering across ridge `pos` of the facet on `indices` at
+    level `delta`: the ratio rule's unique minimizer, which lies below it."""
+    targets = _min_ratio(column, levels, delta, range(len(column)))
+    if not targets:
+        raise NoNegativeVertexError(f"no vertex below ridge {pos} of facet {indices}")
+    if len(targets) > 1 or levels[targets[0]] == delta:
+        raise NotSimplicialError(
+            f"pivot tie at ridge {pos} of facet {indices}: "
+            f"vertices {tuple(targets)} are coplanar with the ridge"
+        )
+    return targets[0]
+
+
 def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
     """Breadth-first closure of ridge pivots starting from the wrapped facet."""
     from collections import deque
@@ -482,23 +498,12 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
         covered.update(raw.indices)
         coords = p.coords_rows(raw.dual)
         levels = [sum(row) for row in coords]
-        # _check_facet has shown that only the frame vertices lie on the
-        # hyperplane, so every candidate ratio is positive
         for pos, column in enumerate(zip(*coords)):
-            targets = _min_ratio(column, levels, raw.det, range(p.n))
-            if not targets:
-                raise NoNegativeVertexError(
-                    f"no vertex below ridge {pos} of facet {raw.indices}"
-                )
-            if len(targets) > 1:
-                raise NotSimplicialError(
-                    f"pivot tie at ridge {pos} of facet {raw.indices}: "
-                    f"vertices {tuple(targets)} are coplanar with the ridge"
-                )
-            key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {targets[0]}))
+            target = _ridge_target(raw.indices, column, levels, raw.det, pos)
+            key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {target}))
             if key in visited:
                 continue
-            neighbor = _sorted_raw(_neighbor_raw(raw, coords[targets[0]], pos, targets[0]))
+            neighbor = _sorted_raw(_neighbor_raw(raw, coords[target], pos, target))
             _check_facet(p, neighbor)
             visited.add(neighbor.indices)
             queue.append(neighbor)
@@ -522,30 +527,10 @@ def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
     return frame
 
 
-def _frame_opposite(indices: Sequence[int], column: Sequence[int],
-                    levels: Sequence[int], pos: int) -> int:
-    """Index of the vertex across ridge `pos` of a unimodular frame, given
-    every vertex's coordinate along the dropped dual row and its level."""
-    best = _min_ratio(column, levels, 1, range(len(column)))
-    if not best:
-        raise NoNegativeVertexError(
-            f"no vertex with negative coordinate along frame position {pos}"
-        )
-    if levels[best[0]] == 1:
-        raise NotSimplicialError(
-            f"vertex {best[0]} lies on the frame hyperplane {tuple(indices)}"
-        )
-    if len(best) > 1:
-        raise NotSimplicialError(
-            f"pivot tie across ridge {pos} of frame {tuple(indices)}"
-        )
-    return best[0]
-
-
 def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
     """Cross ridge `pos` of a unimodular record to its unimodular neighbor."""
     cv = p.products(raw.dual[pos])
-    best = _frame_opposite(raw.indices, cv, p.products(raw.normal), pos)
+    best = _ridge_target(raw.indices, cv, p.products(raw.normal), 1, pos)
     if cv[best] != -1:
         raise NotUnimodularError(
             cv[best],
@@ -698,10 +683,11 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
     return SmoothFanoCertificate(True, mode, facet_count=len(raws), proof=Proof.FULL)
 
 
-def _block_summands(p: Polytope, start: _RawFacet) -> tuple[tuple[tuple[int, ...], Polytope], ...]:
-    """(vertex indices, block polytope) of every block of the unimodular start
-    facet, or () when there is one block.  Cached on p, so that the
-    certificates of both modes prove the same summand objects."""
+def _block_summands(p: Polytope, start: _RawFacet
+                    ) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:
+    """(frame positions, vertex indices, block polytope) of every block of the
+    unimodular start facet, or () when there is one block.  Cached on p, so
+    that the certificates of both modes prove the same summand objects."""
     cache = p._cert_cache
     if "summands" not in cache:
         coords = _cached_coords(p, start.indices, start.dual)
@@ -713,17 +699,18 @@ def _block_summands(p: Polytope, start: _RawFacet) -> tuple[tuple[tuple[int, ...
             for i, b in enumerate(assign):
                 members[b].append(i)
             cache["summands"] = tuple(
-                (tuple(own), Polytope(len(block), tuple(tuple(coords[i][j] for j in block)
-                                                         for i in own)))
+                (block, tuple(own), Polytope(len(block), tuple(tuple(coords[i][j] for j in block)
+                                                                for i in own)))
                 for block, own in zip(blocks, members))
     return cache["summands"]
 
 
 def _certify_summands(mode: Mode, start: _RawFacet,
-                      summands: Sequence[tuple[tuple[int, ...], Polytope]]) -> SmoothFanoCertificate:
+                      summands: Sequence[tuple[list[int], tuple[int, ...], Polytope]]
+                      ) -> SmoothFanoCertificate:
     """The certificate of the free sum of the block polytopes."""
     count, unproven = 1, None
-    for own, q in summands:
+    for _, own, q in summands:
         if set(q.vertices) == HEXAGON_VERTICES:
             count *= 6
             continue
@@ -756,7 +743,23 @@ def free_summands(p: Polytope, mode: Mode | None = None) -> tuple[Polytope, ...]
     in block order.
     """
     require_smooth_fano(p, mode)
-    return tuple(q for _, q in p._cert_cache["summands"]) or (p,)
+    return tuple(q for _, _, q in p._cert_cache["summands"]) or (p,)
+
+
+def free_sum(p: Polytope, mode: Mode | None = None
+             ) -> tuple[IntMatrix, tuple[tuple[tuple[int, ...], Polytope], ...]]:
+    """Validation's free-sum decomposition: (vertex indices, summand) for
+    every `free_summands` entry, and the change of basis mapping each vertex
+    to its summand's row padded into the summand's block -- the gift-wrapped
+    facet's dual rows in block order, or the identity when p is irreducible.
+    """
+    require_smooth_fano(p, mode)
+    blocks = p._cert_cache["summands"]
+    if not blocks:
+        return IntMatrix.identity(p.dim), ((tuple(range(p.n)), p),)
+    order = [j for positions, _, _ in blocks for j in positions]
+    rows = _initial_raw_cached(p).dual.take(order, axis=0).tolist()
+    return IntMatrix(tuple(map(tuple, rows))), tuple((own, q) for _, own, q in blocks)
 
 
 def require_smooth_fano(p: Polytope, mode: Mode | None = None) -> Mode:
@@ -810,7 +813,7 @@ def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
 def _opposites(frame: FacetFrame, coords: Sequence[LatticeVector]) -> list[int]:
     """`opposite_indices` given every vertex's coordinate row in `frame`."""
     levels = [sum(row) for row in coords]
-    return [_frame_opposite(frame.vertex_indices, column, levels, pos)
+    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos)
             for pos, column in enumerate(zip(*coords))]
 
 

@@ -1,22 +1,20 @@
 """Direct sums and direct-sum decompositions.
 
-Two decompositions are provided.  `finest_split` computes the finest
-direct-sum factorization of any smooth Fano polytope from the coordinate
-support graph of its special facet (`coordinate_blocks`, the helper that
-validation splits P with) and tags a factor whose vertex set is the standard
-hexagon's as a hexagon.  It validates nothing itself: validating p already
-covers every free summand.  `hexagon_split` realizes the guarantee that
-drives this package: a smooth Fano polytope with 3d-k vertices and
-d >= 15k^2 + 37k + 2 splits off at least floor((d - 15k^2 - 37k)/2) hexagon
-factors.  It finds them constructively -- pairs from the paired core of the
-special facet whose dual coordinates vanish on every vertex outside the
-hexagon orbit set -- and verifies the guaranteed count as a post-condition,
-raising TheoremViolationError if it ever fails (a bug or a counterexample;
-never swallowed).
+Two decompositions are provided.  `finest_split` is the finest direct-sum
+factorization of any smooth Fano polytope: validation's free summands, in
+the gift-wrapped facet's coordinates (`polytope.free_sum`), with hexagon
+factors tagged.  It validates nothing itself: validating p already proves
+every free summand.  `hexagon_split` realizes the guarantee that drives this
+package: a smooth Fano polytope with 3d-k vertices and d >= 15k^2 + 37k + 2
+splits off at least floor((d - 15k^2 - 37k)/2) hexagon factors.  It finds
+them constructively -- pairs from the paired core of the special facet whose
+dual coordinates vanish on every vertex outside the hexagon orbit set -- in
+the special facet's coordinates, and verifies the guaranteed count as a
+post-condition, raising TheoremViolationError if it ever fails (a bug or a
+counterexample; never swallowed).
 
-Both return a `Decomposition` whose change of basis is the (unimodular)
-permuted dual basis of the special facet, so factors live in honest
-coordinate blocks and reassembly is exact.
+Both return a `Decomposition` whose change of basis is unimodular, so
+factors live in honest coordinate blocks and reassembly is exact.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
-    coordinate_blocks,
     frame_coords,
+    free_sum,
     special_facet,
     vertex_deficit,
 )
@@ -141,23 +139,10 @@ class Decomposition:
         return None
 
 
-def _check_reassembly(coords: list[tuple[int, ...]], factors: list[Factor], d: int) -> None:
-    """The factors, padded back into their blocks, are the vertices `coords`."""
-    transformed = set(coords)
-    rebuilt = set()
-    for f in factors:
-        lo, hi = f.block
-        for v in f.polytope.vertices:
-            rebuilt.add((0,) * lo + v + (0,) * (d - hi))
-    if transformed != rebuilt:
-        raise InvariantViolationError("factors do not reassemble the polytope")
-
-
 def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[int],
-             kinds: list[str] | None) -> Decomposition:
+             kinds: list[str]) -> Decomposition:
     """Build the decomposition given per-block frame positions, a map
-    assigning every vertex to a block and the blocks' kinds (None: tag each
-    by its vertex set)."""
+    assigning every vertex to a block and the blocks' kinds."""
     order = [j for block in blocks for j in block]
     coords = [tuple(map(row.__getitem__, order)) for row in frame_coords(p, f)]
     members: list[list[int]] = [[] for _ in blocks]
@@ -167,21 +152,20 @@ def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[i
     lo = 0
     for bi, (block, own) in enumerate(zip(blocks, members)):
         hi = lo + len(block)
+        # with every row zero outside its block, the padded factors are the
+        # transformed vertices
         for i in own:
             if any(coords[i][:lo]) or any(coords[i][hi:]):
                 raise InvariantViolationError(
                     f"vertex {i} has support outside its block {(lo, hi)}"
                 )
         q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
-        is_hexagon = set(q.vertices) == HEXAGON_VERTICES
-        kind = kinds[bi] if kinds is not None else ("hexagon" if is_hexagon else "residual")
-        if kind == "hexagon" and not is_hexagon:
+        if kinds[bi] == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
             raise InvariantViolationError(
                 f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}"
             )
-        factors.append(Factor(tuple(own), q, (lo, hi), kind))
+        factors.append(Factor(tuple(own), q, (lo, hi), kinds[bi]))
         lo = hi
-    _check_reassembly(coords, factors, p.dim)
     hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
     basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
     return Decomposition(tuple(factors), basis, hexagons)
@@ -226,18 +210,20 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
 
 
 def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
-    """Finest direct-sum factorization via the support graph of the special
-    facet.
+    """Finest direct-sum factorization: validation's free summands.
 
-    The blocks of `coordinate_blocks` give the coordinate blocks, and every
-    vertex's support lies inside exactly one block.  A factor whose vertex
-    set is the standard hexagon's is tagged "hexagon", every other one
-    "residual".  Validating p (in `special_facet`) covers every factor, so
-    none is validated here.  The result is cached on p.
+    Each factor is a `free_summands` entry on the input vertices it came
+    from, and the change of basis is `free_sum`'s, so it maps every vertex to
+    its factor's row padded into the factor's block.  A smooth Fano polygon
+    with six vertices is the hexagon, so such a factor is tagged "hexagon",
+    every other one "residual".  Validating p proves every factor, so none
+    is validated here.
     """
-    f = special_facet(p, mode)
-    cache = p._cert_cache
-    if "finest" not in cache:
-        blocks, assign = coordinate_blocks(frame_coords(p, f))
-        cache["finest"] = _extract(p, f, blocks, assign, None)
-    return cache["finest"]
+    basis, summands = free_sum(p, mode)
+    factors = []
+    lo = 0
+    for own, q in summands:
+        kind = "hexagon" if (q.dim, q.n) == (2, 6) else "residual"
+        factors.append(Factor(own, q, (lo, lo + q.dim), kind))
+        lo += q.dim
+    return Decomposition(tuple(factors), basis, sum(f.kind == "hexagon" for f in factors))

@@ -27,6 +27,7 @@ from .polytope import (
     _opposites,
     enumerate_facets,
     frame_coords,
+    free_sum,
     pivot,
     require_smooth_fano,
     special_facet,
@@ -136,14 +137,22 @@ class _Ctx:
     @cached_property
     def opposite_failures(self) -> tuple[str | None, str | None]:
         """First failures of the opposite-coordinate and level-zero-opposites
-        checks, from one walk over every facet (FULL) or the special facet."""
-        frames = enumerate_facets(self.p) if self.mode is Mode.FULL else (self.frame,)
+        checks, at the special facet (LOCAL) or on every facet of every free
+        summand (FULL): P's facets are their joins, and a summand's vertices
+        have coordinates in its block only.  A failure on a summand facet
+        names the summand's vertices, as validation's witnesses do."""
+        walk = [("", self.frame, self.coords)]
+        if self.mode is Mode.FULL:
+            summands = free_sum(self.p, self.mode)[1]
+            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "",
+                     f, q.coords_rows(f._raw.dual))
+                    for own, q in summands for f in enumerate_facets(q))
         coord_fail = zero_fail = None
-        for f in frames:
-            coords = self.coords if f is self.frame else self.p.coords_rows(f._raw.dual)
+        for prefix, f, coords in walk:
             opp = _opposites(f, coords)
-            coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
-            zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
+            c, z = _opposite_coordinate_failure(f, coords, opp), _level_zero_failure(f, coords, opp)
+            coord_fail = coord_fail or c and prefix + c
+            zero_fail = zero_fail or z and prefix + z
             if coord_fail and zero_fail:
                 break
         return coord_fail, zero_fail
@@ -534,7 +543,8 @@ def verify_bounds(p: Polytope, mode: Mode | None = None) -> BoundsReport:
     """Run the full checklist on p at its special facet.
 
     In FULL mode the opposite-coordinate and level-zero-opposites checks run
-    across every facet; in LOCAL mode only at the special facet.
+    on every facet of every free summand, which is exact for every facet of
+    p; in LOCAL mode only at the special facet.
     """
     used = require_smooth_fano(p, mode)
     ctx = _Ctx(p, used)

@@ -24,6 +24,10 @@ reference for `linalg.IntKernel.reduce`.
 `initial_raw_lists` is the gift-wrap on lists of Python ints, recomputing
 the hyperplane's values from its normal after every rotation, the
 reference for `polytope._initial_raw`.
+
+`product_opposite_failures` runs the opposite-coordinate and
+level-zero-opposites checks over every facet of P itself, the reference for
+FULL `verify`'s walk over the facets of P's free summands.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ from fanosplit.polytope import (
     Polytope,
     _check_facet,
     _min_ratio,
+    _opposites,
     _raw_from_rows,
     enumerate_facets,
     require_smooth_fano,
 )
+from fanosplit.verify import _level_zero_failure, _opposite_coordinate_failure
 
 
 def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
@@ -266,3 +272,15 @@ def initial_raw_lists(p: Polytope):
     raw = _raw_from_rows(p, sorted(on))
     _check_facet(p, raw)
     return raw
+
+
+def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
+    """First failures of the opposite-coordinate and level-zero-opposites
+    checks over every facet of p, in `enumerate_facets` order."""
+    coord_fail = zero_fail = None
+    for f in enumerate_facets(p):
+        coords = p.coords_rows(f.dual_basis.entries)
+        opp = _opposites(f, coords)
+        coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
+        zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
+    return coord_fail, zero_fail

@@ -201,6 +201,25 @@ def test_eq_budget_exhaustion(tmp_path, capsys):
     assert main(["eq", a, b, "--budget", "2"]) == 3
 
 
+@pytest.mark.parametrize("cmd", ["nf", "eq"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, cmd, budget):
+    a = write(tmp_path, "a.fano", hexagon())
+    argv = [cmd, a] + ([a] if cmd == "eq" else []) + ["--budget", budget]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --budget: must be at least 1, got {budget}" in captured.err
+
+
+def test_gen_rejects_nested_random_image(capsys):
+    assert main(["gen", "random_image", "random_image", "hexagon", "--seed", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: random_image cannot be the base of random_image\n")
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "good.fano", hexagon())
     assert main(["verify", good]) == 0

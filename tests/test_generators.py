@@ -91,6 +91,8 @@ def test_generate_rejects_unknown_and_bad_params():
         generate("random_image", ["hexagon"])  # no seed
     with pytest.raises(ValueError):
         generate("hexagon", [2])
+    with pytest.raises(ValueError, match="random_image cannot be the base of random_image"):
+        generate("random_image", ["random_image", "hexagon"], seed=1)
 
 
 @pytest.mark.parametrize("build", [

@@ -20,6 +20,7 @@ from fanosplit.errors import (
     NotUnimodularError,
 )
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
+from fanosplit.linalg import IntMatrix
 from fanosplit.polytope import (
     FacetFrame,
     Mode,
@@ -253,6 +254,17 @@ class TestPivot:
         assert opp == (-1, -2)
         assert neigh.vertex_indices == (1, 2)
         assert neigh.outer_normal == (-3, 1)
+
+    def test_pivot_onto_a_vertex_on_the_facet(self):
+        # (2, -1) lies on the hyperplane x + y = 1 of the hand-built frame
+        # on (1, 0), (0, 1) and is the one minimizer of the ratio rule across
+        # ridge 1: the frame's hyperplane carries three vertices
+        p = Polytope(2, ((1, 0), (0, 1), (2, -1), (-1, -1)))
+        f = FacetFrame((0, 1), IntMatrix.identity(2), (1, 1))
+        with pytest.raises(NotSimplicialError) as info:
+            pivot(p, f, 1)
+        assert str(info.value) == (
+            "pivot tie at ridge 1 of facet (0, 1): vertices (2,) are coplanar with the ridge")
 
     def test_pivot_involution(self):
         p = example4d()

@@ -14,7 +14,8 @@ from fanosplit.generators import (
     random_image,
     simplex,
 )
-from fanosplit.polytope import Mode, special_facet, vertex_deficit
+from fanosplit.linalg import determinant
+from fanosplit.polytope import Mode, free_summands, special_facet, vertex_deficit
 from fanosplit.splitting import (
     clean_pairs,
     direct_sum,
@@ -32,6 +33,18 @@ def power_sum(p, m):
     for _ in range(m - 1):
         out = direct_sum(out, p)
     return out
+
+
+def assert_reassembles(p, dec):
+    """The basis is unimodular and maps every vertex to its factor's row,
+    padded with zeros into the factor's block."""
+    basis = dec.change_of_basis
+    assert abs(determinant(basis)) == 1
+    assert sorted(i for f in dec.factors for i in f.vertex_indices) == list(range(p.n))
+    for f in dec.factors:
+        lo, hi = f.block
+        for i, row in zip(f.vertex_indices, f.polytope.vertices, strict=True):
+            assert basis.matvec(p.vertices[i]) == (0,) * lo + row + (0,) * (p.dim - hi)
 
 
 class TestDirectSum:
@@ -107,12 +120,9 @@ class TestHexagonSplit:
     def test_factors_reassemble(self):
         p = direct_sum(pentagon(), hexagon())
         dec = hexagon_split(p, Mode.FULL)
-        # reassembly is asserted internally; spot-check the public pieces
         assert sum(len(f.vertex_indices) for f in dec.factors) == p.n
         assert dec.change_of_basis.rows == p.dim
-        from fanosplit.linalg import determinant
-
-        assert abs(determinant(dec.change_of_basis)) == 1
+        assert_reassembles(p, dec)
 
     def test_threshold_arithmetic(self):
         assert split_threshold(3) == 248
@@ -193,3 +203,12 @@ class TestFinestSplit:
                 for f in dec.factors:
                     assert (f.kind == "hexagon") == are_equivalent(f.polytope, reference), name
                 assert dec.hexagon_count == sum(f.kind == "hexagon" for f in dec.factors)
+
+    def test_factors_are_the_free_summands(self):
+        for name, p in base_instances():
+            for q in (p, random_image(p, 4)):
+                dec = finest_split(q)
+                assert all(f.polytope is s for f, s in
+                           zip(dec.factors, free_summands(q), strict=True)), name
+                assert_reassembles(q, dec)
+                assert_reassembles(q, hexagon_split(q))

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
-from fanosplit.polytope import Mode, frame_from_indices, make_polytope, special_facet
+from fanosplit import polytope, verify
+from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
+from fanosplit.polytope import (Mode, frame_from_indices, free_sum, is_smooth_fano,
+                                make_polytope, special_facet)
 from fanosplit.splitting import direct_sum
 from fanosplit.verify import (
     FAIL,
@@ -13,9 +15,13 @@ from fanosplit.verify import (
     TYPE_B_SUPPORTED,
     TYPE_C_OPPOSITE,
     TYPE_NEGATED_BASIS,
+    _Ctx,
     classify_level_minus_one,
     verify_bounds,
 )
+
+from corpus import base_instances
+from oracle import product_opposite_failures
 
 
 def by_name(report):
@@ -104,6 +110,38 @@ class TestVerifyBounds:
         data = report.to_dict()
         assert data["passed"] is True
         assert len(data["checks"]) == len(report.checks)
+
+
+class TestSummandWalk:
+    def test_matches_product_walk(self):
+        for name, p in base_instances():
+            for q in (p, random_image(p, 3)):
+                expect = product_opposite_failures(q)
+                assert _Ctx(q, Mode.FULL).opposite_failures == expect, name
+
+    def test_reads_the_validated_summands(self, monkeypatch):
+        p = random_image(direct_sum(bundle_b(1), bundle_b(1)), 5)
+        assert is_smooth_fano(p, Mode.FULL).facet_count == 144
+        enumerations, walked = [], []
+        enumerate_raw = polytope._enumerate_raw
+        monkeypatch.setattr(polytope, "_enumerate_raw",
+                            lambda q: enumerations.append(q) or enumerate_raw(q))
+        opposites = verify._opposites
+        monkeypatch.setattr(verify, "_opposites",
+                            lambda f, coords: walked.append(f) or opposites(f, coords))
+        assert verify_bounds(p, Mode.FULL).all_satisfied
+        assert enumerations == []
+        assert len(walked) == 24  # 12 facets per summand, not 144 of p
+
+    def test_summand_failure_names_its_factor(self, monkeypatch):
+        monkeypatch.setattr(verify, "_level_zero_failure", lambda f, coords, opp: "forced")
+        p = random_image(direct_sum(bundle_b(1), hexagon()), 2)
+        own = free_sum(p, Mode.FULL)[1][0][0]
+        details = by_name(verify_bounds(p, Mode.FULL))["level-zero-opposites"].details
+        assert details == f"factor on vertices {own}: forced"
+        # an irreducible p is its own summand: no prefix
+        details = by_name(verify_bounds(bundle_b(1), Mode.FULL))["level-zero-opposites"].details
+        assert details == "forced"
 
 
 class TestClassifier:
