@@ -8,9 +8,20 @@ A kernel whose bound breaks partway converts its working array and goes on.
 The only rational arithmetic in the package is ratio comparison by integer
 cross-multiplication.
 
-A dual basis of _MODULAR_MIN_DIM or more rows is first the inverse mod _P,
-kept only when the exact product m @ X is I, which proves det m = +-1 and
-X = m^-1; otherwise fraction-free (Bareiss) elimination runs.
+One floor, _LARGE_DIM, marks the large dimensions, where disguised smooth
+Fano polytopes give vertex rows, dual bases and kernel rows that are almost
+all zeros.  From it on:
+
+* a dual basis of n rows is first the inverse mod _P, kept only when the
+  exact product m @ X is I, which proves det m = +-1 and X = m^-1; otherwise
+  fraction-free (Bareiss) elimination runs;
+* a product of vertex rows with rows of length d (`_vertex_products`)
+  multiplies only nonzero entries.  One row with at most d/4 nonzeros
+  meets only those columns.  Several rows expand into the pairs of nonzeros
+  v[i, k], r[j, k] sharing a column k, and `np.add.at` sums their products,
+  unless there are more pairs than output entries.  A sum has at most d
+  terms either way, so `_products_fit` proves int64 as for the dense `@`,
+  which runs in every other case.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ IntVector = tuple[int, ...]
 
 _I64_SAFE = 2**62  # int64 entries and products stay below this, so np.abs is safe
 _P = 2147483629  # the modular dual's prime: a product of two residues fits int64
-_MODULAR_MIN_DIM = 80  # below this size Bareiss beats the modular pass
+_LARGE_DIM = 80  # from this size the modular dual and the sparse products pay
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -188,22 +199,15 @@ def scaled_dual(m) -> tuple[np.ndarray, int]:
     """Return (U, delta) with U[i]/delta the dual basis of the rows of m.
 
     U is one exact array, U = delta * (m^-1)^T, so <U[i], m[j]> = delta * delta_ij.
-    A modular inverse X with m @ X = I (summed over X's nonzeros) gives U = X^T,
+    A modular inverse X with m @ X = I (exact, by `_vertex_products`) gives U = X^T,
     delta = 1; Bareiss gives delta = det(m) up to the sign of its row swaps.
     Callers normalise the sign as needed (U and delta always flip together).
     """
     a, hi = _to_array(m, square=True)
     n = len(a)
-    x = _inverse_mod_p(a) if n >= _MODULAR_MIN_DIM else None
-    if x is not None:
-        fits = _products_fit(hi, _max_abs(x), n)
-        ax, x = _exact_array(a, fits), _exact_array(x, fits)
-        prod = np.zeros(ax.shape, dtype=ax.dtype)
-        for k, row in enumerate(x):
-            cols = np.flatnonzero(row)
-            prod[:, cols] += np.multiply.outer(ax[:, k], row[cols])
-        if np.array_equal(prod, np.eye(n, dtype=np.int64)):
-            return np.ascontiguousarray(x.T), 1
+    x = _inverse_mod_p(a) if n >= _LARGE_DIM else None
+    if x is not None and np.array_equal(_vertex_products(a, x.T, hi), np.eye(n, dtype=np.int64)):
+        return np.ascontiguousarray(x.T), 1
     w, _ = _bareiss(np.hstack([a, np.eye(n, dtype=np.int64)]), n)
     return np.ascontiguousarray(w[:, n:].T), (int(w[0, 0]) if n else 1)
 
@@ -296,11 +300,42 @@ def int_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
 
 def _vertex_products(vertices: np.ndarray, rows, max_abs_vertices: int) -> np.ndarray:
     """<x, u> for every vertex row x of `vertices` and every u in `rows`, an
-    exact array (bounded by `_max_abs`) or a sequence of int sequences."""
+    exact array (bounded by `_max_abs`) or a sequence of int sequences;
+    sparse from _LARGE_DIM columns on (module docstring)."""
     hu = (_max_abs(rows) if isinstance(rows, np.ndarray)
           else max((abs(a) for row in rows for a in row), default=0))
-    fits = vertices.dtype != object and _products_fit(max_abs_vertices, hu, vertices.shape[1])
-    return _exact_array(vertices, fits) @ _exact_array(rows, fits).T
+    d = vertices.shape[1]
+    fits = vertices.dtype != object and _products_fit(max_abs_vertices, hu, d)
+    v, r = _exact_array(vertices, fits), _exact_array(rows, fits)
+    if d >= _LARGE_DIM:
+        if r.ndim == 1 or len(r) == 1:
+            cols = np.flatnonzero(r)
+            if 4 * cols.size <= d:
+                return v[:, cols] @ r[..., cols].T
+        else:
+            out = _sparse_products(v, r)
+            if out is not None:
+                return out
+    return v @ r.T
+
+
+def _sparse_products(v: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """v @ r.T summed over the pairs of nonzeros v[i, k], r[j, k], or None
+    when there are more such pairs than output entries."""
+    vk, vi = np.nonzero(v.T)  # v's nonzeros, column by column
+    rk, rj = np.nonzero(r.T)
+    per_col = np.bincount(rk, minlength=v.shape[1])
+    reps = per_col[vk]  # the partners of each nonzero of v
+    pairs = int(reps.sum())
+    if pairs > v.shape[0] * r.shape[0]:
+        return None
+    # nonzero e of v meets r's nonzeros first[vk[e]], ..., first[vk[e]] + reps[e] - 1
+    first = np.cumsum(per_col) - per_col
+    e = np.repeat(np.arange(vk.size), reps)
+    ridx = np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps) + first[vk[e]]
+    out = np.zeros((v.shape[0], r.shape[0]), dtype=v.dtype)
+    np.add.at(out, (vi[e], rj[ridx]), v[vi, vk][e] * r[rj, rk][ridx])
+    return out
 
 
 def products_with(vertices: np.ndarray, u, max_abs_vertices: int) -> list[int]:

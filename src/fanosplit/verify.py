@@ -24,11 +24,11 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    _cross,
     _opposites,
     enumerate_facets,
     frame_coords,
     free_sum,
-    pivot,
     require_smooth_fano,
     special_facet,
     vertex_deficit,
@@ -375,9 +375,9 @@ def _check_good_neighbor_normal(ctx):
     g = ctx.g
     good = sorted(g.a | g.b)
     for z in good:
-        neigh, _ = pivot(ctx.p, ctx.frame, z)
+        normal = _cross(ctx.p, ctx.frame._raw, ctx.pos[z]).normal
         expect = vec_sub(ctx.frame.outer_normal, ctx.frame.dual_basis.row(ctx.pos[z]))
-        if neigh.outer_normal != expect:
+        if normal != expect:
             return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
     return True, "", bool(good)
 

@@ -9,7 +9,10 @@ For each input it prints the wall time of, in turn:
   scaled dual);
 * certify: `is_smooth_fano(p, Mode.LOCAL)`;
 * special: `special_facet(p, Mode.LOCAL)`;
-* split: `hexagon_split(p, Mode.LOCAL)`.
+* split: `hexagon_split(p, Mode.LOCAL)`;
+
+and then the process's peak RSS so far (`resource.getrusage`), so that an
+input whose stages allocate much more than the ones before it shows.
 
 The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489 and 809 under
 `random_image` (seed 1), and at d = 249 two denser disguises: 3d random
@@ -22,6 +25,7 @@ d = 809 and 30d rows take minutes each.
 from __future__ import annotations
 
 import random
+import resource
 import sys
 import time
 
@@ -73,7 +77,8 @@ def _stages(label: str, p: Polytope) -> None:
         times.append(time.perf_counter() - t)
     spans = "  ".join(f"{name} {s:7.3f} s"
                       for name, s in zip(("load", "certify", "special", "split"), times))
-    print(f"{label:<24} {spans}", flush=True)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+    print(f"{label:<24} {spans}  peak {peak_mb:6.0f} MB", flush=True)
 
 
 def main() -> int:

@@ -25,6 +25,10 @@ reference for `linalg.IntKernel.reduce`.
 the hyperplane's values from its normal after every rotation, the
 reference for `polytope._initial_raw`.
 
+`dense_products` is every dot product <x, u> of a vertex row x with a row
+u, on Python ints: the dense v @ r.T, the reference for
+`linalg._vertex_products` and its sparse paths.
+
 `product_opposite_failures` runs the opposite-coordinate and
 level-zero-opposites checks over every facet of P itself, the reference for
 FULL `verify`'s walk over the facets of P's free summands.
@@ -284,3 +288,8 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
         coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
         zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
     return coord_fail, zero_fail
+
+
+def dense_products(vertices, rows) -> list[list[int]]:
+    """<x, u> for every vertex row x and every row u, as lists of Python ints."""
+    return [[dot(x, u) for u in rows] for x in vertices]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -7,10 +9,12 @@ import pytest
 
 from fanosplit.cli import main
 from fanosplit.fanofile import save_polytope, serialize_fano
-from fanosplit import polytope
+from fanosplit import linalg, polytope
 from fanosplit.generators import bundle_b, example4d, hexagon, random_image, simplex
 from fanosplit.polytope import Polytope, make_polytope
 from fanosplit.splitting import direct_sum
+
+from corpus import base_instances
 
 
 def write(tmp_path: Path, name: str, p) -> str:
@@ -355,3 +359,44 @@ def test_outputs_are_deterministic(tmp_path, capsys):
             assert main(cmd) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def _runs_in_cwd(inputs: list[tuple[str, Polytope]]) -> list[tuple]:
+    """Write each input to the working directory, run `check`, `split`,
+    `split -o` and `verify` on it, and return every run's argv, exit code,
+    stdout, stderr and written factor files."""
+    runs = []
+    for name, p in inputs:
+        f = f"{name}.fano"
+        save_polytope(p, f)
+        for argv in (["check", f], ["split", f], ["split", f, "-o", f + ".split"], ["verify", f]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = Path(argv[-1])
+            files = ([(q.name, q.read_text()) for q in sorted(written.iterdir())]
+                     if "-o" in argv and written.is_dir() else [])
+            runs.append((argv, code, out.getvalue(), err.getvalue(), files))
+    return runs
+
+
+def test_large_dim_floor_leaves_cli_output_unchanged(tmp_path, monkeypatch):
+    # floor 1 sends every product through the sparse rules and every dual
+    # through the modular inverse; an unreachable floor keeps the dense @ and
+    # Bareiss everywhere, also on the d = 89 sum
+    big = direct_sum(direct_sum(bundle_b(1), bundle_b(1)), bundle_b(1))
+    for _ in range(40):
+        big = direct_sum(big, hexagon())
+    inputs = [("big", random_image(big, 1))]
+    for name, p in base_instances():
+        inputs += [(name, p), (f"{name}_1", random_image(p, 1))]
+    results = []
+    for floor in (1, 10**9):
+        monkeypatch.setattr(linalg, "_LARGE_DIM", floor)
+        work = tmp_path / str(floor)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        results.append(_runs_in_cwd(inputs))
+    assert results[0] == results[1]
+    assert results[0][0][1:3] == (0, "valid mode=local proof=by-decomposition facets="
+                                  f"{12 ** 3 * 6 ** 40} d=89 n=264\n")

@@ -20,7 +20,7 @@ from fanosplit.linalg import (
     inverse_if_unimodular,
     scaled_dual,
 )
-from oracle import determinant_rows, kernel_reduce_rows
+from oracle import dense_products, determinant_rows, kernel_reduce_rows
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -223,7 +223,7 @@ def test_kernel_large_dimension_consistency():
 # --- the modular dual against Bareiss elimination -------------------------
 
 P = linalg._P
-N = linalg._MODULAR_MIN_DIM
+N = linalg._LARGE_DIM
 
 
 def _shear_matrix(seed, n, steps):
@@ -351,7 +351,7 @@ def test_size_rule_keeps_small_matrices_on_bareiss(monkeypatch):
 def test_modular_dual_agrees_with_bareiss_on_small_matrices(rows):
     want = None if determinant_rows(rows) == 0 else _bareiss_dual(rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_MODULAR_MIN_DIM", 1)  # every size tries mod p first
+        mp.setattr(linalg, "_LARGE_DIM", 1)  # every size tries mod p first
         try:
             dual, delta = linalg.scaled_dual(rows)
         except SingularMatrixError:
@@ -382,3 +382,95 @@ def test_kernel_reduce_matches_list_reference(vecs):
     for v in vecs:
         assert ker.reduce(v) == (bool(rows) and kernel_reduce_rows(rows, v))
         assert ker.rows() == [tuple(r) for r in rows]
+
+
+# --- sparse vertex products against the dense reference --------------------
+
+@st.composite
+def product_operands(draw):
+    """(vertex array, rows as passed, rows as lists): 1-d, 1-row or m-row
+    operands, int64 or object, mostly zeros or dense, with max |entries|
+    on either side of the `_products_fit` boundary."""
+    d, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["1-d", "1-row", "m-row"]))
+    m = draw(st.integers(2, 6)) if shape == "m-row" else 1
+    hi_v = draw(st.sampled_from([1, 6, 2**31 - 1]))
+    edge = (2**62 - 1) // (d * hi_v)  # d * hi_v * edge < 2**62 <= d * hi_v * (edge + 1)
+    hi_r = draw(st.sampled_from([1, 6, edge, edge + 1, 2**70]))
+
+    def matrix(rows, hi):
+        zeros = draw(st.sampled_from([0, 1, 4, 30]))  # zero weight: dense to all-zero
+        elems = st.sampled_from([0] * zeros + [1, -1, hi, -hi])
+        return draw(st.lists(st.lists(elems, min_size=d, max_size=d), min_size=rows, max_size=rows))
+
+    def exact(rows, hi):
+        return np.array(rows, dtype=object if hi >= 2**62 or draw(st.booleans()) else np.int64)
+
+    v, r = matrix(n, hi_v), matrix(m, hi_r)
+    if shape == "1-d":
+        rows = exact(r[0], hi_r)
+    else:
+        rows = exact(r, hi_r) if draw(st.booleans()) else list(map(tuple, r))
+    return exact(v, hi_v), rows, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_operands())
+def test_sparse_products_match_dense_reference(ops):
+    v, rows, r = ops
+    want = dense_products(v.tolist(), r)
+    hi = linalg._max_abs(v)
+    fits = v.dtype != object and linalg._products_fit(hi, max(map(abs, sum(r, []))), v.shape[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_LARGE_DIM", 1)  # every size takes the sparse rules
+        got = linalg._vertex_products(v, rows, hi)
+        assert got.dtype == (np.int64 if fits else object)
+        assert got.tolist() == ([w[0] for w in want] if np.ndim(rows) == 1 else want)
+        if len(r) == 1:
+            u = rows if np.ndim(rows) == 1 else tuple(r[0])
+            assert linalg.products_with(v, u, hi) == [w[0] for w in want]
+        assert linalg.coords_rows(v, r, hi) == list(map(tuple, want))
+
+
+def test_pair_cap_boundary():
+    v = np.array([[1, 0], [1, 0]], dtype=np.int64)
+    r = v.copy()
+    assert linalg._sparse_products(v, r).tolist() == [[1, 1], [1, 1]]  # 4 pairs, 4 entries
+    v[0, 1] = r[0, 1] = 1  # one pair more than output entries
+    assert linalg._sparse_products(v, r) is None
+    assert linalg._sparse_products(v.astype(object), r.astype(object)) is None
+
+
+@pytest.mark.parametrize("nonzeros", [0, 2, 3, 8])
+def test_sparse_row_rule_boundary(nonzeros, monkeypatch):
+    # d = 8: up to 2 nonzeros take the column-gather path, 3 or more the dense @
+    monkeypatch.setattr(linalg, "_LARGE_DIM", 1)
+    rng = random.Random(nonzeros)
+    v = np.array([[rng.randint(-3, 3) for _ in range(8)] for _ in range(5)], dtype=np.int64)
+    u = [0] * 8
+    for j in rng.sample(range(8), nonzeros):
+        u[j] = rng.choice((-2, 1, 5))
+    want = [w[0] for w in dense_products(v.tolist(), [u])]
+    for rows in (np.array(u, dtype=np.int64), [tuple(u)], np.array(u, dtype=object)):
+        assert linalg.products_with(v, rows if np.ndim(rows) == 1 else rows[0], 3) == want
+        assert np.ravel(linalg._vertex_products(v, rows, 3)).tolist() == want
+
+
+@pytest.mark.parametrize("steps", [N // 2, 3 * N])
+@pytest.mark.parametrize("entry", ["zero", "nonzero"])
+def test_perturbed_modular_inverse_falls_back_to_bareiss(steps, entry, monkeypatch):
+    # a wrong inverse must fail the exact M X = I proof, whether the check
+    # runs sparse (few shears) or over the dense @ (pairs beyond the cap)
+    m = _shear_matrix(steps, N, steps)
+    x = linalg._inverse_mod_p(np.array(m))
+    assert (linalg._sparse_products(np.array(m), x.T) is None) == (steps == 3 * N)
+    i, j = np.argwhere(x == 0 if entry == "zero" else x != 0)[0]
+    bad = x.copy()
+    bad[i, j] += 1
+    monkeypatch.setattr(linalg, "_inverse_mod_p", lambda a: bad.copy())
+    calls = _spy_bareiss(monkeypatch)
+    dual, delta = linalg.scaled_dual(m)
+    assert calls == [N]
+    if delta < 0:
+        dual, delta = -dual, -delta
+    assert (dual.tolist(), delta) == _bareiss_dual(m)

@@ -93,6 +93,23 @@ class TestVerifyBounds:
         g.opp[0] = 11  # every good vertex has one opposite: no pair to check
         assert _check_no_shared_minus_one(ctx) == (True, "", False)
 
+    def test_good_neighbor_normal_can_fail(self, monkeypatch):
+        # a neighbor record with the wrong normal must fail the report
+        from dataclasses import replace
+
+        p = example4d()
+        g = verify.goodness_partition(p, special_facet(p))
+        z = min(g.a | g.b)
+        cross = verify._cross
+        monkeypatch.setattr(verify, "_cross", lambda q, raw, pos: replace(
+            cross(q, raw, pos), normal=tuple(-a for a in cross(q, raw, pos).normal)))
+        report = verify_bounds(p)
+        assert not report.passed
+        assert report.lines()[-1] == "RESULT fail"
+        assert by_name(report)["good-neighbor-normal"].line() == (
+            f"CHECK good-neighbor-normal fail neighbor normal across good vertex {z} "
+            "is not u_F - u_z")
+
     def test_report_lines_shape(self):
         report = verify_bounds(pentagon())
         lines = report.lines()
