@@ -17,6 +17,10 @@ C (not good).  A' keeps the members of A whose negation is also a vertex;
 the paired core keeps those whose phi-partner is in A' as well and whose
 gamma coordinates (of the vertex sum) vanish on the pair.  Pairs in the core
 are exactly the candidates for hexagon splitting.
+
+The partition also carries every vertex's level, the eta vector, the
+negation of each member of A' and the orbit {v, w, w - v, v - w, -v, -w} of
+each paired-core pair (v, w), so no consumer derives them again.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ def phi_map(p: Polytope, f: FacetFrame, opp: Mapping[int, int]) -> dict[int, int
 
 @dataclass(frozen=True)
 class GoodnessPartition:
-    """The A/B/C partition of a special facet, with phi, opposites and the
-    gamma coordinates of the vertex sum (all vertex references are indices)."""
+    """The A/B/C partition of a special facet, with phi, opposites, gamma, the
+    levels, eta and the negations of A' (all vertex references are indices)."""
 
     frame: FacetFrame
     a: frozenset[int]
@@ -101,6 +105,9 @@ class GoodnessPartition:
     a_prime: frozenset[int]
     a_bar: frozenset[int]
     gamma: tuple[int, ...]
+    levels: tuple[int, ...]
+    eta: EtaVector
+    negation: Mapping[int, int]
 
     @cached_property
     def bar_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -114,6 +121,13 @@ class GoodnessPartition:
             pairs.append((v, w))
             seen.update((v, w))
         return tuple(pairs)
+
+    @cached_property
+    def orbits(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The orbit (v, w, w - v, v - w, -v, -w) of each paired-core pair (v, w):
+        phi(v) = w and phi(w) = v make w - v and v - w the opposites."""
+        opp, neg = self.opp, self.negation
+        return {(v, w): (v, w, opp[v], opp[w], neg[v], neg[w]) for v, w in self.bar_pairs}
 
     def gamma_of(self, vertex_index: int) -> int:
         return self.gamma[self.frame.vertex_indices.index(vertex_index)]
@@ -132,7 +146,7 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
         raise NotSpecialFacetError(
             f"facet {f.vertex_indices} has negative gamma coordinates {gamma}"
         )
-    levels, _ = levels_and_eta(p, f)
+    levels, eta = levels_and_eta(p, f)
     opp = opposites(p, f)
     phi = phi_map(p, f, opp)
     a, b, c = set(), set(), set()
@@ -142,10 +156,9 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
         else:
             c.add(v)
     vertex_set = p._vertex_index
-    a_prime = {
-        v for v in a
-        if tuple(-x for x in p.vertices[v]) in vertex_set
-    }
+    negatives = ((v, vertex_set.get(tuple(-x for x in p.vertices[v]))) for v in a)
+    negation = {v: i for v, i in negatives if i is not None}
+    a_prime = negation.keys()
     gamma_of = {v: g for v, g in zip(f.vertex_indices, gamma)}
     a_bar = {
         v for v in a_prime
@@ -167,6 +180,9 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
         a_prime=frozenset(a_prime),
         a_bar=frozenset(a_bar),
         gamma=gamma,
+        levels=tuple(levels.values()),
+        eta=eta,
+        negation=negation,
     )
 
 

@@ -28,7 +28,7 @@ from .polytope import (
     special_facet,
     vertex_deficit,
 )
-from .analysis import goodness_partition, levels_and_eta
+from .analysis import goodness_partition
 from .splitting import guaranteed_hexagons, hexagon_split, split_threshold
 from .verify import verify_bounds
 
@@ -98,12 +98,11 @@ def _cmd_check(args) -> int:
 def _cmd_analyze(args) -> int:
     p = load_polytope(args.file)
     f = special_facet(p, _resolve_mode(args.mode, p))
-    _, eta = levels_and_eta(p, f)
     g = goodness_partition(p, f)
     print(f"d={p.dim} n={p.n} k={vertex_deficit(p)}")
     print(f"picard={p.n - p.dim}")
     print("special-facet= " + " ".join(str(i) for i in f.vertex_indices))
-    print("eta= " + " ".join(f"{level}:{count}" for level, count in eta.as_pairs()))
+    print("eta= " + " ".join(f"{level}:{count}" for level, count in g.eta.as_pairs()))
     print(
         f"partition |A|={len(g.a)} |B|={len(g.b)} |C|={len(g.c)} "
         f"|A'|={len(g.a_prime)} |Abar|={len(g.a_bar)}"

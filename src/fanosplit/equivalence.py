@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .linalg import IntMatrix, dot
+from .linalg import IntMatrix
 from .polytope import Mode, Polytope, enumerate_facets, free_summands, vertex_sum
 
 DEFAULT_BUDGET = 500_000
@@ -110,7 +110,7 @@ def _factor_form(q: Polytope, budget_state: list[int], budget: int) -> Matrix:
     s = vertex_sum(q)
     best: Matrix | None = None
     for f in enumerate_facets(q):
-        if any(dot(u, s) < 0 for u in f.dual_basis.entries):
+        if any(g < 0 for g in f.coordinates(s)):
             continue
         rows = q.coords_rows(f._raw.dual)
         cols = tuple(tuple(r[j] for r in rows) for j in range(q.dim))

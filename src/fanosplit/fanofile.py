@@ -32,7 +32,7 @@ def _parse_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
     converted in one pass; any other line goes to `_scan_ints`, which
     locates its error."""
     tokens = body.split()
-    if len(tokens) == expected:
+    if len(tokens) == expected and "_" not in body:
         try:
             return list(map(int, tokens))
         except ValueError:
@@ -42,18 +42,23 @@ def _parse_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
 
 def _scan_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
     """Token by token, raising FanoFileError at the first offending column
-    (`\\S+` and `str.split` agree on whitespace, so the tokens are the same)."""
+    (`\\S+` and `str.split` agree on whitespace, so the tokens are the same).
+    A token with `_` is no decimal integer, though `int` reads Python's
+    digit-group underscores."""
     tokens = list(_TOKEN.finditer(body))
     if len(tokens) != expected:
         col = tokens[expected].start() + 1 if len(tokens) > expected else len(body.rstrip()) + 1
         raise FanoFileError(lineno, col, f"expected {expected} {what}, got {len(tokens)}")
     out = []
     for tok in tokens:
+        text = tok.group()
         try:
-            out.append(int(tok.group()))
+            if "_" in text:
+                raise ValueError(text)
+            out.append(int(text))
         except ValueError:
             raise FanoFileError(
-                lineno, tok.start() + 1, f"not an integer: {tok.group()!r}"
+                lineno, tok.start() + 1, f"not an integer: {text!r}"
             ) from None
     return out
 

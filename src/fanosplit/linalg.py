@@ -53,10 +53,6 @@ def vec_sub(u: Sequence[int], v: Sequence[int]) -> IntVector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u: Sequence[int]) -> IntVector:
-    return tuple(-a for a in u)
-
-
 def gcd_of(values: Iterable[int]) -> int:
     return math.gcd(*values)
 

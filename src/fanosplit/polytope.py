@@ -60,6 +60,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DimensionError,
     DuplicateVertexError,
     FanoError,
     InvariantViolationError,
@@ -242,7 +243,9 @@ class FacetFrame:
         return self.vertex_indices.index(vertex_index)
 
     def coordinates(self, x: Sequence[int]) -> LatticeVector:
-        return self.dual_basis.matvec(x)
+        if len(x) != self.dim:
+            raise DimensionError("coordinates shape mismatch")
+        return tuple(linalg.products_with(self._raw.dual, x, self._raw.dual_max))
 
     def level(self, x: Sequence[int]) -> int:
         return dot(self.outer_normal, x)

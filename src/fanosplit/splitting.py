@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
 from .errors import InvariantViolationError, TheoremViolationError
-from .linalg import IntMatrix, vec_neg, vec_sub
+from .linalg import IntMatrix
 from .polytope import (
     HEXAGON_VERTICES,
     FacetFrame,
@@ -54,21 +54,6 @@ def direct_sum(p: Polytope, q: Polytope) -> Polytope:
     return Polytope(p.dim + q.dim, vertices)
 
 
-def _pair_orbit(p: Polytope, v: int, w: int) -> tuple[int, ...]:
-    """Vertex indices of {v, w, w-v, v-w, -v, -w}; all six must be vertices."""
-    vv, wv = p.vertices[v], p.vertices[w]
-    points = (vv, wv, vec_sub(wv, vv), vec_sub(vv, wv), vec_neg(vv), vec_neg(wv))
-    out = []
-    for pt in points:
-        i = p.index_of(pt)
-        if i is None:
-            raise InvariantViolationError(
-                f"hexagon orbit point {pt} of pair ({v}, {w}) is not a vertex"
-            )
-        out.append(i)
-    return tuple(out)
-
-
 def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[int, int]]:
     """Paired-core pairs whose dual coordinates vanish outside the orbit set W.
 
@@ -78,11 +63,7 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     """
     coords = frame_coords(p, f)
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
-    pairs = g.bar_pairs
-    orbit_sets = {pair: _pair_orbit(p, *pair) for pair in pairs}
-    w_set: set[int] = set()
-    for orbit in orbit_sets.values():
-        w_set.update(orbit)
+    w_set = {i for orbit in g.orbits.values() for i in orbit}
 
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
     bad = support_bound_violation(coords, bar_positions, vertex_deficit(p))
@@ -94,7 +75,7 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
         )
 
     # orbit points of one pair must not show up in another pair's directions
-    for pair, orbit in orbit_sets.items():
+    for pair, orbit in g.orbits.items():
         own = {pos[pair[0]], pos[pair[1]]}
         for i in orbit:
             for j in bar_positions:
@@ -106,7 +87,7 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
 
     outside = [i for i in range(p.n) if i not in w_set]
     clean = []
-    for pair in pairs:
+    for pair in g.bar_pairs:
         jv, jw = pos[pair[0]], pos[pair[1]]
         if all(coords[i][jv] == 0 and coords[i][jw] == 0 for i in outside):
             clean.append(pair)
@@ -190,7 +171,7 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     assign = [-1] * p.n
     for bi, pair in enumerate(pairs):
         blocks.append([pos[pair[0]], pos[pair[1]]])
-        for i in _pair_orbit(p, *pair):
+        for i in g.orbits[pair]:
             assign[i] = bi
     paired_positions = {j for b in blocks for j in b}
     rest = [j for j in range(p.dim) if j not in paired_positions]

@@ -16,15 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .analysis import (GoodnessPartition, goodness_partition, levels_and_eta,
-                       support_bound_violation)
+from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
 from .errors import UnclassifiableVertexError, InvariantViolationError
-from .linalg import vec_neg, vec_sub
+from .linalg import vec_sub
 from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
-    _cross,
     _opposites,
     enumerate_facets,
     frame_coords,
@@ -32,7 +30,6 @@ from .polytope import (
     require_smooth_fano,
     special_facet,
     vertex_deficit,
-    vertex_sum,
 )
 
 PASS = "pass"
@@ -126,13 +123,12 @@ class _Ctx:
         self.n = p.n
         self.k = vertex_deficit(p)
         self.frame = special_facet(p, mode)
-        self.levels_map, self.eta = levels_and_eta(p, self.frame)
-        self.levels = [self.levels_map[i] for i in range(p.n)]
         self.g = goodness_partition(p, self.frame)
+        self.levels, self.eta = self.g.levels, self.g.eta
         self.coords = frame_coords(p, self.frame)
         self.pos = {v: j for j, v in enumerate(self.frame.vertex_indices)}
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
-        self.s_level = self.frame.level(vertex_sum(p))  # the sum of its coordinates
+        self.s_level = sum(self.g.gamma)  # the level of the vertex sum
 
     @cached_property
     def opposite_failures(self) -> tuple[str | None, str | None]:
@@ -141,15 +137,15 @@ class _Ctx:
         summand (FULL): P's facets are their joins, and a summand's vertices
         have coordinates in its block only.  A failure on a summand facet
         names the summand's vertices, as validation's witnesses do."""
-        walk = [("", self.frame, self.coords)]
+        walk = [("", self.frame, self.coords, [self.g.opp[v] for v in self.frame.vertex_indices])]
         if self.mode is Mode.FULL:
             summands = free_sum(self.p, self.mode)[1]
             walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "",
-                     f, q.coords_rows(f._raw.dual))
-                    for own, q in summands for f in enumerate_facets(q))
+                     f, coords, _opposites(f, coords))
+                    for own, q in summands for f in enumerate_facets(q)
+                    for coords in [q.coords_rows(f._raw.dual)])
         coord_fail = zero_fail = None
-        for prefix, f, coords in walk:
-            opp = _opposites(f, coords)
+        for prefix, f, coords, opp in walk:
             c, z = _opposite_coordinate_failure(f, coords, opp), _level_zero_failure(f, coords, opp)
             coord_fail = coord_fail or c and prefix + c
             zero_fail = zero_fail or z and prefix + z
@@ -170,14 +166,25 @@ def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int,
 
     Raises UnclassifiableVertexError if a vertex fits no type (that would
     contradict the classification); when k >= 3 the per-type count bounds
-    are asserted as well.
+    are asserted as well (InvariantViolationError).
     """
     g = goodness_partition(p, f)
+    counts = _classify(p, f, g)
+    k = vertex_deficit(p)
+    if k >= 3:
+        problems = _level_minus_one_bound_problems(counts, g, k)
+        if problems:
+            raise InvariantViolationError("; ".join(problems))
+    return counts
+
+
+def _classify(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> dict[str, tuple[int, ...]]:
+    """`classify_level_minus_one` on f's partition g, without the count bounds."""
     coords = frame_coords(p, f)
-    levels = p.products(f.outer_normal)
     pos = {v: j for j, v in enumerate(f.vertex_indices)}
+    negated = set(g.negation.values())  # -v for each v in A'
     out = {TYPE_C_OPPOSITE: [], TYPE_B_SUPPORTED: [], TYPE_NEGATED_BASIS: []}
-    for i, lv in enumerate(levels):
+    for i, lv in enumerate(g.levels):
         if lv != -1:
             continue
         row = coords[i]
@@ -201,19 +208,12 @@ def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int,
                 )
             out[TYPE_B_SUPPORTED].append(i)
             continue
-        z = p.index_of(vec_neg(p.vertices[i]))
-        if z is None or z not in g.a:
+        if i not in negated:
             raise UnclassifiableVertexError(
                 f"vertex {i} at level -1 fits no structural type (coords {row})"
             )
         out[TYPE_NEGATED_BASIS].append(i)
-    counts = {t: tuple(v) for t, v in out.items()}
-    k = vertex_deficit(p)
-    if k >= 3:
-        problems = _level_minus_one_bound_problems(counts, g, k)
-        if problems:
-            raise InvariantViolationError("; ".join(problems))
-    return counts
+    return {t: tuple(v) for t, v in out.items()}
 
 
 def _level_minus_one_bound_problems(counts: dict[str, tuple[int, ...]],
@@ -372,12 +372,16 @@ def _check_expansion_bounds(ctx):
 
 
 def _check_good_neighbor_normal(ctx):
+    # u_F - u_z is the neighbour's normal iff it is <= 1 on P and 1 exactly on
+    # F - z + opp(z), whose coordinate -1 of opp(z) at z makes it unimodular
     g = ctx.g
     good = sorted(g.a | g.b)
+    frame = set(ctx.frame.vertex_indices)
     for z in good:
-        normal = _cross(ctx.p, ctx.frame._raw, ctx.pos[z]).normal
-        expect = vec_sub(ctx.frame.outer_normal, ctx.frame.dual_basis.row(ctx.pos[z]))
-        if normal != expect:
+        jz = ctx.pos[z]
+        values = [lv - row[jz] for lv, row in zip(ctx.levels, ctx.coords)]
+        top = {i for i, x in enumerate(values) if x == 1}
+        if max(values) != 1 or top != frame - {z} | {g.opp[z]}:
             return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
     return True, "", bool(good)
 
@@ -464,8 +468,8 @@ def _check_level_minus_one_types(ctx):
     if not ctx.v_minus1:
         return True, "", False
     try:
-        counts = classify_level_minus_one(ctx.p, ctx.frame)
-    except (UnclassifiableVertexError, InvariantViolationError) as e:
+        counts = _classify(ctx.p, ctx.frame, ctx.g)
+    except UnclassifiableVertexError as e:
         return False, str(e), True
     problems = _level_minus_one_bound_problems(counts, ctx.g, ctx.k)
     return not problems, "; ".join(problems), True

@@ -1,5 +1,6 @@
 """Shared instance corpus: the named generators, their pairwise direct sums
-up to dimension 10, and seeded unimodular disguises of each."""
+up to dimension 10, seeded unimodular disguises of each, and two large
+disguised sums."""
 
 from __future__ import annotations
 
@@ -44,3 +45,22 @@ def base_instances() -> list[tuple[str, Polytope]]:
 
 def imaged(p: Polytope, seeds: range) -> list[Polytope]:
     return [random_image(p, seed) for seed in seeds]
+
+
+def large_sums() -> list[tuple[str, Polytope]]:
+    """Disguised sums above the FULL range with many paired-core pairs:
+    bundleB1^3+hexagon^40 (d = 89) and pentagon+hexagon^60 (d = 122)."""
+    b = bundle_b(1)
+    out = []
+    for name, p, m in (("bundleB1^3+hexagon^40", direct_sum(direct_sum(b, b), b), 40),
+                       ("pentagon+hexagon^60", pentagon(), 60)):
+        for _ in range(m):
+            p = direct_sum(p, hexagon())
+        out.append((name, random_image(p, 1)))
+    return out
+
+
+def reference_instances() -> list[tuple[str, Polytope]]:
+    """Every base instance, one disguise of each, and the large sums."""
+    return [(f"{name} {kind}", q) for name, p in base_instances()
+            for kind, q in (("plain", p), ("disguised", random_image(p, 1)))] + large_sums()

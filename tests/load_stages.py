@@ -1,4 +1,5 @@
-"""Time the four stages of the LOCAL split pipeline on large disguised inputs.
+"""Time the stages of the LOCAL split and verify pipeline on large disguised
+inputs.
 
     PYTHONPATH=src python tests/load_stages.py
 
@@ -10,6 +11,7 @@ For each input it prints the wall time of, in turn:
 * certify: `is_smooth_fano(p, Mode.LOCAL)`;
 * special: `special_facet(p, Mode.LOCAL)`;
 * split: `hexagon_split(p, Mode.LOCAL)`;
+* verify: `verify_bounds(p, Mode.LOCAL)`;
 
 and then the process's peak RSS so far (`resource.getrusage`), so that an
 input whose stages allocate much more than the ones before it shows.
@@ -34,6 +36,7 @@ import numpy as np
 from fanosplit.generators import bundle_b, hexagon, random_image
 from fanosplit.polytope import Mode, Polytope, is_smooth_fano, make_polytope, special_facet
 from fanosplit.splitting import direct_sum, hexagon_split
+from fanosplit.verify import verify_bounds
 
 
 def _family(m: int) -> Polytope:
@@ -71,12 +74,14 @@ def _stages(label: str, p: Polytope) -> None:
     times.append(time.perf_counter() - t)
     for stage in (lambda: is_smooth_fano(q, Mode.LOCAL),
                   lambda: special_facet(q, Mode.LOCAL),
-                  lambda: hexagon_split(q, Mode.LOCAL)):
+                  lambda: hexagon_split(q, Mode.LOCAL),
+                  lambda: verify_bounds(q, Mode.LOCAL)):
         t = time.perf_counter()
         stage()
         times.append(time.perf_counter() - t)
     spans = "  ".join(f"{name} {s:7.3f} s"
-                      for name, s in zip(("load", "certify", "special", "split"), times))
+                      for name, s in zip(("load", "certify", "special", "split", "verify"),
+                                         times))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
     print(f"{label:<24} {spans}  peak {peak_mb:6.0f} MB", flush=True)
 

@@ -32,6 +32,14 @@ u, on Python ints: the dense v @ r.T, the reference for
 `product_opposite_failures` runs the opposite-coordinate and
 level-zero-opposites checks over every facet of P itself, the reference for
 FULL `verify`'s walk over the facets of P's free summands.
+
+`pair_orbit` is the six-vertex orbit {v, w, w - v, v - w, -v, -w} of a pair
+by vector arithmetic and vertex lookup, the reference for
+`GoodnessPartition.orbits`.  `negated_by_lookup` is the negated-basis rule
+by looking up -x, the reference for `GoodnessPartition.negation`.
+`crossed_neighbor_normal` is verify's good-neighbor-normal check by crossing
+each ridge to the neighbour record, the reference for the check on the
+special frame's coordinate rows.
 """
 
 from __future__ import annotations
@@ -48,11 +56,12 @@ from fanosplit.errors import (
     OriginNotInteriorError,
     SingularMatrixError,
 )
-from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual
+from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual, vec_sub
 from fanosplit.polytope import (
     Mode,
     Polytope,
     _check_facet,
+    _cross,
     _min_ratio,
     _opposites,
     _raw_from_rows,
@@ -168,6 +177,8 @@ def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> list[in
     out = []
     for tok in tokens:
         try:
+            if "_" in tok.group():  # a decimal integer has no digit-group underscores
+                raise ValueError
             out.append(int(tok.group()))
         except ValueError:
             raise FanoFileError(
@@ -293,3 +304,28 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
 def dense_products(vertices, rows) -> list[list[int]]:
     """<x, u> for every vertex row x and every row u, as lists of Python ints."""
     return [[dot(x, u) for u in rows] for x in vertices]
+
+
+def pair_orbit(p: Polytope, v: int, w: int) -> tuple[int | None, ...]:
+    """Indices of v, w, w - v, v - w, -v, -w; None where a point is no vertex."""
+    vv, wv, zero = p.vertices[v], p.vertices[w], (0,) * p.dim
+    points = (vv, wv, vec_sub(wv, vv), vec_sub(vv, wv), vec_sub(zero, vv), vec_sub(zero, wv))
+    return tuple(p.index_of(x) for x in points)
+
+
+def negated_by_lookup(p: Polytope, g, i: int) -> bool:
+    """Whether vertex i is the negation of a good frame vertex with phi != 0."""
+    return p.index_of(tuple(-a for a in p.vertices[i])) in g.a
+
+
+def crossed_neighbor_normal(ctx) -> tuple[bool, str, bool]:
+    """verify's good-neighbor-normal check on `verify._Ctx` ctx, comparing
+    the normal of each crossed neighbour record with u_F - u_z."""
+    g = ctx.g
+    good = sorted(g.a | g.b)
+    for z in good:
+        normal = _cross(ctx.p, ctx.frame._raw, ctx.pos[z]).normal
+        expect = vec_sub(ctx.frame.outer_normal, ctx.frame.dual_basis.row(ctx.pos[z]))
+        if normal != expect:
+            return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
+    return True, "", bool(good)

@@ -5,7 +5,10 @@ import pytest
 from fanosplit.analysis import goodness_partition, levels_and_eta, opposites, phi_map
 from fanosplit.errors import NotSpecialFacetError
 from fanosplit.generators import bundle_b, example4d, hexagon
-from fanosplit.polytope import frame_from_indices, make_polytope, special_facet
+from fanosplit.polytope import Mode, frame_from_indices, make_polytope, special_facet
+
+from corpus import reference_instances
+from oracle import negated_by_lookup, pair_orbit
 
 
 def triangle():
@@ -99,6 +102,9 @@ class TestGoodnessPartition:
         assert g.b == g.c == frozenset()
         assert g.gamma == (0, 0)
         assert g.bar_pairs == ((0, 1),)
+        assert g.levels == (1, 1, 0, 0, -1, -1)
+        assert g.negation == {0: 4, 1: 5}
+        assert g.orbits == {(0, 1): (0, 1, 2, 3, 4, 5)}
 
     def test_example4d_partition(self):
         p, f = example4d_frame()
@@ -135,3 +141,23 @@ class TestGoodnessPartition:
         assert non_special  # the walk has something to do on B_1
         with pytest.raises(NotSpecialFacetError):
             goodness_partition(p, non_special[0])
+
+
+class TestPartitionMatchesReferences:
+    """The partition's levels, eta, negations and orbits against the rules
+    they replace, on every reference instance."""
+
+    def test_every_reference_instance(self):
+        for name, p in reference_instances():
+            f = special_facet(p, Mode.LOCAL)
+            g = goodness_partition(p, f)
+            levels, eta = levels_and_eta(p, f)
+            assert g.levels == tuple(levels[i] for i in range(p.n)), name
+            assert g.eta == eta, name
+            assert set(g.negation) == g.a_prime, name
+            negated = set(g.negation.values())
+            for i in range(p.n):
+                assert (i in negated) == negated_by_lookup(p, g, i), (name, i)
+            assert tuple(g.orbits) == g.bar_pairs, name
+            for (v, w), orbit in g.orbits.items():
+                assert orbit == pair_orbit(p, v, w), (name, v, w)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanosplit.errors import FanoFileError
-from fanosplit.fanofile import _parse_ints, _significant_lines, parse_fano, serialize_fano
+from fanosplit.fanofile import (_parse_ints, _scan_ints, _significant_lines, parse_fano,
+                                serialize_fano)
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
 
 from oracle import parse_ints_scan
@@ -82,13 +83,35 @@ def _outcome(parse, line: str):
 @pytest.mark.parametrize("line", [
     # well-formed: the split fast path
     "1 0 -1", "1\t0\t-1", "  1   0 \t  -1  ", "1 0 -1 # comment", "1 0 -1#c 7",
-    "+1 -0 1_0", "007 0 -1\r", "\u0661 0 -1", "1 0 " + "9" * 40,
+    "+1 -0 1", "007 0 -1\r", "\u0661 0 -1", "1 0 " + "9" * 40,
     # malformed: the scan locates the error
     "1 0 -1 2", "1 0 -1 2 3 # c", "1 0", "1", "   1  ", "x 0 -1", "1 x -1", "1 0 x",
-    "1.5 0 -1", "1 0 1__0", "1 0 +-1", "1 0 _1", "1 0 0x1", "1 0 " + "9" * 5000,
+    "1.5 0 -1", "+1 -0 1_0", "1_0 0 -1", "1 0 1__0", "1 0 +-1", "1 0 _1", "1 0 0x1", "1 0 " + "9" * 5000,
 ])
 def test_parse_ints_matches_scan(line):
     assert _outcome(_parse_ints, line) == _outcome(parse_ints_scan, line)
+
+
+@pytest.mark.parametrize("parse", [_parse_ints, _scan_ints])
+@pytest.mark.parametrize("body, col, token", [
+    ("1_0 0", 1, "1_0"), ("0 -0_1", 3, "-0_1"), (" 1 2_2", 4, "2_2"),
+])
+def test_digit_group_underscores_are_not_integers(parse, body, col, token):
+    # int() reads "1_0" as 10; the format has decimal integers only
+    with pytest.raises(FanoFileError) as exc:
+        parse(7, body, 2, "coordinates")
+    assert str(exc.value) == f"line 7, column {col}: not an integer: {token!r}"
+
+
+@pytest.mark.parametrize("text, line, col, token", [
+    (HEX_TEXT.replace("-1 1\n", "-1 1_0\n"), 5, 4, "1_0"),
+    (HEX_TEXT[:-len("0 -1\n")] + "0 -0_1\n", 8, 3, "-0_1"),
+    (HEX_TEXT.replace("2 6", "2 0_6"), 2, 3, "0_6"),
+])
+def test_underscore_in_a_file_is_a_parse_error(text, line, col, token):
+    with pytest.raises(FanoFileError) as exc:
+        parse_fano(text)
+    assert str(exc.value) == f"line {line}, column {col}: not an integer: {token!r}"
 
 
 @settings(max_examples=50)

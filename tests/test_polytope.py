@@ -11,6 +11,7 @@ import numpy as np
 
 from fanosplit import linalg, polytope
 from fanosplit.errors import (
+    DimensionError,
     DuplicateVertexError,
     FanoError,
     NotAVertexError,
@@ -42,7 +43,7 @@ from fanosplit.polytope import (
 )
 from fanosplit.splitting import direct_sum
 
-from corpus import base_instances, imaged
+from corpus import base_instances, imaged, large_sums
 from oracle import brute_facets, brute_neighbor, brute_valid, initial_raw_lists, neighbor_raw_tuples
 
 E1 = (1, 0)
@@ -382,6 +383,27 @@ class TestVertexSumAndSpecialFacet:
         p = example4d()
         f = frame_from_indices(p, [0, 1, 2, 3])
         assert all(g >= 0 for g in f.coordinates(vertex_sum(p)))
+
+    @pytest.mark.parametrize("entries, dtype", [
+        (((2, -1, 0), (0, 3, 1), (-4, 0, 5)), np.int64),
+        (((2**63, 1, -5), (3, -2**70, 0), (1, 1, 2**64)), object),
+    ])
+    def test_coordinates_are_exact(self, entries, dtype):
+        # a hand-built frame: any integer dual basis, its outer normal unused
+        f = FacetFrame((0, 1, 2), IntMatrix(entries), (1, 1, 1))
+        assert f._raw.dual.dtype == dtype
+        for x in ((1, 2, 3), (0, 0, 0), (2**70, -2**65, 7), [-(2**63), 2**62, -1]):
+            assert f.coordinates(x) == f.dual_basis.matvec(x)
+        with pytest.raises(DimensionError):
+            f.coordinates((1, 2))
+
+    def test_coordinates_are_exact_at_large_dimension(self):
+        # from d = 80 on, one row's products touch only its nonzero columns
+        for _, p in large_sums():
+            f = special_facet(p)
+            big = tuple(2**63 if j % 7 == 0 else -j for j in range(p.dim))
+            for x in (vertex_sum(p), p.vertices[0], p.vertices[-1], big):
+                assert f.coordinates(x) == f.dual_basis.matvec(x)
 
     def test_special_facet_requires_validity(self):
         with pytest.raises(NotSmoothFanoError):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
-from fanosplit import polytope, verify
+from fanosplit import analysis, polytope, verify
+from fanosplit.errors import InvariantViolationError
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
 from fanosplit.polytope import (Mode, frame_from_indices, free_sum, is_smooth_fano,
                                 make_polytope, special_facet)
@@ -16,12 +20,14 @@ from fanosplit.verify import (
     TYPE_C_OPPOSITE,
     TYPE_NEGATED_BASIS,
     _Ctx,
+    _check_good_neighbor_normal,
+    _classify,
     classify_level_minus_one,
     verify_bounds,
 )
 
-from corpus import base_instances
-from oracle import product_opposite_failures
+from corpus import base_instances, large_sums, reference_instances
+from oracle import crossed_neighbor_normal, negated_by_lookup, product_opposite_failures
 
 
 def by_name(report):
@@ -94,21 +100,63 @@ class TestVerifyBounds:
         assert _check_no_shared_minus_one(ctx) == (True, "", False)
 
     def test_good_neighbor_normal_can_fail(self, monkeypatch):
-        # a neighbor record with the wrong normal must fail the report
-        from dataclasses import replace
-
+        # a vertex at value 2 of u_F - u_z, where z is the first good vertex,
+        # must fail the report
         p = example4d()
-        g = verify.goodness_partition(p, special_facet(p))
+        f = special_facet(p)
+        g = verify.goodness_partition(p, f)
         z = min(g.a | g.b)
-        cross = verify._cross
-        monkeypatch.setattr(verify, "_cross", lambda q, raw, pos: replace(
-            cross(q, raw, pos), normal=tuple(-a for a in cross(q, raw, pos).normal)))
+        jz = f.position_of(z)
+        coords = polytope.frame_coords(p, f)
+        i = next(i for i in range(p.n) if i not in f.vertex_indices and i != g.opp[z])
+        levels = list(g.levels)
+        levels[i] = coords[i][jz] + 2
+        monkeypatch.setattr(verify, "goodness_partition",
+                            lambda q, frame: replace(g, levels=tuple(levels)))
         report = verify_bounds(p)
         assert not report.passed
         assert report.lines()[-1] == "RESULT fail"
         assert by_name(report)["good-neighbor-normal"].line() == (
             f"CHECK good-neighbor-normal fail neighbor normal across good vertex {z} "
             "is not u_F - u_z")
+
+    @pytest.mark.parametrize("value", [2, 1])
+    def test_good_neighbor_normal_branches(self, value):
+        # u_F - u_z above 1 somewhere, or 1 on a vertex beyond F - z + opp(z)
+        ctx = _Ctx(hexagon(), Mode.LOCAL)
+        assert _check_good_neighbor_normal(ctx) == (True, "", True)
+        z = min(ctx.g.a | ctx.g.b)
+        jz = ctx.pos[z]
+        i = next(i for i in range(ctx.n)
+                 if i not in ctx.frame.vertex_indices and i != ctx.g.opp[z])
+        row = list(ctx.coords[i])
+        row[jz] = ctx.levels[i] - value
+        coords = list(ctx.coords)
+        coords[i] = tuple(row)
+        forced = SimpleNamespace(g=ctx.g, pos=ctx.pos, frame=ctx.frame, levels=ctx.levels,
+                                 coords=coords)
+        assert _check_good_neighbor_normal(forced) == (
+            False, f"neighbor normal across good vertex {z} is not u_F - u_z", True)
+
+    def test_good_neighbor_normal_matches_crossed_neighbors(self):
+        for name, p in reference_instances():
+            ctx = _Ctx(p, Mode.LOCAL)
+            assert _check_good_neighbor_normal(ctx) == crossed_neighbor_normal(ctx), name
+
+    def test_local_verify_analyzes_the_special_facet_once(self, monkeypatch):
+        _, p = large_sums()[0]
+        assert p.dim == 89
+        special_facet(p, Mode.LOCAL)
+        partitions, levels, crossings = [], [], []
+        for module, name, calls in ((verify, "goodness_partition", partitions),
+                                    (analysis, "levels_and_eta", levels),
+                                    (polytope, "_cross", crossings)):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, calls=calls: calls.append(a) or fn(*a))
+        assert verify_bounds(p, Mode.LOCAL).all_satisfied
+        assert (len(partitions), len(levels), len(crossings)) == (1, 1, 0)
+        assert not hasattr(verify, "_cross")
 
     def test_report_lines_shape(self):
         report = verify_bounds(pentagon())
@@ -192,6 +240,30 @@ class TestClassifier:
         assert len(counts[TYPE_C_OPPOSITE]) == 1
         assert counts[TYPE_B_SUPPORTED] == ()
         assert counts[TYPE_NEGATED_BASIS] == ()
+
+    def test_bound_violation_raises_the_text_verify_reports(self, monkeypatch):
+        p = direct_sum(direct_sum(bundle_b(1), bundle_b(1)), bundle_b(1))
+        f = special_facet(p)
+        g = verify.goodness_partition(p, f)
+        assert g.c == frozenset()
+        # one c-opposite vertex is one more than |C| = 0 allows, and leaves
+        # a negated-basis vertex short
+        monkeypatch.setattr(verify, "_classify", lambda q, frame, part: {
+            TYPE_C_OPPOSITE: (0,), TYPE_B_SUPPORTED: (), TYPE_NEGATED_BASIS: ()})
+        text = "1 c-opposite vertices > |C|=0; 0 negated-basis vertices < 1"
+        with pytest.raises(InvariantViolationError) as exc:
+            classify_level_minus_one(p, f)
+        assert str(exc.value) == text
+        assert by_name(verify_bounds(p))["level-minus-one-types"].line() == (
+            f"CHECK level-minus-one-types fail {text}")
+
+    def test_negated_basis_matches_lookup(self):
+        for name, p in reference_instances():
+            f = special_facet(p, Mode.LOCAL)
+            g = verify.goodness_partition(p, f)
+            counts = _classify(p, f, g)
+            assert sum(map(len, counts.values())) == g.eta.eta(-1), name
+            assert all(negated_by_lookup(p, g, i) for i in counts[TYPE_NEGATED_BASIS]), name
 
     def test_totals_match_eta_on_special_facets(self):
         from fanosplit.analysis import goodness_partition, levels_and_eta
