@@ -9,6 +9,7 @@ runs on the same inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -206,7 +207,10 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; it holds only
+    constants, and `parse_args` returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="fanosplit",
         description="Exact toolkit for smooth Fano lattice polytopes",

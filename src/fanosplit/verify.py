@@ -13,6 +13,7 @@ implementation bug (or counterexample) and fails the whole report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -296,10 +297,9 @@ def _check_level_zero_opposites(ctx):
 
 def _check_unique_opposite_iff_phi(ctx):
     g = ctx.g
+    shared = Counter(g.opp[w] for w in ctx.frame.vertex_indices)
     for v in sorted(g.a | g.b):
-        unique = all(
-            g.opp[w] != g.opp[v] for w in ctx.frame.vertex_indices if w != v
-        )
+        unique = shared[g.opp[v]] == 1
         if unique != (g.phi[v] is not None):
             return False, (
                 f"good vertex {v}: unique opposite={unique} but phi="

@@ -13,15 +13,19 @@ these inputs, byte for byte, including every error message.  The inputs:
 * two disguises of each corpus base (`tests/corpus.py`), each through
   `check`, `analyze`, `split`, `split -o`, `nf` and `verify`, and the pair
   through `eq` (the files `split -o` writes are digested too);
-* a fixed list of malformed files.
+* a fixed list of malformed files;
+* argparse usage errors and `-h` / `nf -h`, each after a valid run, on the
+  last corpus pair.
 
 The files are written to a fresh temporary directory, which is the working
 directory during the runs and is deleted afterwards; argv and the output name
-them by relative path, so the digest does not depend on where it runs.  An
+them by relative path, and COLUMNS is pinned to 80 so that help text does not
+depend on the terminal: the digest does not depend on where it runs.  An
 exception escaping `main` is recorded by type and message, so a crash changes
-the digest instead of stopping the run.  Not a test: the digest of a parent
-commit is the expected value (run this script with the parent's `src` on
-PYTHONPATH to get it).
+the digest instead of stopping the run; the SystemExit of a usage error or of
+help is recorded by its code, as the exit code.  Not a test: the digest of a
+parent commit is the expected value (run this script with the parent's `src`
+on PYTHONPATH to get it).
 """
 
 from __future__ import annotations
@@ -111,6 +115,13 @@ def _argvs():
         Path(f).write_bytes(text.encode("latin-1"))
         yield ["check", f]
         yield ["verify", f]
+    a, b = files  # the last corpus pair
+    usage = (["nf", a, "--budget", "0"], ["eq", a, b, "--budget", "x"],
+             ["check", a, "--mode", "bogus"], ["check"], ["bogus", a], ["-h"], ["nf", "-h"])
+    valid = (["nf", a], ["eq", a, b], ["check", a, "--mode", "local"], ["analyze", a],
+             ["verify", a, b], ["split", a], ["check", b])
+    for pair in zip(valid, usage):
+        yield from pair
 
 
 def _run(argv: list[str]) -> tuple[int | str, str, str]:
@@ -120,10 +131,13 @@ def _run(argv: list[str]) -> tuple[int | str, str, str]:
             code = cli.main(argv)
         except Exception as e:  # a crash is an outcome to digest, not to stop on
             code = f"{type(e).__name__}: {e}"
+        except SystemExit as e:  # argparse's usage errors and help
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
     digest = hashlib.sha256()
     runs = 0
     home = os.getcwd()

@@ -39,7 +39,10 @@ by vector arithmetic and vertex lookup, the reference for
 by looking up -x, the reference for `GoodnessPartition.negation`.
 `crossed_neighbor_normal` is verify's good-neighbor-normal check by crossing
 each ridge to the neighbour record, the reference for the check on the
-special frame's coordinate rows.
+special frame's coordinate rows.  `unique_opposite_pairwise` is verify's
+unique-opposite-iff-phi check comparing each good vertex's opposite with
+every other frame vertex's, the reference for the check's count of shared
+opposites.
 """
 
 from __future__ import annotations
@@ -329,3 +332,14 @@ def crossed_neighbor_normal(ctx) -> tuple[bool, str, bool]:
         if normal != expect:
             return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
     return True, "", bool(good)
+
+
+def unique_opposite_pairwise(ctx) -> tuple[bool, str, bool]:
+    """verify's unique-opposite-iff-phi check on `verify._Ctx` ctx, comparing
+    each good vertex's opposite with every other frame vertex's."""
+    g = ctx.g
+    for v in sorted(g.a | g.b):
+        unique = all(g.opp[w] != g.opp[v] for w in ctx.frame.vertex_indices if w != v)
+        if unique != (g.phi[v] is not None):
+            return False, f"good vertex {v}: unique opposite={unique} but phi={g.phi[v]}", True
+    return True, "", bool(g.a | g.b)

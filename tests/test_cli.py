@@ -3,10 +3,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from fanosplit import cli
 from fanosplit.cli import main
 from fanosplit.fanofile import save_polytope, serialize_fano
 from fanosplit import linalg, polytope
@@ -400,3 +402,44 @@ def test_large_dim_floor_leaves_cli_output_unchanged(tmp_path, monkeypatch):
     assert results[0] == results[1]
     assert results[0][0][1:3] == (0, "valid mode=local proof=by-decomposition facets="
                                   f"{12 ** 3 * 6 ** 40} d=89 n=264\n")
+
+
+def _outcome(argv: list[str] | None) -> tuple:
+    """Exit code, stdout and stderr of one in-process run; argparse's usage
+    errors and help end in SystemExit, whose code is the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_run(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    f = write(tmp_path, "h.fano", hexagon())
+    g = write(tmp_path, "b.fano", random_image(bundle_b(1), 1))
+    usage = [["nf", f, "--budget", "0"], ["eq", f, g, "--budget", "x"],
+             ["check", f, "--mode", "bogus"], ["check"], ["bogus", f], ["-h"], ["nf", "-h"]]
+    valid = [["nf", f], ["eq", f, g], ["check", g, "--mode", "local"], ["analyze", g],
+             ["verify", f, g], ["split", g], ["nf", g, "--budget", "1"]]
+    argvs = [argv for pair in zip(valid, usage) for argv in pair] + valid[:1]
+    assert cli._build_parser() is cli._build_parser()
+    reused = [_outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 1, 2, 0, 2, 0, 2, 0, 2, 0, 0, 3, 0, 0]
+    for code, out, err in reused[1:11:2]:
+        assert out == "" and err.startswith("usage: fanosplit ")
+    assert reused[11][1].startswith("usage: fanosplit [-h] {gen,check,analyze,split,nf,eq,verify}")
+    assert reused[13][1].startswith("usage: fanosplit nf [-h] [--budget BUDGET] file")
+
+
+def test_main_without_argv_reads_sys_argv_per_call(tmp_path, monkeypatch):
+    f = write(tmp_path, "h.fano", hexagon())
+    for argv in (["nf", f], ["check", f], ["check", f, "--mode", "bogus"]):
+        monkeypatch.setattr(sys, "argv", ["fanosplit", *argv])
+        assert _outcome(None) == _outcome(argv)
+    assert _outcome(None)[0] == 2

@@ -21,13 +21,15 @@ from fanosplit.verify import (
     TYPE_NEGATED_BASIS,
     _Ctx,
     _check_good_neighbor_normal,
+    _check_unique_opposite_iff_phi,
     _classify,
     classify_level_minus_one,
     verify_bounds,
 )
 
 from corpus import base_instances, large_sums, reference_instances
-from oracle import crossed_neighbor_normal, negated_by_lookup, product_opposite_failures
+from oracle import (crossed_neighbor_normal, negated_by_lookup, product_opposite_failures,
+                    unique_opposite_pairwise)
 
 
 def by_name(report):
@@ -142,6 +144,25 @@ class TestVerifyBounds:
         for name, p in reference_instances():
             ctx = _Ctx(p, Mode.LOCAL)
             assert _check_good_neighbor_normal(ctx) == crossed_neighbor_normal(ctx), name
+
+    def test_unique_opposite_iff_phi_matches_pairwise(self):
+        for name, p in reference_instances():
+            ctx = _Ctx(p, Mode.LOCAL)
+            assert _check_unique_opposite_iff_phi(ctx) == unique_opposite_pairwise(ctx), name
+
+    def test_unique_opposite_iff_phi_can_fail(self):
+        # good frame vertices 0, 1, 2; 1 and 2 share an opposite, yet 2 has phi
+        g = SimpleNamespace(a={0, 2}, b={1}, opp={0: 10, 1: 11, 2: 11, 3: 12},
+                            phi={0: 5, 1: None, 2: 7})
+        ctx = SimpleNamespace(g=g, frame=SimpleNamespace(vertex_indices=(0, 1, 2, 3)))
+        expect = (False, "good vertex 2: unique opposite=False but phi=7", True)
+        assert _check_unique_opposite_iff_phi(ctx) == unique_opposite_pairwise(ctx) == expect
+        g.phi[2] = None
+        assert _check_unique_opposite_iff_phi(ctx) == unique_opposite_pairwise(ctx) == (
+            True, "", True)
+        g.phi[0] = None  # a unique opposite without phi fails too
+        assert _check_unique_opposite_iff_phi(ctx) == unique_opposite_pairwise(ctx) == (
+            False, "good vertex 0: unique opposite=True but phi=None", True)
 
     def test_local_verify_analyzes_the_special_facet_once(self, monkeypatch):
         _, p = large_sums()[0]
