@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvariantViolationError, NotSpecialFacetError
-from .linalg import vec_add
-from .polytope import FacetFrame, Polytope, opposite_indices, vertex_deficit, vertex_sum
+from .polytope import (FacetFrame, Polytope, frame_coords, opposite_indices, vertex_deficit,
+                       vertex_sum)
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,10 @@ class EtaVector:
 
 
 def levels_and_eta(p: Polytope, f: FacetFrame) -> tuple[dict[int, int], EtaVector]:
-    """Level of every vertex w.r.t. f's outer normal, and the aggregated counts."""
-    values = p.products(f.outer_normal)
-    levels = {i: v for i, v in enumerate(values)}
+    """Level of every vertex w.r.t. f's outer normal, the sum of its row of
+    `frame_coords`, and the aggregated counts."""
+    values = frame_coords(p, f).sum(axis=1).tolist()
+    levels = dict(enumerate(values))
     counts: dict[int, int] = {}
     for v in values:
         counts[v] = counts.get(v, 0) + 1
@@ -82,13 +85,18 @@ def opposites(p: Polytope, f: FacetFrame) -> dict[int, int]:
 
 
 def phi_map(p: Polytope, f: FacetFrame, opp: Mapping[int, int]) -> dict[int, int | None]:
-    """phi(v) = opp(F, v) + v when that point is a frame vertex, else None."""
-    frame_set = set(f.vertex_indices)
-    phi: dict[int, int | None] = {}
-    for v in f.vertex_indices:
-        w = p.index_of(vec_add(p.vertices[opp[v]], p.vertices[v]))
-        phi[v] = w if (w is not None and w in frame_set) else None
-    return phi
+    """phi(v) = opp(F, v) + v when that point is a frame vertex, else None.
+
+    In f's coordinates frame vertex k is e_k, so phi(v) is the k with
+    C[opp(v)] + e_j = e_k, j the position of v.
+    """
+    idx = f.vertex_indices
+    diag = np.arange(len(idx))
+    rows = frame_coords(p, f)[[opp[v] for v in idx]]  # a copy: row j is C[opp(v_j)]
+    rows[diag, diag] += 1
+    k = rows.argmax(axis=1)
+    unit = ((rows != 0).sum(axis=1) == 1) & (rows[diag, k] == 1)
+    return {v: idx[kk] if u else None for v, kk, u in zip(idx, k.tolist(), unit.tolist())}
 
 
 @dataclass(frozen=True)
@@ -155,9 +163,11 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
             (a if phi[v] is not None else b).add(v)
         else:
             c.add(v)
-    vertex_set = p._vertex_index
-    negatives = ((v, vertex_set.get(tuple(-x for x in p.vertices[v]))) for v in a)
-    negation = {v: i for v, i in negatives if i is not None}
+    # -v is the vertex whose coordinate row is -e_j, j the position of v
+    coords = frame_coords(p, f)
+    rows = (((coords != 0).sum(axis=1) == 1) & (coords.min(axis=1) == -1)).nonzero()[0]
+    at = dict(zip(coords[rows].argmin(axis=1).tolist(), rows.tolist()))
+    negation = {v: at[j] for j, v in enumerate(f.vertex_indices) if v in a and j in at}
     a_prime = negation.keys()
     gamma_of = {v: g for v, g in zip(f.vertex_indices, gamma)}
     a_bar = {
@@ -186,15 +196,18 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
     )
 
 
-def support_bound_violation(coords: Sequence[Sequence[int]], bar_positions: Sequence[int],
+def support_bound_violation(coords: np.ndarray, bar_positions: Sequence[int],
                             k: int) -> tuple[int, int, int] | None:
-    """The first vertex on a negative level whose coordinate row is nonzero
-    at more than 2k + 2 paired-core positions, as (vertex, support, 2k + 2)."""
+    """The first vertex on a negative level whose row of the coordinate
+    array is nonzero at more than 2k + 2 paired-core positions, as
+    (vertex, support, 2k + 2)."""
     bound = 2 * k + 2
-    for i, row in enumerate(coords):
-        # a row's sum is the vertex's level
-        if sum(row) <= -1:
-            support = sum(1 for j in bar_positions if row[j] != 0)
-            if support > bound:
-                return i, support, bound
-    return None
+    if len(bar_positions) <= bound:  # no row can exceed it
+        return None
+    support = (coords != 0)[:, bar_positions].sum(axis=1)
+    # a row's sum is the vertex's level
+    bad = ((coords.sum(axis=1) <= -1) & (support > bound)).nonzero()[0]
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, int(support[i]), bound

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 from .errors import FanoFileError
-from .polytope import Polytope, make_polytope
+from .polytope import Polytope, _checked_polytope
 
 HEADER = "fano 1"
 
@@ -27,20 +27,20 @@ def _significant_lines(text: str):
             yield lineno, body
 
 
-def _parse_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
-    """The `expected` integers of a line.  A well-formed line is split and
-    converted in one pass; any other line goes to `_scan_ints`, which
-    locates its error."""
+def _parse_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
+    """The `expected` integers of a line, as a vertex row.  A well-formed
+    line is split and converted in one pass; any other line goes to
+    `_scan_ints`, which locates its error."""
     tokens = body.split()
     if len(tokens) == expected and "_" not in body:
         try:
-            return list(map(int, tokens))
+            return tuple(map(int, tokens))
         except ValueError:
             pass
     return _scan_ints(lineno, body, expected, what)
 
 
-def _scan_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
+def _scan_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
     """Token by token, raising FanoFileError at the first offending column
     (`\\S+` and `str.split` agree on whitespace, so the tokens are the same).
     A token with `_` is no decimal integer, though `int` reads Python's
@@ -60,7 +60,7 @@ def _scan_ints(lineno: int, body: str, expected: int, what: str) -> list[int]:
             raise FanoFileError(
                 lineno, tok.start() + 1, f"not an integer: {text!r}"
             ) from None
-    return out
+    return tuple(out)
 
 
 def parse_fano(text: str) -> Polytope:
@@ -91,7 +91,7 @@ def parse_fano(text: str) -> Polytope:
         last_line = lineno
     for lineno, body in lines:
         raise FanoFileError(lineno, 1, "unexpected data after the vertex block")
-    return make_polytope(rows)
+    return _checked_polytope(tuple(rows))
 
 
 def serialize_fano(p: Polytope) -> str:

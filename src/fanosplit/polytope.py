@@ -53,8 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -182,8 +181,8 @@ class Polytope:
         """<x, u> for every vertex x."""
         return linalg.products_with(self._array, u, self._abs_max)
 
-    def coords_rows(self, dual_rows: Sequence[Sequence[int]]) -> list[LatticeVector]:
-        """Coordinate rows of all vertices w.r.t. a dual basis."""
+    def coords_rows(self, dual_rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Coordinate rows of all vertices w.r.t. a dual basis, one exact array."""
         return linalg.coords_rows(self._array, dual_rows, self._abs_max)
 
 
@@ -195,7 +194,11 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     (`Polytope._full_dim`).  Rows that are not actually vertices of the hull
     are only detected later, by validation (NotAVertexError).
     """
-    vertices = tuple(tuple(map(int, row)) for row in rows)
+    return _checked_polytope(tuple(tuple(map(int, row)) for row in rows))
+
+
+def _checked_polytope(vertices: tuple[LatticeVector, ...]) -> Polytope:
+    """`make_polytope` on rows that are already tuples of Python ints."""
     if not vertices:
         raise NotFullDimError("empty vertex list")
     d = len(vertices[0])
@@ -324,7 +327,7 @@ def _sorted_raw(raw: _RawFacet) -> _RawFacet:
                      raw.dual_max, raw.det, raw.normal, raw.level)
 
 
-def _min_ratio(column: Sequence[int], levels: Sequence[int], delta: int,
+def _min_ratio(column: Sequence[int] | Mapping[int, int], levels: Sequence[int], delta: int,
                where: Iterable[int]) -> list[int]:
     """Every index i in `where` minimizing (delta - levels[i]) / -column[i]
     over column[i] < 0, in index order; more than one index is a tie."""
@@ -471,11 +474,12 @@ def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _
     return _make_raw(indices, rows, beta)
 
 
-def _ridge_target(indices: tuple[int, ...], column: Sequence[int],
-                  levels: Sequence[int], delta: int, pos: int) -> int:
+def _ridge_target(indices: tuple[int, ...], column: Sequence[int] | Mapping[int, int],
+                  levels: Sequence[int], delta: int, pos: int, where: Iterable[int]) -> int:
     """The vertex entering across ridge `pos` of the facet on `indices` at
-    level `delta`: the ratio rule's unique minimizer, which lies below it."""
-    targets = _min_ratio(column, levels, delta, range(len(column)))
+    level `delta`: the ratio rule's unique minimizer over `where` (a superset
+    of the vertices negative in `column`, in index order), which lies below it."""
+    targets = _min_ratio(column, levels, delta, where)
     if not targets:
         raise NoNegativeVertexError(f"no vertex below ridge {pos} of facet {indices}")
     if len(targets) > 1 or levels[targets[0]] == delta:
@@ -499,10 +503,10 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
         raw = queue.popleft()
         out.append(raw)
         covered.update(raw.indices)
-        coords = p.coords_rows(raw.dual)
+        coords = p.coords_rows(raw.dual).tolist()
         levels = [sum(row) for row in coords]
         for pos, column in enumerate(zip(*coords)):
-            target = _ridge_target(raw.indices, column, levels, raw.det, pos)
+            target = _ridge_target(raw.indices, column, levels, raw.det, pos, range(p.n))
             key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {target}))
             if key in visited:
                 continue
@@ -533,7 +537,7 @@ def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
 def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
     """Cross ridge `pos` of a unimodular record to its unimodular neighbor."""
     cv = p.products(raw.dual[pos])
-    best = _ridge_target(raw.indices, cv, p.products(raw.normal), 1, pos)
+    best = _ridge_target(raw.indices, cv, p.products(raw.normal), 1, pos, range(p.n))
     if cv[best] != -1:
         raise NotUnimodularError(
             cv[best],
@@ -618,8 +622,8 @@ def _not_unimodular(mode: Mode, raw: _RawFacet) -> SmoothFanoCertificate:
                                  f"facet {raw.indices} has |det| = {raw.det}")
 
 
-def coordinate_blocks(coords: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """The blocks of the support graph of coordinate rows, and each row's block.
+def coordinate_blocks(coords: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """The blocks of the support graph of a coordinate array's rows, and each row's block.
 
     Two positions are linked when some row is nonzero at both; the blocks are
     the connected components, each in position order, ordered by their first
@@ -628,7 +632,7 @@ def coordinate_blocks(coords: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     is the origin, which is no vertex of a polytope with interior origin:
     NotAVertexError.
     """
-    positions = range(len(coords[0]))
+    positions = range(coords.shape[1])
     parent = list(positions)
 
     def find(a: int) -> int:
@@ -637,10 +641,11 @@ def coordinate_blocks(coords: Sequence[Sequence[int]]) -> tuple[list[list[int]],
             a = parent[a]
         return a
 
-    supports = []
-    for row in coords:
-        sup = list(compress(positions, row))
-        supports.append(sup)
+    rows, cols = np.nonzero(coords)
+    bounds = np.searchsorted(rows, np.arange(len(coords) + 1)).tolist()
+    cols = cols.tolist()
+    supports = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+    for sup in supports:
         for other in sup[1:]:
             ra, rb = find(sup[0]), find(other)
             if ra != rb:
@@ -658,6 +663,17 @@ def coordinate_blocks(coords: Sequence[Sequence[int]]) -> tuple[list[list[int]],
             blocks.append([])
         blocks[roots[r]].append(j)
     return blocks, [roots[find(sup[0])] for sup in supports]
+
+
+def _block_polytopes(coords: np.ndarray, blocks: Sequence[list[int]], assign: Sequence[int]
+                     ) -> list[tuple[tuple[int, ...], Polytope]]:
+    """(vertex indices, block polytope) for every block of positions: the
+    vertices `assign` puts in it, with their coordinate rows restricted to it."""
+    members: list[list[int]] = [[] for _ in blocks]
+    for i, b in enumerate(assign):
+        members[b].append(i)
+    return [(tuple(own), Polytope(len(block), tuple(map(tuple, coords[own][:, block].tolist()))))
+            for block, own in zip(blocks, members)]
 
 
 def _summand_mode(mode: Mode, dim: int) -> Mode:
@@ -695,16 +711,9 @@ def _block_summands(p: Polytope, start: _RawFacet
     if "summands" not in cache:
         coords = _cached_coords(p, start.indices, start.dual)
         blocks, assign = coordinate_blocks(coords)
-        if len(blocks) == 1:
-            cache["summands"] = ()
-        else:
-            members: list[list[int]] = [[] for _ in blocks]
-            for i, b in enumerate(assign):
-                members[b].append(i)
-            cache["summands"] = tuple(
-                (block, tuple(own), Polytope(len(block), tuple(tuple(coords[i][j] for j in block)
-                                                                for i in own)))
-                for block, own in zip(blocks, members))
+        cache["summands"] = () if len(blocks) == 1 else tuple(
+            (block, own, q)
+            for block, (own, q) in zip(blocks, _block_polytopes(coords, blocks, assign)))
     return cache["summands"]
 
 
@@ -787,36 +796,50 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     return _frame_from_raw(neighbor), p.vertices[neighbor.indices[pos]]
 
 
-def frame_coords(p: Polytope, frame: FacetFrame) -> list[LatticeVector]:
-    """Coordinate rows of every vertex in `frame`, computed once per frame.
+def frame_coords(p: Polytope, frame: FacetFrame) -> np.ndarray:
+    """Coordinate rows of every vertex in `frame`, one exact n x d array
+    computed once per frame; row i sums to vertex i's level.
 
-    For frames that several stages read, above all the special facet; a walk
+    The array is int64 exactly when d times its largest |entry| fits, so that
+    row sums and their differences with entries fit too: a dense disguise
+    inflates the vertices and the dual basis, not the coordinates.  For
+    frames that several stages read, above all the special facet; a walk
     over every facet calls `Polytope.coords_rows` and keeps nothing.
     """
     return _cached_coords(p, frame.vertex_indices, frame._raw.dual)
 
 
-def _cached_coords(p: Polytope, indices: tuple[int, ...],
-                   dual: np.ndarray) -> list[LatticeVector]:
-    """Coordinate rows w.r.t. the unimodular sorted frame on `indices`, cached
-    on p: validation computes them for its start facet, which is also the
+def _cached_coords(p: Polytope, indices: tuple[int, ...], dual: np.ndarray) -> np.ndarray:
+    """`frame_coords` of the unimodular sorted frame on `indices`, cached on
+    p: validation computes them for its start facet, which is also the
     special facet whenever the walk takes no step."""
     cache = p._cert_cache
     key = ("coords", indices)
     if key not in cache:
-        cache[key] = p.coords_rows(dual)
+        c = p.coords_rows(dual)
+        hi = max(int(c.max()), -int(c.min()))  # no n x d temporary, unlike np.abs
+        cache[key] = linalg._exact_array(c, linalg._products_fit(hi, 1, p.dim))
     return cache[key]
 
 
 def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
-    """Vertex index of opp(F, v) for every frame position, via the pivot rule."""
-    return _opposites(frame, frame_coords(p, frame))
+    """Vertex index of opp(F, v) for every frame position, via the pivot rule
+    on each column of `frame_coords`, over the vertices negative in it."""
+    c = frame_coords(p, frame)
+    rows, cols = np.nonzero(c < 0)
+    below: list[dict[int, int]] = [{} for _ in range(p.dim)]  # column j's negative entries
+    for i, j, x in zip(rows.tolist(), cols.tolist(), c[rows, cols].tolist()):
+        below[j][i] = x
+    levels = c.sum(axis=1).tolist()
+    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos, column)
+            for pos, column in enumerate(below)]
 
 
-def _opposites(frame: FacetFrame, coords: Sequence[LatticeVector]) -> list[int]:
-    """`opposite_indices` given every vertex's coordinate row in `frame`."""
+def _opposites(frame: FacetFrame, coords: Sequence[Sequence[int]]) -> list[int]:
+    """`opposite_indices` given every vertex's coordinate row in `frame` as a
+    list, in a walk over every facet of a small summand."""
     levels = [sum(row) for row in coords]
-    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos)
+    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos, range(len(coords)))
             for pos, column in enumerate(zip(*coords))]
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
 from .errors import InvariantViolationError, TheoremViolationError
 from .linalg import IntMatrix
@@ -29,6 +31,7 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    _block_polytopes,
     frame_coords,
     free_sum,
     special_facet,
@@ -63,35 +66,38 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     """
     coords = frame_coords(p, f)
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
-    w_set = {i for orbit in g.orbits.values() for i in orbit}
-
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
     bad = support_bound_violation(coords, bar_positions, vertex_deficit(p))
     if bad is not None:
         i, support, bound = bad
         raise InvariantViolationError(
-            f"vertex {i} at level {sum(coords[i])} touches {support} paired-core "
+            f"vertex {i} at level {coords[i].sum()} touches {support} paired-core "
             f"directions, above the bound {bound}"
         )
+    pairs = g.bar_pairs
+    if not pairs:
+        return []
 
-    # orbit points of one pair must not show up in another pair's directions
-    for pair, orbit in g.orbits.items():
-        own = {pos[pair[0]], pos[pair[1]]}
-        for i in orbit:
-            for j in bar_positions:
-                if j not in own and coords[i][j] != 0:
-                    raise InvariantViolationError(
-                        f"orbit vertex {i} of pair {pair} has nonzero coordinate "
-                        f"in a foreign paired-core direction {j}"
-                    )
+    # orbit points of one pair must not show up in another pair's directions;
+    # member x belongs to the orbit of pair x // 6, position j to pair owner[j]
+    owner = np.full(p.dim, -1)
+    for q, (v, w) in enumerate(pairs):
+        owner[[pos[v], pos[w]]] = q
+    nonzero = coords != 0
+    members = [i for orbit in g.orbits.values() for i in orbit]
+    x, j = np.nonzero(nonzero[members])
+    foreign = ((owner[j] >= 0) & (owner[j] != x // 6)).nonzero()[0]
+    if foreign.size:
+        t = foreign[0]
+        raise InvariantViolationError(
+            f"orbit vertex {members[x[t]]} of pair {pairs[x[t] // 6]} has nonzero coordinate "
+            f"in a foreign paired-core direction {j[t]}"
+        )
 
-    outside = [i for i in range(p.n) if i not in w_set]
-    clean = []
-    for pair in g.bar_pairs:
-        jv, jw = pos[pair[0]], pos[pair[1]]
-        if all(coords[i][jv] == 0 and coords[i][jw] == 0 for i in outside):
-            clean.append(pair)
-    return clean
+    outside = np.ones(p.n, dtype=bool)
+    outside[members] = False
+    touched = nonzero[outside].any(axis=0)  # positions a vertex outside every orbit touches
+    return [(v, w) for v, w in pairs if not touched[pos[v]] and not touched[pos[w]]]
 
 
 @dataclass(frozen=True)
@@ -124,31 +130,28 @@ def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[i
              kinds: list[str]) -> Decomposition:
     """Build the decomposition given per-block frame positions, a map
     assigning every vertex to a block and the blocks' kinds."""
-    order = [j for block in blocks for j in block]
-    coords = [tuple(map(row.__getitem__, order)) for row in frame_coords(p, f)]
-    members: list[list[int]] = [[] for _ in blocks]
-    for i, bi in enumerate(assign):
-        members[bi].append(i)
+    coords = frame_coords(p, f)
+    block_of = np.empty(p.dim, dtype=np.intp)  # the block of every frame position
+    for bi, block in enumerate(blocks):
+        block_of[block] = bi
+    outside = ((coords != 0) & (block_of != np.asarray(assign)[:, None])).any(axis=1).tolist()
     factors = []
     lo = 0
-    for bi, (block, own) in enumerate(zip(blocks, members)):
+    for bi, (block, (own, q)) in enumerate(zip(blocks, _block_polytopes(coords, blocks, assign))):
         hi = lo + len(block)
         # with every row zero outside its block, the padded factors are the
         # transformed vertices
-        for i in own:
-            if any(coords[i][:lo]) or any(coords[i][hi:]):
-                raise InvariantViolationError(
-                    f"vertex {i} has support outside its block {(lo, hi)}"
-                )
-        q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
+        bad = next((i for i in own if outside[i]), None)
+        if bad is not None:
+            raise InvariantViolationError(f"vertex {bad} has support outside its block {(lo, hi)}")
         if kinds[bi] == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
             raise InvariantViolationError(
                 f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}"
             )
-        factors.append(Factor(tuple(own), q, (lo, hi), kinds[bi]))
+        factors.append(Factor(own, q, (lo, hi), kinds[bi]))
         lo = hi
     hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
-    basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
+    basis = IntMatrix(tuple(f.dual_basis.entries[j] for block in blocks for j in block))
     return Decomposition(tuple(factors), basis, hexagons)
 
 

@@ -17,9 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .analysis import GoodnessPartition, goodness_partition, support_bound_violation
 from .errors import UnclassifiableVertexError, InvariantViolationError
-from .linalg import vec_sub
 from .polytope import (
     FacetFrame,
     Mode,
@@ -138,13 +139,15 @@ class _Ctx:
         summand (FULL): P's facets are their joins, and a summand's vertices
         have coordinates in its block only.  A failure on a summand facet
         names the summand's vertices, as validation's witnesses do."""
-        walk = [("", self.frame, self.coords, [self.g.opp[v] for v in self.frame.vertex_indices])]
         if self.mode is Mode.FULL:
             summands = free_sum(self.p, self.mode)[1]
             walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "",
                      f, coords, _opposites(f, coords))
                     for own, q in summands for f in enumerate_facets(q)
-                    for coords in [q.coords_rows(f._raw.dual)])
+                    for coords in [q.coords_rows(f._raw.dual).tolist()])
+        else:
+            walk = [("", self.frame, self.coords.tolist(),
+                     [self.g.opp[v] for v in self.frame.vertex_indices])]
         coord_fail = zero_fail = None
         for prefix, f, coords, opp in walk:
             c, z = _opposite_coordinate_failure(f, coords, opp), _level_zero_failure(f, coords, opp)
@@ -205,13 +208,13 @@ def _classify(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> dict[str, tup
             if not ok_rest:
                 raise UnclassifiableVertexError(
                     f"vertex {i} dips at a good-phi-zero coordinate but violates "
-                    f"the sign pattern: {row}"
+                    f"the sign pattern: {tuple(row.tolist())}"
                 )
             out[TYPE_B_SUPPORTED].append(i)
             continue
         if i not in negated:
             raise UnclassifiableVertexError(
-                f"vertex {i} at level -1 fits no structural type (coords {row})"
+                f"vertex {i} at level -1 fits no structural type (coords {tuple(row.tolist())})"
             )
         out[TYPE_NEGATED_BASIS].append(i)
     return {t: tuple(v) for t, v in out.items()}
@@ -320,24 +323,24 @@ def _check_partition_sizes(ctx):
     return not problems, "; ".join(problems), True
 
 
-def _expansion_rows(ctx):
-    """(z, coords of opp(F, z)) pairs indexed by frame vertex."""
-    for v in ctx.frame.vertex_indices:
-        yield v, ctx.coords[ctx.g.opp[v]]
+def _level_array(ctx) -> np.ndarray:
+    """ctx.levels in the dtype of ctx.coords, whose row sums they are."""
+    return np.asarray(ctx.levels, dtype=ctx.coords.dtype)
 
 
 def _check_expansion_structure(ctx):
+    # phi(z) is the vertex at opp(z) + z, so opp(z) = phi(z) - z holds for
+    # every z in A by definition: only the own-position entry is checked there
     g = ctx.g
-    for z, row in _expansion_rows(ctx):
-        jz = ctx.pos[z]
-        if row[jz] != -1:
-            return False, f"opp({z}) has coordinate {row[jz]} at its own position", True
-        rest = sum(row) + 1  # coefficient sum without the -1 at z
-        if z in g.a:
-            expect = vec_sub(ctx.p.vertices[g.phi[z]], ctx.p.vertices[z])
-            if ctx.p.vertices[g.opp[z]] != expect:
-                return False, f"opp({z}) != phi({z}) - {z} for a phi-paired vertex", True
-        elif z in g.b:
+    frame = ctx.frame.vertex_indices
+    opp = [g.opp[z] for z in frame]
+    own = ctx.coords[opp, [ctx.pos[z] for z in frame]].tolist()
+    rests = (ctx.coords.sum(axis=1)[opp] + 1).tolist()  # coefficient sums without the -1 at z
+    for z, y, at_z, rest in zip(frame, opp, own, rests):
+        if at_z != -1:
+            return False, f"opp({z}) has coordinate {at_z} at its own position", True
+        if z in g.b:
+            row = ctx.coords[y].tolist()
             for u in g.a:
                 if row[ctx.pos[u]] < 0:
                     return False, f"opp({z}): negative coefficient at phi-paired {u}", True
@@ -349,19 +352,19 @@ def _check_expansion_structure(ctx):
                     return False, f"opp({z}): coefficient < -1 at {v}", True
             if rest != 1:
                 return False, f"opp({z}): coefficient sum {rest} != 1", True
-        else:
-            if rest > 0:
-                return False, f"opp({z}) of non-good vertex has coefficient sum {rest} > 0", True
+        elif z not in g.a and rest > 0:
+            return False, f"opp({z}) of non-good vertex has coefficient sum {rest} > 0", True
     return True, "", True
 
 
 def _check_expansion_bounds(ctx):
     g, k = ctx.g, ctx.k
     applicable = False
-    for z, row in _expansion_rows(ctx):
+    for z in ctx.frame.vertex_indices:
         if z not in g.b:
             continue
         applicable = True
+        row = ctx.coords[g.opp[z]].tolist()
         a_sum = sum(row[ctx.pos[u]] for u in g.a)
         b_sum = sum(row[ctx.pos[v]] for v in g.b if v != z)
         if a_sum > k + 1:
@@ -374,39 +377,48 @@ def _check_expansion_bounds(ctx):
 def _check_good_neighbor_normal(ctx):
     # u_F - u_z is the neighbour's normal iff it is <= 1 on P and 1 exactly on
     # F - z + opp(z), whose coordinate -1 of opp(z) at z makes it unimodular
+    # column x of `values` is u_F - u_z on every vertex, z = good[x]
     g = ctx.g
     good = sorted(g.a | g.b)
-    frame = set(ctx.frame.vertex_indices)
-    for z in good:
-        jz = ctx.pos[z]
-        values = [lv - row[jz] for lv, row in zip(ctx.levels, ctx.coords)]
-        top = {i for i, x in enumerate(values) if x == 1}
-        if max(values) != 1 or top != frame - {z} | {g.opp[z]}:
-            return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
-    return True, "", bool(good)
+    if not good:
+        return True, "", False
+    values = ctx.coords[:, [ctx.pos[z] for z in good]]  # a copy
+    np.subtract(_level_array(ctx)[:, None], values, out=values)
+    top = np.zeros(values.shape, dtype=bool)  # where each column should be 1
+    top[list(ctx.frame.vertex_indices)] = True
+    x = np.arange(len(good))
+    top[good, x] = False
+    top[[g.opp[z] for z in good], x] = True
+    bad = (values.max(axis=0) != 1) | ((values == 1) != top).any(axis=0)
+    if bad.any():
+        z = good[int(bad.argmax())]
+        return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
+    return True, "", True
 
 
 def _check_opposite_is_lowest(ctx):
+    # the negative entries by frame position, then by vertex: the loop order
+    # over (z, i), since position j holds frame vertex j
     g = ctx.g
-    for z in ctx.frame.vertex_indices:
-        jz = ctx.pos[z]
-        opp_level = ctx.levels[g.opp[z]]
-        for i in range(ctx.n):
-            if i == g.opp[z] or ctx.coords[i][jz] >= 0:
-                continue
-            if ctx.levels[i] >= opp_level:
-                return False, (
-                    f"vertex {i} has negative coordinate at {z} but level "
-                    f"{ctx.levels[i]} >= level of opp ({opp_level})"
-                ), True
+    frame = ctx.frame.vertex_indices
+    cols, rows = np.nonzero(ctx.coords.T < 0)
+    opp = np.array([g.opp[z] for z in frame])[cols]
+    levels = _level_array(ctx)
+    bad = ((rows != opp) & (levels[rows] >= levels[opp])).nonzero()[0]
+    if bad.size:
+        i, z = int(rows[bad[0]]), frame[cols[bad[0]]]
+        return False, (
+            f"vertex {i} has negative coordinate at {z} but level "
+            f"{ctx.levels[i]} >= level of opp ({ctx.levels[g.opp[z]]})"
+        ), True
     return True, "", True
 
 
 def _check_nongood_low_vertex(ctx):
     g = ctx.g
     for w in sorted(g.c):
-        jw = ctx.pos[w]
-        hits = [i for i in ctx.v_minus1 if ctx.coords[i][jw] < 0]
+        below = ctx.coords[ctx.v_minus1, ctx.pos[w]] < 0
+        hits = [ctx.v_minus1[x] for x in below.nonzero()[0].tolist()]
         if len(hits) > 1:
             return False, f"non-good vertex {w} has {len(hits)} level -1 vertices below it", True
         if hits and hits[0] != g.opp[w]:
@@ -415,19 +427,22 @@ def _check_nongood_low_vertex(ctx):
 
 
 def _check_shared_low_coordinate(ctx):
+    # the carriers of z are the level -1 vertices with coordinate -1 at z;
+    # row t of `below` compares carrier r[t] of good[x[t]] with opp(good[x[t]])
     g = ctx.g
     good = sorted(g.a | g.b)
-    for z in good:
-        jz = ctx.pos[z]
-        y_row = ctx.coords[g.opp[z]]
-        carriers = [i for i in ctx.v_minus1 if ctx.coords[i][jz] == -1]
-        for jbar in range(ctx.d):
-            low = [i for i in carriers if ctx.coords[i][jbar] < y_row[jbar]]
-            if len(low) > 1:
-                return False, (
-                    f"positions ({jz}, {jbar}): {len(low)} level -1 vertices dip "
-                    f"below opp({z})"
-                ), True
+    low = ctx.coords[ctx.v_minus1]
+    x, r = (low == -1)[:, [ctx.pos[z] for z in good]].T.nonzero()
+    if (x[1:] == x[:-1]).any():  # some z has two carriers
+        below = low[r] < ctx.coords[[g.opp[good[t]] for t in x.tolist()]]
+        counts = np.zeros((len(good), ctx.d), dtype=np.intp)  # carriers below opp(z), by position
+        np.add.at(counts, x, below)
+        if (counts > 1).any():
+            t, jbar = divmod(int((counts > 1).argmax()), ctx.d)
+            return False, (
+                f"positions ({ctx.pos[good[t]]}, {jbar}): {counts[t, jbar]} level -1 vertices "
+                f"dip below opp({good[t]})"
+            ), True
     return True, "", bool(good)
 
 
@@ -435,9 +450,12 @@ def _check_separating_coordinate(ctx):
     # a vertex below another has a smaller coordinate somewhere, because each
     # level is the sum of the vertex's coordinate row; checking that premise
     # proves the claim
-    for i, (row, level) in enumerate(zip(ctx.coords, ctx.levels)):
-        if sum(row) != level:
-            return False, f"level {level} of vertex {i} is not its coordinate sum {sum(row)}", True
+    sums = ctx.coords.sum(axis=1)
+    bad = (sums != _level_array(ctx)).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        return False, (f"level {ctx.levels[i]} of vertex {i} is not its coordinate sum "
+                       f"{sums[i]}"), True
     return True, "", True
 
 
@@ -446,11 +464,11 @@ def _check_no_shared_minus_one(ctx):
     # in (good pair, vertex) order
     g = ctx.g
     good = sorted(g.a | g.b)
-    good_pos = [ctx.pos[v] for v in good]
+    minus = ctx.coords[ctx.v_minus1][:, [ctx.pos[v] for v in good]] == -1
     first = None
-    for i in ctx.v_minus1:
-        row = ctx.coords[i]
-        hits = [v for v, j in zip(good, good_pos) if row[j] == -1]
+    for t in (minus.sum(axis=1) > 1).nonzero()[0].tolist():
+        i = ctx.v_minus1[t]
+        hits = [good[x] for x in minus[t].nonzero()[0].tolist()]
         pair = next(((v, w) for x, v in enumerate(hits) for w in hits[x + 1:]
                      if g.opp[v] != g.opp[w]), None)
         if pair is not None and (first is None or pair < first[0]):

@@ -16,12 +16,14 @@ For each input it prints the wall time of, in turn:
 and then the process's peak RSS so far (`resource.getrusage`), so that an
 input whose stages allocate much more than the ones before it shows.
 
-The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489 and 809 under
-`random_image` (seed 1), and at d = 249 two denser disguises: 3d random
-+-1 shears (about 10 % of the gift-wrapped basis nonzero) and 30d shears
-(fully dense, entries in the millions).  Not a test: run it on two commits
-to compare them.  Where the load runs Bareiss elimination on every dual, the
-d = 809 and 30d rows take minutes each.
+The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489, 809 and 1 609
+under `random_image` (seed 1; the benchmark's `fast_image` applies the same
+map with int64 numpy, since the pure-Python image of d = 1 609 takes
+minutes), and at d = 249 two denser disguises: 3d random +-1 shears (about
+10 % of the gift-wrapped basis nonzero) and 30d shears (fully dense, entries
+in the millions).  Not a test: run it on two commits to compare them.  Where
+the load runs Bareiss elimination on every dual, the d = 809 and 30d rows
+take minutes each.
 """
 
 from __future__ import annotations
@@ -30,13 +32,17 @@ import random
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from fanosplit.generators import bundle_b, hexagon, random_image
+from fanosplit.generators import bundle_b, hexagon
 from fanosplit.polytope import Mode, Polytope, is_smooth_fano, make_polytope, special_facet
 from fanosplit.splitting import direct_sum, hexagon_split
 from fanosplit.verify import verify_bounds
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import fast_image  # noqa: E402  (random_image's map, applied by numpy)
 
 
 def _family(m: int) -> Polytope:
@@ -87,9 +93,9 @@ def _stages(label: str, p: Polytope) -> None:
 
 
 def main() -> int:
-    for m in (120, 240, 400):
+    for m in (120, 240, 400, 800):
         p = _family(m)
-        _stages(f"d={p.dim} random_image", random_image(p, 1))
+        _stages(f"d={p.dim} random_image", fast_image(p, 1))
     p = _family(120)
     _stages(f"d={p.dim} shears 3d", _sheared(p, 3 * p.dim, 1))
     _stages(f"d={p.dim} shears 30d", _sheared(p, 30 * p.dim, 1))

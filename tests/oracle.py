@@ -13,7 +13,7 @@ tuples of Python ints, the reference for the array update
 `polytope._neighbor_raw`.
 
 `parse_ints_scan` is the token-by-token line parser, the reference for
-`fanofile._parse_ints`: the same integers, or the same FanoFileError.
+`fanofile._parse_ints`: the same tuple of integers, or the same FanoFileError.
 
 `determinant_rows` is fraction-free (Bareiss) elimination on lists of
 Python ints, the reference for `linalg.determinant`.
@@ -43,6 +43,11 @@ special frame's coordinate rows.  `unique_opposite_pairwise` is verify's
 unique-opposite-iff-phi check comparing each good vertex's opposite with
 every other frame vertex's, the reference for the check's count of shared
 opposites.
+
+The functions from `levels_by_normal` on are the special facet's analysis as
+loops over coordinate row tuples and vertex lookups (`vec_add`, `vec_sub`),
+the references for the array versions in `analysis`, `splitting` and
+`verify`.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from fanosplit.errors import (
     OriginNotInteriorError,
     SingularMatrixError,
 )
-from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual, vec_sub
+from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual
 from fanosplit.polytope import (
     Mode,
     Polytope,
@@ -140,7 +145,7 @@ def monolithic_digest(p: Polytope, budget: int = DEFAULT_BUDGET) -> bytes:
     best: tuple[tuple[int, ...], ...] | None = None
     budget_state = [0]
     for f in enumerate_facets(p):
-        rows = p.coords_rows(f.dual_basis.entries)
+        rows = p.coords_rows(f.dual_basis.entries).tolist()
         cols = tuple(tuple(r[j] for r in rows) for j in range(p.dim))
         for perm in _orderings(cols, budget_state, budget):
             mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))
@@ -170,7 +175,7 @@ def neighbor_raw_tuples(indices, dual, det, ct, pos, target):
     return indices, tuple(rows), beta, tuple(a // g for a in rowsum), beta // g
 
 
-def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> list[int]:
+def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
     """The `expected` integers of a line, token by token with regex offsets;
     FanoFileError at the first extra token, the line end or a non-integer."""
     tokens = list(re.finditer(r"\S+", body))
@@ -187,7 +192,7 @@ def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> list[in
             raise FanoFileError(
                 lineno, tok.start() + 1, f"not an integer: {tok.group()!r}"
             ) from None
-    return out
+    return tuple(out)
 
 
 def determinant_rows(rows) -> int:
@@ -297,7 +302,7 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
     checks over every facet of p, in `enumerate_facets` order."""
     coord_fail = zero_fail = None
     for f in enumerate_facets(p):
-        coords = p.coords_rows(f.dual_basis.entries)
+        coords = p.coords_rows(f.dual_basis.entries).tolist()
         opp = _opposites(f, coords)
         coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
         zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
@@ -307,6 +312,14 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
 def dense_products(vertices, rows) -> list[list[int]]:
     """<x, u> for every vertex row x and every row u, as lists of Python ints."""
     return [[dot(x, u) for u in rows] for x in vertices]
+
+
+def vec_add(u, v) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def pair_orbit(p: Polytope, v: int, w: int) -> tuple[int | None, ...]:
@@ -343,3 +356,239 @@ def unique_opposite_pairwise(ctx) -> tuple[bool, str, bool]:
         if unique != (g.phi[v] is not None):
             return False, f"good vertex {v}: unique opposite={unique} but phi={g.phi[v]}", True
     return True, "", bool(g.a | g.b)
+
+
+# --- the special facet's analysis as loops over coordinate rows -------------
+#
+# Each function below is the loop that `analysis`, `splitting` or `verify`
+# ran over the tuples of the special facet's coordinate rows, the reference
+# for the array version that replaced it.  The verify checks read `ctx.coords`
+# as a list of row tuples and otherwise the same `verify._Ctx` fields.
+
+
+def levels_by_normal(p: Polytope, f) -> list[int]:
+    """The level of every vertex: the outer normal's value on it."""
+    return p.products(f.outer_normal)
+
+
+def opposites_by_rows(p: Polytope, f, rows) -> list[int]:
+    """opp(F, v) for every frame position: the ratio rule over every vertex
+    of each column of the coordinate rows."""
+    return _opposites(f, rows)
+
+
+def phi_by_lookup(p: Polytope, f, opp) -> dict[int, int | None]:
+    """phi(v): the vertex at opp(F, v) + v when it is a frame vertex."""
+    frame_set = set(f.vertex_indices)
+    phi = {}
+    for v in f.vertex_indices:
+        w = p.index_of(vec_add(p.vertices[opp[v]], p.vertices[v]))
+        phi[v] = w if (w is not None and w in frame_set) else None
+    return phi
+
+
+def negation_by_lookup(p: Polytope, a) -> dict[int, int]:
+    """The vertex -x for every frame vertex x in `a` that has one."""
+    negatives = ((v, p.index_of(tuple(-x for x in p.vertices[v]))) for v in a)
+    return {v: i for v, i in negatives if i is not None}
+
+
+def support_bound_rows(rows, bar_positions, k):
+    """`analysis.support_bound_violation` on coordinate rows."""
+    bound = 2 * k + 2
+    for i, row in enumerate(rows):
+        if sum(row) <= -1:
+            support = sum(1 for j in bar_positions if row[j] != 0)
+            if support > bound:
+                return i, support, bound
+    return None
+
+
+def clean_pairs_rows(p: Polytope, f, g, rows) -> list[tuple[int, int]]:
+    """`splitting.clean_pairs` on coordinate rows."""
+    from fanosplit.polytope import vertex_deficit
+
+    pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
+    w_set = {i for orbit in g.orbits.values() for i in orbit}
+    bar_positions = [pos[v] for v in sorted(g.a_bar)]
+    bad = support_bound_rows(rows, bar_positions, vertex_deficit(p))
+    if bad is not None:
+        i, support, bound = bad
+        raise InvariantViolationError(
+            f"vertex {i} at level {sum(rows[i])} touches {support} paired-core "
+            f"directions, above the bound {bound}")
+    for pair, orbit in g.orbits.items():
+        own = {pos[pair[0]], pos[pair[1]]}
+        for i in orbit:
+            for j in bar_positions:
+                if j not in own and rows[i][j] != 0:
+                    raise InvariantViolationError(
+                        f"orbit vertex {i} of pair {pair} has nonzero coordinate "
+                        f"in a foreign paired-core direction {j}")
+    outside = [i for i in range(p.n) if i not in w_set]
+    return [pair for pair in g.bar_pairs
+            if all(rows[i][pos[pair[0]]] == 0 and rows[i][pos[pair[1]]] == 0 for i in outside)]
+
+
+def extract_rows(p: Polytope, f, blocks, assign, kinds, rows):
+    """`splitting._extract` on coordinate rows, reordered block by block."""
+    from fanosplit.linalg import IntMatrix
+    from fanosplit.polytope import HEXAGON_VERTICES
+    from fanosplit.splitting import Decomposition, Factor
+
+    order = [j for block in blocks for j in block]
+    coords = [tuple(map(row.__getitem__, order)) for row in rows]
+    members = [[] for _ in blocks]
+    for i, bi in enumerate(assign):
+        members[bi].append(i)
+    factors = []
+    lo = 0
+    for bi, (block, own) in enumerate(zip(blocks, members)):
+        hi = lo + len(block)
+        for i in own:
+            if any(coords[i][:lo]) or any(coords[i][hi:]):
+                raise InvariantViolationError(
+                    f"vertex {i} has support outside its block {(lo, hi)}")
+        q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
+        if kinds[bi] == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
+            raise InvariantViolationError(
+                f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}")
+        factors.append(Factor(tuple(own), q, (lo, hi), kinds[bi]))
+        lo = hi
+    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
+    basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
+    return Decomposition(tuple(factors), basis, hexagons)
+
+
+def expansion_structure_rows(ctx):
+    g = ctx.g
+    for z in ctx.frame.vertex_indices:
+        row = ctx.coords[g.opp[z]]
+        jz = ctx.pos[z]
+        if row[jz] != -1:
+            return False, f"opp({z}) has coordinate {row[jz]} at its own position", True
+        rest = sum(row) + 1
+        if z in g.a:
+            continue
+        if z in g.b:
+            for u in g.a:
+                if row[ctx.pos[u]] < 0:
+                    return False, f"opp({z}): negative coefficient at phi-paired {u}", True
+            for w in g.c:
+                if row[ctx.pos[w]] < 0:
+                    return False, f"opp({z}): negative coefficient at non-good {w}", True
+            for v in g.b:
+                if v != z and row[ctx.pos[v]] < -1:
+                    return False, f"opp({z}): coefficient < -1 at {v}", True
+            if rest != 1:
+                return False, f"opp({z}): coefficient sum {rest} != 1", True
+        elif rest > 0:
+            return False, f"opp({z}) of non-good vertex has coefficient sum {rest} > 0", True
+    return True, "", True
+
+
+def expansion_bounds_rows(ctx):
+    g, k = ctx.g, ctx.k
+    applicable = False
+    for z in ctx.frame.vertex_indices:
+        if z not in g.b:
+            continue
+        applicable = True
+        row = ctx.coords[g.opp[z]]
+        a_sum = sum(row[ctx.pos[u]] for u in g.a)
+        b_sum = sum(row[ctx.pos[v]] for v in g.b if v != z)
+        if a_sum > k + 1:
+            return False, f"opp({z}): phi-paired coefficient sum {a_sum} > k+1={k + 1}", True
+        if b_sum < -k:
+            return False, f"opp({z}): good-phi-zero coefficient sum {b_sum} < -k={-k}", True
+    return True, "", applicable
+
+
+def good_neighbor_normal_rows(ctx):
+    g = ctx.g
+    good = sorted(g.a | g.b)
+    frame = set(ctx.frame.vertex_indices)
+    for z in good:
+        jz = ctx.pos[z]
+        values = [lv - row[jz] for lv, row in zip(ctx.levels, ctx.coords)]
+        top = {i for i, x in enumerate(values) if x == 1}
+        if max(values) != 1 or top != frame - {z} | {g.opp[z]}:
+            return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
+    return True, "", bool(good)
+
+
+def opposite_is_lowest_rows(ctx):
+    g = ctx.g
+    for z in ctx.frame.vertex_indices:
+        jz = ctx.pos[z]
+        opp_level = ctx.levels[g.opp[z]]
+        for i in range(ctx.n):
+            if i == g.opp[z] or ctx.coords[i][jz] >= 0:
+                continue
+            if ctx.levels[i] >= opp_level:
+                return False, (f"vertex {i} has negative coordinate at {z} but level "
+                               f"{ctx.levels[i]} >= level of opp ({opp_level})"), True
+    return True, "", True
+
+
+def nongood_low_vertex_rows(ctx):
+    g = ctx.g
+    for w in sorted(g.c):
+        jw = ctx.pos[w]
+        hits = [i for i in ctx.v_minus1 if ctx.coords[i][jw] < 0]
+        if len(hits) > 1:
+            return False, f"non-good vertex {w} has {len(hits)} level -1 vertices below it", True
+        if hits and hits[0] != g.opp[w]:
+            return False, f"level -1 vertex {hits[0]} below {w} is not opp({w})", True
+    return True, "", bool(g.c)
+
+
+def shared_low_coordinate_rows(ctx):
+    g = ctx.g
+    good = sorted(g.a | g.b)
+    for z in good:
+        jz = ctx.pos[z]
+        y_row = ctx.coords[g.opp[z]]
+        carriers = [i for i in ctx.v_minus1 if ctx.coords[i][jz] == -1]
+        for jbar in range(ctx.d):
+            low = [i for i in carriers if ctx.coords[i][jbar] < y_row[jbar]]
+            if len(low) > 1:
+                return False, (f"positions ({jz}, {jbar}): {len(low)} level -1 vertices dip "
+                               f"below opp({z})"), True
+    return True, "", bool(good)
+
+
+def separating_coordinate_rows(ctx):
+    for i, (row, level) in enumerate(zip(ctx.coords, ctx.levels)):
+        if sum(row) != level:
+            return False, f"level {level} of vertex {i} is not its coordinate sum {sum(row)}", True
+    return True, "", True
+
+
+def no_shared_minus_one_rows(ctx):
+    g = ctx.g
+    good = sorted(g.a | g.b)
+    good_pos = [ctx.pos[v] for v in good]
+    first = None
+    for i in ctx.v_minus1:
+        row = ctx.coords[i]
+        hits = [v for v, j in zip(good, good_pos) if row[j] == -1]
+        pair = next(((v, w) for x, v in enumerate(hits) for w in hits[x + 1:]
+                     if g.opp[v] != g.opp[w]), None)
+        if pair is not None and (first is None or pair < first[0]):
+            first = pair, i
+    if first is not None:
+        (v, w), i = first
+        return False, (f"level -1 vertex {i} has coordinate -1 at both {v} and {w} "
+                       f"despite distinct opposites"), True
+    return True, "", len({g.opp[v] for v in good}) > 1
+
+
+def low_vertex_support_rows(ctx):
+    bar_positions = [ctx.pos[v] for v in sorted(ctx.g.a_bar)]
+    bad = support_bound_rows(ctx.coords, bar_positions, ctx.k)
+    if bad is None:
+        return True, "", any(lv <= -1 for lv in ctx.levels)
+    i, support, bound = bad
+    return False, (f"vertex {i} touches {support} paired-core directions, "
+                   f"bound is 2k+2={bound}"), True

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from fanosplit.analysis import goodness_partition, levels_and_eta, opposites, phi_map
 from fanosplit.errors import NotSpecialFacetError
 from fanosplit.generators import bundle_b, example4d, hexagon
-from fanosplit.polytope import Mode, frame_from_indices, make_polytope, special_facet
+from fanosplit.polytope import (Mode, enumerate_facets, frame_coords, frame_from_indices,
+                                make_polytope, opposite_indices, special_facet)
 
-from corpus import reference_instances
-from oracle import negated_by_lookup, pair_orbit
+from corpus import base_instances, reference_instances
+from oracle import (levels_by_normal, negated_by_lookup, negation_by_lookup, opposites_by_rows,
+                    pair_orbit, phi_by_lookup)
 
 
 def triangle():
@@ -45,6 +48,23 @@ class TestLevels:
         assert eta.eta(1) == 2
         assert eta.eta(-2) == 1
         assert eta.eta(0) == eta.eta(-1) == 0
+
+    def test_coordinate_dtype_follows_the_coordinates(self):
+        # vertices beyond 2**31 are exact ints, yet their coordinates are
+        # small: int64; a row sum at 2**62 keeps exact ints
+        shear = [[1, 2**40], [0, 1]]
+        p = make_polytope([[x * shear[0][j] + y * shear[1][j] for j in range(2)]
+                           for x, y in hexagon().vertices])
+        assert p._array.dtype == object
+        f = special_facet(p)
+        assert frame_coords(p, f).dtype == np.int64
+        assert goodness_partition(p, f).a_bar == set(f.vertex_indices)
+        p = make_polytope([(1, 0), (0, 1), (-(2**61), -(2**61))])
+        f = frame_from_indices(p, [0, 1])
+        assert frame_coords(p, f).dtype == object
+        levels, eta = levels_and_eta(p, f)
+        assert levels[2] == -(2**62) and eta.eta(-(2**62)) == 1
+        assert opposite_indices(p, f) == [2, 2]
 
     def test_eta_at_every_hexagon_facet(self):
         from fanosplit.polytope import enumerate_facets
@@ -129,6 +149,14 @@ class TestGoodnessPartition:
             assert not (g.a & g.b) and not (g.a & g.c) and not (g.b & g.c)
             assert g.a_bar <= g.a_prime <= g.a
 
+    def test_negation_is_minus_the_vertex_not_a_multiple(self):
+        # -2 e_0 is a vertex and -e_0 is not, so (1, 0), in A, has no negation
+        p = make_polytope([(1, 0), (0, 1), (-2, 0), (2, -2), (-1, 1)])
+        f = frame_from_indices(p, [0, 1])
+        g = goodness_partition(p, f)
+        assert 0 in g.a
+        assert g.negation == negation_by_lookup(p, g.a) == {}
+
     def test_rejects_non_special_facet(self):
         p = bundle_b(1)
         s = (0, 0, 1)
@@ -144,8 +172,8 @@ class TestGoodnessPartition:
 
 
 class TestPartitionMatchesReferences:
-    """The partition's levels, eta, negations and orbits against the rules
-    they replace, on every reference instance."""
+    """The partition's levels, eta, opposites, phi, negations and orbits
+    against the rules they replace, on every reference instance."""
 
     def test_every_reference_instance(self):
         for name, p in reference_instances():
@@ -153,7 +181,12 @@ class TestPartitionMatchesReferences:
             g = goodness_partition(p, f)
             levels, eta = levels_and_eta(p, f)
             assert g.levels == tuple(levels[i] for i in range(p.n)), name
+            assert list(g.levels) == levels_by_normal(p, f), name
             assert g.eta == eta, name
+            rows = frame_coords(p, f).tolist()
+            assert [g.opp[v] for v in f.vertex_indices] == opposites_by_rows(p, f, rows), name
+            assert g.phi == phi_by_lookup(p, f, g.opp), name
+            assert g.negation == negation_by_lookup(p, g.a), name
             assert set(g.negation) == g.a_prime, name
             negated = set(g.negation.values())
             for i in range(p.n):
@@ -161,3 +194,17 @@ class TestPartitionMatchesReferences:
             assert tuple(g.orbits) == g.bar_pairs, name
             for (v, w), orbit in g.orbits.items():
                 assert orbit == pair_orbit(p, v, w), (name, v, w)
+
+    def test_every_facet_of_the_bases(self):
+        # levels, opposites and phi are defined at every facet, special or not
+        for name, p in base_instances():
+            if p.dim > 6:
+                continue
+            for f in enumerate_facets(p):
+                rows = frame_coords(p, f).tolist()
+                levels, _ = levels_and_eta(p, f)
+                assert list(levels.values()) == levels_by_normal(p, f), (name, f)
+                opp = opposite_indices(p, f)
+                assert opp == opposites_by_rows(p, f, rows), (name, f)
+                opp = dict(zip(f.vertex_indices, opp))
+                assert phi_map(p, f, opp) == phi_by_lookup(p, f, opp), (name, f)

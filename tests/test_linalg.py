@@ -429,7 +429,7 @@ def test_sparse_products_match_dense_reference(ops):
         if len(r) == 1:
             u = rows if np.ndim(rows) == 1 else tuple(r[0])
             assert linalg.products_with(v, u, hi) == [w[0] for w in want]
-        assert linalg.coords_rows(v, r, hi) == list(map(tuple, want))
+        assert linalg.coords_rows(v, r, hi).tolist() == want
 
 
 def test_pair_cap_boundary():
@@ -439,6 +439,20 @@ def test_pair_cap_boundary():
     v[0, 1] = r[0, 1] = 1  # one pair more than output entries
     assert linalg._sparse_products(v, r) is None
     assert linalg._sparse_products(v.astype(object), r.astype(object)) is None
+
+
+def test_object_pair_cap_boundary():
+    # at d = 12 exact-int operands take up to 12 // 4 = 3 pairs per output
+    # entry: 5 x 4 entries of 3 pairs each run sparse on entries beyond int64
+    # and match the dense reference, where int64 operands stop at 1 pair
+    rng = random.Random(7)
+    v = [[rng.choice((-1, 1)) * 2**70 if k < 3 else 0 for k in range(12)] for _ in range(5)]
+    r = [[rng.choice((-3, 2, 5)) if k < 3 else 0 for k in range(12)] for _ in range(4)]
+    vo, ro = np.array(v, dtype=object), np.array(r, dtype=object)
+    assert linalg._sparse_products(vo, ro).tolist() == dense_products(v, r)
+    assert linalg._sparse_products((vo != 0).astype(np.int64), ro.astype(np.int64)) is None
+    vo[0, 3] = ro[0, 3] = 1  # one pair more than 3 per entry
+    assert linalg._sparse_products(vo, ro) is None
 
 
 @pytest.mark.parametrize("nonzeros", [0, 2, 3, 8])

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from fanosplit.analysis import goodness_partition
+from fanosplit import splitting
+from fanosplit.analysis import goodness_partition, support_bound_violation
 from fanosplit.equivalence import are_equivalent
 from fanosplit.generators import (
     bundle_b,
@@ -14,8 +16,10 @@ from fanosplit.generators import (
     random_image,
     simplex,
 )
+from fanosplit.errors import InvariantViolationError
 from fanosplit.linalg import determinant
-from fanosplit.polytope import Mode, free_summands, special_facet, vertex_deficit
+from fanosplit.polytope import (Mode, frame_coords, free_summands, special_facet,
+                                vertex_deficit)
 from fanosplit.splitting import (
     clean_pairs,
     direct_sum,
@@ -25,7 +29,8 @@ from fanosplit.splitting import (
     split_threshold,
 )
 
-from corpus import base_instances
+from corpus import base_instances, reference_instances
+from oracle import clean_pairs_rows, extract_rows, support_bound_rows
 
 
 def power_sum(p, m):
@@ -86,6 +91,80 @@ class TestCleanPairs:
         # the pair spans the planted hexagon block: coordinates 3 and 4
         for i in (v, w):
             assert p.vertices[i][:3] == (0, 0, 0)
+
+
+def split_steps(p, monkeypatch):
+    """The special facet, its partition and the arguments `hexagon_split`
+    hands to `_extract` on p."""
+    calls = []
+    extract = splitting._extract
+    monkeypatch.setattr(splitting, "_extract", lambda *a: calls.append(a) or extract(*a))
+    hexagon_split(p, Mode.LOCAL)
+    monkeypatch.undo()
+    _, f, blocks, assign, kinds = calls[0]
+    return f, goodness_partition(p, f), (blocks, assign, kinds)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolationError as e:
+        return str(e)
+
+
+class TestArraySplit:
+    """clean_pairs, the support bound and _extract on the coordinate array
+    against the loops over row tuples they replaced."""
+
+    def test_match_row_references(self, monkeypatch):
+        for name, p in reference_instances():
+            f, g, (blocks, assign, kinds) = split_steps(p, monkeypatch)
+            rows = frame_coords(p, f).tolist()
+            assert clean_pairs(p, f, g) == clean_pairs_rows(p, f, g, rows), name
+            assert (splitting._extract(p, f, blocks, assign, kinds)
+                    == extract_rows(p, f, blocks, assign, kinds, rows)), name
+
+    def test_failures_match_row_references(self, monkeypatch):
+        # coordinate entries and whole rows changed at random: every failure
+        # text shows up, each as the reference words it
+        b = bundle_b(1)
+        bases = [direct_sum(hexagon(), hexagon()),
+                 direct_sum(pentagon(), direct_sum(hexagon(), hexagon())),
+                 direct_sum(direct_sum(b, b), direct_sum(hexagon(), hexagon())),
+                 random_image(direct_sum(example4d(), direct_sum(hexagon(), hexagon())), 1)]
+        rng = random.Random(0)
+        seen = set()
+        for p in bases:
+            f, g, (blocks, assign, kinds) = split_steps(p, monkeypatch)
+            base = frame_coords(p, f)
+            bar = [f.position_of(v) for v in sorted(g.a_bar)]
+            for _ in range(200):
+                coords = base.copy()
+                for _ in range(rng.randint(1, 2)):
+                    if rng.random() < 0.7:
+                        coords[rng.randrange(p.n), rng.randrange(p.dim)] = rng.choice((-1, 0, 1, 2))
+                    else:
+                        coords[rng.randrange(p.n), rng.sample(bar, min(len(bar), 5))] = -1
+                rows = coords.tolist()
+                k = vertex_deficit(p)
+                assert support_bound_violation(coords, bar, k) == support_bound_rows(rows, bar, k)
+                with monkeypatch.context() as m:
+                    m.setattr(splitting, "frame_coords", lambda q, frame: coords)
+                    pairs = (
+                        (outcome(clean_pairs, p, f, g), outcome(clean_pairs_rows, p, f, g, rows)),
+                        (outcome(splitting._extract, p, f, blocks, assign, kinds),
+                         outcome(extract_rows, p, f, blocks, assign, kinds, rows)))
+                for got, want in pairs:
+                    assert got == want
+                    if isinstance(got, str):
+                        seen.add(re.sub(r"-?\d+", "N", got.split(":")[0]))
+        assert seen == {
+            "vertex N at level N touches N paired-core directions, above the bound N",
+            "orbit vertex N of pair (N, N) has nonzero coordinate in a foreign paired-core "
+            "direction N",
+            "vertex N has support outside its block (N, N)",
+            "clean pair block (N, N) is not a standard hexagon",
+        }
 
 
 class TestHexagonSplit:

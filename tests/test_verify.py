@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import oracle
 from fanosplit import analysis, polytope, verify
-from fanosplit.errors import InvariantViolationError
+from fanosplit.errors import InvariantViolationError, UnclassifiableVertexError
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
 from fanosplit.polytope import (Mode, frame_from_indices, free_sum, is_smooth_fano,
                                 make_polytope, special_facet)
@@ -73,7 +77,7 @@ class TestVerifyBounds:
 
         from fanosplit.verify import _check_separating_coordinate
 
-        ctx = SimpleNamespace(coords=[(1, 0), (0, 1), (-1, -1)], levels=[1, 1, -2])
+        ctx = SimpleNamespace(coords=np.array([(1, 0), (0, 1), (-1, -1)]), levels=[1, 1, -2])
         assert _check_separating_coordinate(ctx) == (True, "", True)
         ctx.levels[2] = 0
         assert _check_separating_coordinate(ctx) == (
@@ -87,8 +91,9 @@ class TestVerifyBounds:
 
         # good frame vertices 0, 1, 2 at positions 0, 1, 2; 1 and 2 share an opposite
         g = SimpleNamespace(a={0}, b={1, 2}, opp={0: 10, 1: 11, 2: 11})
-        ctx = SimpleNamespace(g=g, pos={0: 0, 1: 1, 2: 2}, v_minus1=[5, 6],
-                              coords={5: (-1, 0, -1), 6: (-1, -1, 0)})
+        coords = np.zeros((7, 3), dtype=np.int64)
+        coords[5], coords[6] = (-1, 0, -1), (-1, -1, 0)
+        ctx = SimpleNamespace(g=g, pos={0: 0, 1: 1, 2: 2}, v_minus1=[5, 6], coords=coords)
         # the failing pair comes first, then the vertex
         assert _check_no_shared_minus_one(ctx) == (False, (
             "level -1 vertex 6 has coordinate -1 at both 0 and 1 despite "
@@ -131,10 +136,8 @@ class TestVerifyBounds:
         jz = ctx.pos[z]
         i = next(i for i in range(ctx.n)
                  if i not in ctx.frame.vertex_indices and i != ctx.g.opp[z])
-        row = list(ctx.coords[i])
-        row[jz] = ctx.levels[i] - value
-        coords = list(ctx.coords)
-        coords[i] = tuple(row)
+        coords = ctx.coords.copy()
+        coords[i, jz] = ctx.levels[i] - value
         forced = SimpleNamespace(g=ctx.g, pos=ctx.pos, frame=ctx.frame, levels=ctx.levels,
                                  coords=coords)
         assert _check_good_neighbor_normal(forced) == (
@@ -196,6 +199,101 @@ class TestVerifyBounds:
         data = report.to_dict()
         assert data["passed"] is True
         assert len(data["checks"]) == len(report.checks)
+
+
+# each check that reads the special facet's coordinate array, and the loop
+# over row tuples it replaced
+ROW_REFERENCES = (
+    (verify._check_expansion_structure, oracle.expansion_structure_rows),
+    (verify._check_expansion_bounds, oracle.expansion_bounds_rows),
+    (verify._check_good_neighbor_normal, oracle.good_neighbor_normal_rows),
+    (verify._check_opposite_is_lowest, oracle.opposite_is_lowest_rows),
+    (verify._check_nongood_low_vertex, oracle.nongood_low_vertex_rows),
+    (verify._check_shared_low_coordinate, oracle.shared_low_coordinate_rows),
+    (verify._check_separating_coordinate, oracle.separating_coordinate_rows),
+    (verify._check_no_shared_minus_one, oracle.no_shared_minus_one_rows),
+    (verify._check_low_vertex_support, oracle.low_vertex_support_rows),
+)
+
+
+def as_rows(ctx):
+    """ctx with its coordinate array as a list of row tuples."""
+    return SimpleNamespace(**{**vars(ctx), "coords": [tuple(r) for r in ctx.coords.tolist()]})
+
+
+class TestArrayChecks:
+    def test_match_row_references(self):
+        for name, p in reference_instances():
+            ctx = _Ctx(p, Mode.LOCAL)
+            rows = as_rows(ctx)
+            for check, reference in ROW_REFERENCES:
+                assert check(ctx) == reference(rows), (name, check.__name__)
+
+    def test_failures_match_row_references(self):
+        # stub contexts: entries, whole rows, levels and the A/B/C membership
+        # of frame vertices changed at random; every failure text of every
+        # check shows up, each as the reference words it
+        b = bundle_b(1)
+        bases = [hexagon(), example4d(), direct_sum(simplex(1), simplex(2)),
+                 direct_sum(direct_sum(b, b), b), direct_sum(example4d(), hexagon()),
+                 direct_sum(pentagon(), direct_sum(hexagon(), hexagon())),
+                 direct_sum(hexagon(), hexagon()), direct_sum(example4d(), simplex(1))]
+        rng = random.Random(0)
+        seen = set()
+        for p in bases:
+            base = _Ctx(p, Mode.LOCAL)
+            for _ in range(300):
+                coords, levels = base.coords.copy(), list(base.levels)
+                parts = {"a": set(base.g.a), "b": set(base.g.b), "c": set(base.g.c)}
+                for _ in range(rng.randint(1, 3)):
+                    r = rng.random()
+                    if r < 0.6:
+                        coords[rng.randrange(p.n), rng.randrange(p.dim)] = rng.choice(
+                            (-2, -1, -1, 0, 1, 2, 3))
+                    elif r < 0.7:
+                        coords[rng.randrange(p.n), rng.sample(range(p.dim), min(p.dim, 5))] = \
+                            rng.choice((-1, 1, 2))
+                    elif r < 0.85:
+                        levels[rng.randrange(p.n)] = rng.choice((-2, -1, 0, 1))
+                    else:
+                        v = rng.choice(base.frame.vertex_indices)
+                        for part in parts.values():
+                            part.discard(v)
+                        parts[rng.choice("abc")].add(v)
+                g = SimpleNamespace(**{**vars(base.g), **{k: frozenset(v) for k, v in parts.items()}})
+                ctx = SimpleNamespace(**{**vars(base), "g": g, "coords": coords,
+                                         "levels": tuple(levels),
+                                         "v_minus1": [i for i, lv in enumerate(levels) if lv == -1]})
+                rows = as_rows(ctx)
+                for check, reference in ROW_REFERENCES:
+                    got = check(ctx)
+                    assert got == reference(rows), (check.__name__, got)
+                    if not got[0]:
+                        seen.add((check.__name__, re.sub(r"-?\d+", "N", got[1])))
+        assert seen == {
+            ("_check_expansion_structure", text) for text in (
+                "opp(N) has coordinate N at its own position",
+                "opp(N): negative coefficient at phi-paired N",
+                "opp(N): negative coefficient at non-good N",
+                "opp(N): coefficient < N at N",
+                "opp(N): coefficient sum N != N",
+                "opp(N) of non-good vertex has coefficient sum N > N")
+        } | {
+            ("_check_expansion_bounds", "opp(N): phi-paired coefficient sum N > k+N=N"),
+            ("_check_expansion_bounds", "opp(N): good-phi-zero coefficient sum N < -k=N"),
+            ("_check_good_neighbor_normal", "neighbor normal across good vertex N is not u_F - u_z"),
+            ("_check_opposite_is_lowest",
+             "vertex N has negative coordinate at N but level N >= level of opp (N)"),
+            ("_check_nongood_low_vertex", "non-good vertex N has N level N vertices below it"),
+            ("_check_nongood_low_vertex", "level N vertex N below N is not opp(N)"),
+            ("_check_shared_low_coordinate",
+             "positions (N, N): N level N vertices dip below opp(N)"),
+            ("_check_separating_coordinate", "level N of vertex N is not its coordinate sum N"),
+            ("_check_no_shared_minus_one",
+             "level N vertex N has coordinate N at both N and N despite distinct opposites"),
+            ("_check_low_vertex_support",
+             "vertex N touches N paired-core directions, bound is Nk+N=N"),
+        }
 
 
 class TestSummandWalk:
@@ -261,6 +359,27 @@ class TestClassifier:
         assert len(counts[TYPE_C_OPPOSITE]) == 1
         assert counts[TYPE_B_SUPPORTED] == ()
         assert counts[TYPE_NEGATED_BASIS] == ()
+
+    def test_unclassifiable_texts_quote_the_coordinate_row(self, monkeypatch):
+        p = hexagon()
+        f = special_facet(p)
+        g = verify.goodness_partition(p, f)
+        i = g.levels.index(-1)
+        row = tuple(polytope.frame_coords(p, f)[i].tolist())
+        with pytest.raises(UnclassifiableVertexError) as exc:
+            _classify(p, f, replace(g, negation={}))  # no negated-basis vertex left
+        assert str(exc.value) == f"vertex {i} at level -1 fits no structural type (coords {row})"
+        p = example4d()
+        f = special_facet(p)
+        g = verify.goodness_partition(p, f)
+        i = g.levels.index(-1)
+        coords = polytope.frame_coords(p, f).copy()
+        coords[i, next(f.position_of(v) for v in sorted(g.b) if coords[i, f.position_of(v)] == 0)] = -2
+        monkeypatch.setattr(verify, "frame_coords", lambda q, frame: coords)
+        with pytest.raises(UnclassifiableVertexError) as exc:
+            _classify(p, f, g)
+        assert str(exc.value) == (f"vertex {i} dips at a good-phi-zero coordinate but violates "
+                                  f"the sign pattern: {tuple(coords[i].tolist())}")
 
     def test_bound_violation_raises_the_text_verify_reports(self, monkeypatch):
         p = direct_sum(direct_sum(bundle_b(1), bundle_b(1)), bundle_b(1))
