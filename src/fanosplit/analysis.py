@@ -32,8 +32,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, NotSpecialFacetError
-from .polytope import (FacetFrame, Polytope, frame_coords, opposite_indices, vertex_deficit,
-                       vertex_sum)
+from .polytope import (FacetFrame, Polytope, frame_coords, frame_levels, opposite_indices,
+                       vertex_deficit, vertex_sum)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class EtaVector:
 def levels_and_eta(p: Polytope, f: FacetFrame) -> tuple[dict[int, int], EtaVector]:
     """Level of every vertex w.r.t. f's outer normal, the sum of its row of
     `frame_coords`, and the aggregated counts."""
-    values = frame_coords(p, f).sum(axis=1).tolist()
+    values = frame_levels(p, f).tolist()
     levels = dict(enumerate(values))
     counts: dict[int, int] = {}
     for v in values:
@@ -87,16 +87,18 @@ def opposites(p: Polytope, f: FacetFrame) -> dict[int, int]:
 def phi_map(p: Polytope, f: FacetFrame, opp: Mapping[int, int]) -> dict[int, int | None]:
     """phi(v) = opp(F, v) + v when that point is a frame vertex, else None.
 
-    In f's coordinates frame vertex k is e_k, so phi(v) is the k with
-    C[opp(v)] + e_j = e_k, j the position of v.
+    In f's coordinates frame vertex k is e_k, so phi(v) is frame vertex k
+    exactly when C[opp(v)] = e_k - e_j, j the position of v: a row at level
+    0 with entries of absolute sum 2 and -1 at j.
     """
     idx = f.vertex_indices
-    diag = np.arange(len(idx))
-    rows = frame_coords(p, f)[[opp[v] for v in idx]]  # a copy: row j is C[opp(v_j)]
-    rows[diag, diag] += 1
-    k = rows.argmax(axis=1)
-    unit = ((rows != 0).sum(axis=1) == 1) & (rows[diag, k] == 1)
-    return {v: idx[kk] if u else None for v, kk, u in zip(idx, k.tolist(), unit.tolist())}
+    y = [opp[v] for v in idx]
+    rows = frame_coords(p, f).take(y, axis=0)  # row j is C[opp(v_j)]
+    levels = frame_levels(p, f).tolist()
+    weight = np.abs(rows).sum(axis=1).tolist()
+    own, k = rows.diagonal().tolist(), rows.argmax(axis=1).tolist()
+    return {v: idx[k[j]] if levels[y[j]] == 0 and weight[j] == 2 and own[j] == -1 else None
+            for j, v in enumerate(idx)}
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,12 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
             (a if phi[v] is not None else b).add(v)
         else:
             c.add(v)
-    # -v is the vertex whose coordinate row is -e_j, j the position of v
-    coords = frame_coords(p, f)
-    rows = (((coords != 0).sum(axis=1) == 1) & (coords.min(axis=1) == -1)).nonzero()[0]
-    at = dict(zip(coords[rows].argmin(axis=1).tolist(), rows.tolist()))
+    # -v is the vertex whose coordinate row is -e_j, j the position of v: the
+    # row at level -1 with one nonzero entry, at j
+    low = [i for i, lv in levels.items() if lv == -1]
+    rows = frame_coords(p, f).take(low, axis=0)
+    single = (rows.astype(bool).sum(axis=1) == 1).tolist()
+    at = {j: i for i, j, one in zip(low, rows.argmin(axis=1).tolist(), single) if one}
     negation = {v: at[j] for j, v in enumerate(f.vertex_indices) if v in a and j in at}
     a_prime = negation.keys()
     gamma_of = {v: g for v, g in zip(f.vertex_indices, gamma)}
@@ -196,18 +200,15 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
     )
 
 
-def support_bound_violation(coords: np.ndarray, bar_positions: Sequence[int],
-                            k: int) -> tuple[int, int, int] | None:
+def support_bound_violation(coords: np.ndarray, levels: Sequence[int],
+                            bar_positions: Sequence[int], k: int) -> tuple[int, int, int] | None:
     """The first vertex on a negative level whose row of the coordinate
     array is nonzero at more than 2k + 2 paired-core positions, as
     (vertex, support, 2k + 2)."""
     bound = 2 * k + 2
     if len(bar_positions) <= bound:  # no row can exceed it
         return None
-    support = (coords != 0)[:, bar_positions].sum(axis=1)
-    # a row's sum is the vertex's level
-    bad = ((coords.sum(axis=1) <= -1) & (support > bound)).nonzero()[0]
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return i, int(support[i]), bound
+    support = coords.astype(bool)[:, bar_positions].sum(axis=1)
+    over = (support > bound).nonzero()[0].tolist()
+    i = next((i for i in over if levels[i] <= -1), None)
+    return None if i is None else (i, int(support[i]), bound)

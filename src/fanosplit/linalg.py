@@ -19,13 +19,9 @@ all zeros.  From it on:
   multiplies only nonzero entries.  One row with at most d/4 nonzeros
   meets only those columns.  Several rows expand into the pairs of nonzeros
   v[i, k], r[j, k] sharing a column k, and `np.add.at` sums their products,
-  unless the pairs pass a cap: the output's entry count on int64, where the
-  dense `@` is fast, and a quarter of the dense product count n m d on
-  exact Python ints, where a pair costs about four dense products (249 x
-  249 with entries near 2**63: 52 ms sparse against 747 ms dense at 10 %
-  nonzeros; the two meet at 50 %, where the pairs are n m d / 4).  A sum
-  has at most d terms either way, so `_products_fit` proves int64 as for
-  the dense `@`, which runs in every other case.
+  unless there are more pairs than output entries.  A sum has at most d
+  terms either way, so `_products_fit` proves int64 as for the dense `@`,
+  which runs in every other case.
 """
 
 from __future__ import annotations
@@ -313,14 +309,13 @@ def _vertex_products(vertices: np.ndarray, rows, max_abs_vertices: int) -> np.nd
 
 def _sparse_products(v: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """v @ r.T summed over the pairs of nonzeros v[i, k], r[j, k], or None
-    when there are more such pairs than the dtype's cap (module docstring)."""
+    when there are more such pairs than output entries."""
     vk, vi = np.nonzero(v.T)  # v's nonzeros, column by column
     rk, rj = np.nonzero(r.T)
     per_col = np.bincount(rk, minlength=v.shape[1])
     reps = per_col[vk]  # the partners of each nonzero of v
     pairs = int(reps.sum())
-    per_entry = max(1, v.shape[1] // 4) if v.dtype == object else 1
-    if pairs > v.shape[0] * r.shape[0] * per_entry:
+    if pairs > v.shape[0] * r.shape[0]:
         return None
     # nonzero e of v meets r's nonzeros first[vk[e]], ..., first[vk[e]] + reps[e] - 1
     first = np.cumsum(per_col) - per_col

@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -327,14 +327,14 @@ def _sorted_raw(raw: _RawFacet) -> _RawFacet:
                      raw.dual_max, raw.det, raw.normal, raw.level)
 
 
-def _min_ratio(column: Sequence[int] | Mapping[int, int], levels: Sequence[int], delta: int,
-               where: Iterable[int]) -> list[int]:
-    """Every index i in `where` minimizing (delta - levels[i]) / -column[i]
-    over column[i] < 0, in index order; more than one index is a tie."""
+def _min_ratio(entries: Iterable[tuple[int, int]], levels: Sequence[int], delta: int) -> list[int]:
+    """Every index i of the (i, column[i]) `entries` minimizing
+    (delta - levels[i]) / -column[i] over column[i] < 0, in the entries'
+    index order; more than one index is a tie."""
     best: list[int] = []
     bn = bd = 0
-    for i in where:
-        den = -column[i]
+    for i, x in entries:
+        den = -x
         if den <= 0:
             continue
         num = delta - levels[i]
@@ -386,7 +386,7 @@ def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int, below: np.ndarray) 
         q = (c - values[idx]) // wv[idx]
         idx = idx[q == q.min()]
     if idx.size > 1:
-        cands = _min_ratio((-wv[idx]).tolist(), values[idx].tolist(), c, range(idx.size))
+        cands = _min_ratio(enumerate((-wv[idx]).tolist()), values[idx].tolist(), c)
         idx = idx[cands[:1]]
     return int(idx[0]) if idx.size else None
 
@@ -474,12 +474,12 @@ def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _
     return _make_raw(indices, rows, beta)
 
 
-def _ridge_target(indices: tuple[int, ...], column: Sequence[int] | Mapping[int, int],
-                  levels: Sequence[int], delta: int, pos: int, where: Iterable[int]) -> int:
+def _ridge_target(indices: tuple[int, ...], entries: Iterable[tuple[int, int]],
+                  levels: Sequence[int], delta: int, pos: int) -> int:
     """The vertex entering across ridge `pos` of the facet on `indices` at
-    level `delta`: the ratio rule's unique minimizer over `where` (a superset
-    of the vertices negative in `column`, in index order), which lies below it."""
-    targets = _min_ratio(column, levels, delta, where)
+    level `delta`: the ratio rule's unique minimizer over a column's
+    (vertex, entry) `entries`, its negative ones at least, which lies below it."""
+    targets = _min_ratio(entries, levels, delta)
     if not targets:
         raise NoNegativeVertexError(f"no vertex below ridge {pos} of facet {indices}")
     if len(targets) > 1 or levels[targets[0]] == delta:
@@ -506,7 +506,7 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
         coords = p.coords_rows(raw.dual).tolist()
         levels = [sum(row) for row in coords]
         for pos, column in enumerate(zip(*coords)):
-            target = _ridge_target(raw.indices, column, levels, raw.det, pos, range(p.n))
+            target = _ridge_target(raw.indices, enumerate(column), levels, raw.det, pos)
             key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {target}))
             if key in visited:
                 continue
@@ -537,7 +537,7 @@ def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
 def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
     """Cross ridge `pos` of a unimodular record to its unimodular neighbor."""
     cv = p.products(raw.dual[pos])
-    best = _ridge_target(raw.indices, cv, p.products(raw.normal), 1, pos, range(p.n))
+    best = _ridge_target(raw.indices, enumerate(cv), p.products(raw.normal), 1, pos)
     if cv[best] != -1:
         raise NotUnimodularError(
             cv[best],
@@ -641,10 +641,9 @@ def coordinate_blocks(coords: np.ndarray) -> tuple[list[list[int]], list[int]]:
             a = parent[a]
         return a
 
-    rows, cols = np.nonzero(coords)
-    bounds = np.searchsorted(rows, np.arange(len(coords) + 1)).tolist()
-    cols = cols.tolist()
-    supports = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+    supports: list[list[int]] = [[] for _ in range(len(coords))]
+    for i, j in zip(*(a.tolist() for a in coords.nonzero())):
+        supports[i].append(j)
     for sup in supports:
         for other in sup[1:]:
             ra, rb = find(sup[0]), find(other)
@@ -672,8 +671,9 @@ def _block_polytopes(coords: np.ndarray, blocks: Sequence[list[int]], assign: Se
     members: list[list[int]] = [[] for _ in blocks]
     for i, b in enumerate(assign):
         members[b].append(i)
-    return [(tuple(own), Polytope(len(block), tuple(map(tuple, coords[own][:, block].tolist()))))
-            for block, own in zip(blocks, members)]
+    return [(tuple(own), Polytope(len(block), tuple(map(tuple, rows.tolist()))))
+            for block, own in zip(blocks, members)
+            for rows in [coords.take(own, axis=0).take(block, axis=1)]]
 
 
 def _summand_mode(mode: Mode, dim: int) -> Mode:
@@ -822,25 +822,31 @@ def _cached_coords(p: Polytope, indices: tuple[int, ...], dual: np.ndarray) -> n
     return cache[key]
 
 
+def frame_levels(p: Polytope, frame: FacetFrame) -> np.ndarray:
+    """Every vertex's level in `frame`, the row sums of `frame_coords`, once per frame."""
+    cache, key = p._cert_cache, ("levels", frame.vertex_indices)
+    if key not in cache:
+        cache[key] = frame_coords(p, frame).sum(axis=1)
+    return cache[key]
+
+
 def opposite_indices(p: Polytope, frame: FacetFrame) -> list[int]:
     """Vertex index of opp(F, v) for every frame position, via the pivot rule
     on each column of `frame_coords`, over the vertices negative in it."""
     c = frame_coords(p, frame)
-    rows, cols = np.nonzero(c < 0)
-    below: list[dict[int, int]] = [{} for _ in range(p.dim)]  # column j's negative entries
+    rows, cols = (c < 0).nonzero()
+    below: list[list[tuple[int, int]]] = [[] for _ in range(p.dim)]
     for i, j, x in zip(rows.tolist(), cols.tolist(), c[rows, cols].tolist()):
-        below[j][i] = x
-    levels = c.sum(axis=1).tolist()
-    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos, column)
-            for pos, column in enumerate(below)]
+        below[j].append((i, x))
+    return _opposites(frame.vertex_indices, below, frame_levels(p, frame).tolist())
 
 
-def _opposites(frame: FacetFrame, coords: Sequence[Sequence[int]]) -> list[int]:
-    """`opposite_indices` given every vertex's coordinate row in `frame` as a
-    list, in a walk over every facet of a small summand."""
-    levels = [sum(row) for row in coords]
-    return [_ridge_target(frame.vertex_indices, column, levels, 1, pos, range(len(coords)))
-            for pos, column in enumerate(zip(*coords))]
+def _opposites(indices: tuple[int, ...], columns: Iterable[Iterable[tuple[int, int]]],
+               levels: Sequence[int]) -> list[int]:
+    """`opposite_indices` of the unimodular frame on `indices`, given each
+    coordinate column's (vertex, entry) pairs in vertex order, its negative
+    ones at least, and every vertex's level."""
+    return [_ridge_target(indices, column, levels, 1, pos) for pos, column in enumerate(columns)]
 
 
 def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:

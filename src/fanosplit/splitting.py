@@ -67,11 +67,11 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     coords = frame_coords(p, f)
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
-    bad = support_bound_violation(coords, bar_positions, vertex_deficit(p))
+    bad = support_bound_violation(coords, g.levels, bar_positions, vertex_deficit(p))
     if bad is not None:
         i, support, bound = bad
         raise InvariantViolationError(
-            f"vertex {i} at level {coords[i].sum()} touches {support} paired-core "
+            f"vertex {i} at level {g.levels[i]} touches {support} paired-core "
             f"directions, above the bound {bound}"
         )
     pairs = g.bar_pairs

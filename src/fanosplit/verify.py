@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    _full_raws,
     _opposites,
-    enumerate_facets,
+    _sorted_raw,
     frame_coords,
     free_sum,
     require_smooth_fano,
@@ -140,17 +142,20 @@ class _Ctx:
         have coordinates in its block only.  A failure on a summand facet
         names the summand's vertices, as validation's witnesses do."""
         if self.mode is Mode.FULL:
+            # the facet records in `enumerate_facets`' order, with no frame built
             summands = free_sum(self.p, self.mode)[1]
-            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "",
-                     f, coords, _opposites(f, coords))
-                    for own, q in summands for f in enumerate_facets(q)
-                    for coords in [q.coords_rows(f._raw.dual).tolist()])
+            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "", raw.indices, rows,
+                     _opposites(raw.indices, map(enumerate, zip(*rows)), list(map(sum, rows))))
+                    for own, q in summands
+                    for raw in sorted(map(_sorted_raw, _full_raws(q)), key=attrgetter("indices"))
+                    for rows in [q.coords_rows(raw.dual).tolist()])
         else:
-            walk = [("", self.frame, self.coords.tolist(),
+            walk = [("", self.frame.vertex_indices, self.coords.tolist(),
                      [self.g.opp[v] for v in self.frame.vertex_indices])]
         coord_fail = zero_fail = None
-        for prefix, f, coords, opp in walk:
-            c, z = _opposite_coordinate_failure(f, coords, opp), _level_zero_failure(f, coords, opp)
+        for prefix, indices, rows, opp in walk:
+            c = _opposite_coordinate_failure(indices, rows, opp)
+            z = _level_zero_failure(indices, rows, opp)
             coord_fail = coord_fail or c and prefix + c
             zero_fail = zero_fail or z and prefix + z
             if coord_fail and zero_fail:
@@ -266,21 +271,21 @@ def _check_sum_level(ctx):
     return ok, f"level of vertex sum is {ctx.s_level}, k={ctx.k}" if not ok else "", True
 
 
-def _opposite_coordinate_failure(f, coords, opp):
+def _opposite_coordinate_failure(indices, coords, opp):
     for j in range(len(opp)):
         if coords[opp[j]][j] != -1:
-            return (f"facet {f.vertex_indices}: coordinate of opposite vertex "
+            return (f"facet {indices}: coordinate of opposite vertex "
                     f"{opp[j]} along position {j} is {coords[opp[j]][j]}")
     return None
 
 
-def _level_zero_failure(f, coords, opp):
+def _level_zero_failure(indices, coords, opp):
     opp_set = set(opp)
     for i, row in enumerate(coords):
         if sum(row) != 0:
             continue
         if i not in opp_set:
-            return f"level-0 vertex {i} is opposite to no vertex of {f.vertex_indices}"
+            return f"level-0 vertex {i} is opposite to no vertex of {indices}"
         for j, c in enumerate(row):
             is_opp = opp[j] == i
             if is_opp != (c < 0) or (c < 0 and c != -1):
@@ -323,24 +328,18 @@ def _check_partition_sizes(ctx):
     return not problems, "; ".join(problems), True
 
 
-def _level_array(ctx) -> np.ndarray:
-    """ctx.levels in the dtype of ctx.coords, whose row sums they are."""
-    return np.asarray(ctx.levels, dtype=ctx.coords.dtype)
-
-
 def _check_expansion_structure(ctx):
     # phi(z) is the vertex at opp(z) + z, so opp(z) = phi(z) - z holds for
     # every z in A by definition: only the own-position entry is checked there
     g = ctx.g
     frame = ctx.frame.vertex_indices
-    opp = [g.opp[z] for z in frame]
-    own = ctx.coords[opp, [ctx.pos[z] for z in frame]].tolist()
-    rests = (ctx.coords.sum(axis=1)[opp] + 1).tolist()  # coefficient sums without the -1 at z
-    for z, y, at_z, rest in zip(frame, opp, own, rests):
+    own = ctx.coords[[g.opp[z] for z in frame], [ctx.pos[z] for z in frame]].tolist()
+    for z, at_z in zip(frame, own):
         if at_z != -1:
             return False, f"opp({z}) has coordinate {at_z} at its own position", True
+        rest = ctx.levels[g.opp[z]] + 1  # the coefficient sum without the -1 at z
         if z in g.b:
-            row = ctx.coords[y].tolist()
+            row = ctx.coords[g.opp[z]].tolist()
             for u in g.a:
                 if row[ctx.pos[u]] < 0:
                     return False, f"opp({z}): negative coefficient at phi-paired {u}", True
@@ -377,48 +376,44 @@ def _check_expansion_bounds(ctx):
 def _check_good_neighbor_normal(ctx):
     # u_F - u_z is the neighbour's normal iff it is <= 1 on P and 1 exactly on
     # F - z + opp(z), whose coordinate -1 of opp(z) at z makes it unimodular
-    # column x of `values` is u_F - u_z on every vertex, z = good[x]
+    # column x of `values` is u_F - u_z on every vertex, z = good[x]; with
+    # opp(z) among the vertices at 1, its maximum is 1 unless some value is larger
     g = ctx.g
     good = sorted(g.a | g.b)
-    if not good:
-        return True, "", False
     values = ctx.coords[:, [ctx.pos[z] for z in good]]  # a copy
-    np.subtract(_level_array(ctx)[:, None], values, out=values)
+    np.subtract(np.asarray(ctx.levels, dtype=values.dtype)[:, None], values, out=values)
     top = np.zeros(values.shape, dtype=bool)  # where each column should be 1
     top[list(ctx.frame.vertex_indices)] = True
-    x = np.arange(len(good))
-    top[good, x] = False
-    top[[g.opp[z] for z in good], x] = True
-    bad = (values.max(axis=0) != 1) | ((values == 1) != top).any(axis=0)
-    if bad.any():
-        z = good[int(bad.argmax())]
+    x = range(len(good))
+    top[good, x], top[[g.opp[z] for z in good], x] = False, True
+    bad = ((values > 1) | ((values == 1) != top)).any(axis=0).tolist()
+    z = next((z for z, b in zip(good, bad) if b), None)
+    if z is not None:
         return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True
-    return True, "", True
+    return True, "", bool(good)
 
 
 def _check_opposite_is_lowest(ctx):
     # the negative entries by frame position, then by vertex: the loop order
     # over (z, i), since position j holds frame vertex j
-    g = ctx.g
+    g, levels = ctx.g, ctx.levels
     frame = ctx.frame.vertex_indices
-    cols, rows = np.nonzero(ctx.coords.T < 0)
-    opp = np.array([g.opp[z] for z in frame])[cols]
-    levels = _level_array(ctx)
-    bad = ((rows != opp) & (levels[rows] >= levels[opp])).nonzero()[0]
-    if bad.size:
-        i, z = int(rows[bad[0]]), frame[cols[bad[0]]]
-        return False, (
-            f"vertex {i} has negative coordinate at {z} but level "
-            f"{ctx.levels[i]} >= level of opp ({ctx.levels[g.opp[z]]})"
-        ), True
+    cols, rows = (ctx.coords.T < 0).nonzero()
+    for j, i in zip(cols.tolist(), rows.tolist()):
+        y = g.opp[frame[j]]
+        if i != y and levels[i] >= levels[y]:
+            return False, (
+                f"vertex {i} has negative coordinate at {frame[j]} but level "
+                f"{levels[i]} >= level of opp ({levels[y]})"
+            ), True
     return True, "", True
 
 
 def _check_nongood_low_vertex(ctx):
     g = ctx.g
     for w in sorted(g.c):
-        below = ctx.coords[ctx.v_minus1, ctx.pos[w]] < 0
-        hits = [ctx.v_minus1[x] for x in below.nonzero()[0].tolist()]
+        column = ctx.coords[:, ctx.pos[w]].tolist()
+        hits = [i for i in ctx.v_minus1 if column[i] < 0]
         if len(hits) > 1:
             return False, f"non-good vertex {w} has {len(hits)} level -1 vertices below it", True
         if hits and hits[0] != g.opp[w]:
@@ -448,14 +443,12 @@ def _check_shared_low_coordinate(ctx):
 
 def _check_separating_coordinate(ctx):
     # a vertex below another has a smaller coordinate somewhere, because each
-    # level is the sum of the vertex's coordinate row; checking that premise
-    # proves the claim
-    sums = ctx.coords.sum(axis=1)
-    bad = (sums != _level_array(ctx)).nonzero()[0]
-    if bad.size:
-        i = int(bad[0])
-        return False, (f"level {ctx.levels[i]} of vertex {i} is not its coordinate sum "
-                       f"{sums[i]}"), True
+    # level, the outer normal's value, is the sum of the vertex's coordinate
+    # row (ctx.levels); checking that premise proves the claim
+    values = ctx.p.products(ctx.frame.outer_normal)
+    for i, (level, row_sum) in enumerate(zip(values, ctx.levels)):
+        if level != row_sum:
+            return False, f"level {level} of vertex {i} is not its coordinate sum {row_sum}", True
     return True, "", True
 
 
@@ -529,7 +522,7 @@ def _check_paired_core_size(ctx):
 
 def _check_low_vertex_support(ctx):
     bar_positions = [ctx.pos[v] for v in sorted(ctx.g.a_bar)]
-    bad = support_bound_violation(ctx.coords, bar_positions, ctx.k)
+    bad = support_bound_violation(ctx.coords, ctx.levels, bar_positions, ctx.k)
     if bad is None:
         return True, "", any(lv <= -1 for lv in ctx.levels)
     i, support, bound = bad

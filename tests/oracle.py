@@ -266,10 +266,10 @@ def initial_raw_lists(p: Polytope):
         wv = [dot(w, v) for v in p.vertices]
         neg = [-x for x in wv]
         below = [i for i, v in enumerate(values) if v < c]
-        cands = _min_ratio(neg, values, c, below)
+        cands = _min_ratio(((i, neg[i]) for i in below), values, c)
         if not cands:
             w, wv, neg = tuple(-a for a in w), neg, wv
-            cands = _min_ratio(neg, values, c, below)
+            cands = _min_ratio(((i, neg[i]) for i in below), values, c)
         if not cands:
             raise InvariantViolationError("no rotation direction during gift-wrap")
         best = cands[0]
@@ -303,9 +303,10 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
     coord_fail = zero_fail = None
     for f in enumerate_facets(p):
         coords = p.coords_rows(f.dual_basis.entries).tolist()
-        opp = _opposites(f, coords)
-        coord_fail = coord_fail or _opposite_coordinate_failure(f, coords, opp)
-        zero_fail = zero_fail or _level_zero_failure(f, coords, opp)
+        opp = _opposites(f.vertex_indices, map(enumerate, zip(*coords)),
+                         [sum(row) for row in coords])
+        coord_fail = coord_fail or _opposite_coordinate_failure(f.vertex_indices, coords, opp)
+        zero_fail = zero_fail or _level_zero_failure(f.vertex_indices, coords, opp)
     return coord_fail, zero_fail
 
 
@@ -374,7 +375,7 @@ def levels_by_normal(p: Polytope, f) -> list[int]:
 def opposites_by_rows(p: Polytope, f, rows) -> list[int]:
     """opp(F, v) for every frame position: the ratio rule over every vertex
     of each column of the coordinate rows."""
-    return _opposites(f, rows)
+    return _opposites(f.vertex_indices, map(enumerate, zip(*rows)), [sum(row) for row in rows])
 
 
 def phi_by_lookup(p: Polytope, f, opp) -> dict[int, int | None]:
@@ -393,11 +394,11 @@ def negation_by_lookup(p: Polytope, a) -> dict[int, int]:
     return {v: i for v, i in negatives if i is not None}
 
 
-def support_bound_rows(rows, bar_positions, k):
+def support_bound_rows(rows, levels, bar_positions, k):
     """`analysis.support_bound_violation` on coordinate rows."""
     bound = 2 * k + 2
     for i, row in enumerate(rows):
-        if sum(row) <= -1:
+        if levels[i] <= -1:
             support = sum(1 for j in bar_positions if row[j] != 0)
             if support > bound:
                 return i, support, bound
@@ -411,11 +412,11 @@ def clean_pairs_rows(p: Polytope, f, g, rows) -> list[tuple[int, int]]:
     pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
     w_set = {i for orbit in g.orbits.values() for i in orbit}
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
-    bad = support_bound_rows(rows, bar_positions, vertex_deficit(p))
+    bad = support_bound_rows(rows, g.levels, bar_positions, vertex_deficit(p))
     if bad is not None:
         i, support, bound = bad
         raise InvariantViolationError(
-            f"vertex {i} at level {sum(rows[i])} touches {support} paired-core "
+            f"vertex {i} at level {g.levels[i]} touches {support} paired-core "
             f"directions, above the bound {bound}")
     for pair, orbit in g.orbits.items():
         own = {pos[pair[0]], pos[pair[1]]}
@@ -467,7 +468,7 @@ def expansion_structure_rows(ctx):
         jz = ctx.pos[z]
         if row[jz] != -1:
             return False, f"opp({z}) has coordinate {row[jz]} at its own position", True
-        rest = sum(row) + 1
+        rest = ctx.levels[g.opp[z]] + 1
         if z in g.a:
             continue
         if z in g.b:
@@ -558,13 +559,6 @@ def shared_low_coordinate_rows(ctx):
     return True, "", bool(good)
 
 
-def separating_coordinate_rows(ctx):
-    for i, (row, level) in enumerate(zip(ctx.coords, ctx.levels)):
-        if sum(row) != level:
-            return False, f"level {level} of vertex {i} is not its coordinate sum {sum(row)}", True
-    return True, "", True
-
-
 def no_shared_minus_one_rows(ctx):
     g = ctx.g
     good = sorted(g.a | g.b)
@@ -586,7 +580,7 @@ def no_shared_minus_one_rows(ctx):
 
 def low_vertex_support_rows(ctx):
     bar_positions = [ctx.pos[v] for v in sorted(ctx.g.a_bar)]
-    bad = support_bound_rows(ctx.coords, bar_positions, ctx.k)
+    bad = support_bound_rows(ctx.coords, ctx.levels, bar_positions, ctx.k)
     if bad is None:
         return True, "", any(lv <= -1 for lv in ctx.levels)
     i, support, bound = bad

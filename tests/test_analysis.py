@@ -156,6 +156,13 @@ class TestGoodnessPartition:
         g = goodness_partition(p, f)
         assert 0 in g.a
         assert g.negation == negation_by_lookup(p, g.a) == {}
+        # nor is (-1, -1, 1), at level -1 with its least entry at e_0
+        p = make_polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 0), (-1, -1, 1),
+                           (1, 0, -1), (0, -1, -1)])
+        f = frame_from_indices(p, [0, 1, 2])
+        g = goodness_partition(p, f)
+        assert 0 in g.a
+        assert g.negation == negation_by_lookup(p, g.a) == {}
 
     def test_rejects_non_special_facet(self):
         p = bundle_b(1)

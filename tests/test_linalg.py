@@ -441,17 +441,15 @@ def test_pair_cap_boundary():
     assert linalg._sparse_products(v.astype(object), r.astype(object)) is None
 
 
-def test_object_pair_cap_boundary():
-    # at d = 12 exact-int operands take up to 12 // 4 = 3 pairs per output
-    # entry: 5 x 4 entries of 3 pairs each run sparse on entries beyond int64
-    # and match the dense reference, where int64 operands stop at 1 pair
+def test_object_sparse_products_match_dense():
+    # entries beyond int64 keep the pair cap of int64 operands: 5 x 4 pairs
+    # for 5 x 4 output entries run sparse and match the dense reference
     rng = random.Random(7)
-    v = [[rng.choice((-1, 1)) * 2**70 if k < 3 else 0 for k in range(12)] for _ in range(5)]
-    r = [[rng.choice((-3, 2, 5)) if k < 3 else 0 for k in range(12)] for _ in range(4)]
+    v = [[rng.choice((-1, 1)) * 2**70 if k == i % 2 else 0 for k in range(12)] for i in range(5)]
+    r = [[rng.choice((-3, 2, 5)) if k < 2 else 0 for k in range(12)] for _ in range(4)]
     vo, ro = np.array(v, dtype=object), np.array(r, dtype=object)
     assert linalg._sparse_products(vo, ro).tolist() == dense_products(v, r)
-    assert linalg._sparse_products((vo != 0).astype(np.int64), ro.astype(np.int64)) is None
-    vo[0, 3] = ro[0, 3] = 1  # one pair more than 3 per entry
+    vo[0, 1] = 1  # 4 pairs more
     assert linalg._sparse_products(vo, ro) is None
 
 

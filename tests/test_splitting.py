@@ -147,7 +147,9 @@ class TestArraySplit:
                         coords[rng.randrange(p.n), rng.sample(bar, min(len(bar), 5))] = -1
                 rows = coords.tolist()
                 k = vertex_deficit(p)
-                assert support_bound_violation(coords, bar, k) == support_bound_rows(rows, bar, k)
+                levels = [sum(row) for row in rows]
+                assert (support_bound_violation(coords, levels, bar, k)
+                        == support_bound_rows(rows, levels, bar, k))
                 with monkeypatch.context() as m:
                     m.setattr(splitting, "frame_coords", lambda q, frame: coords)
                     pairs = (

@@ -12,8 +12,8 @@ import oracle
 from fanosplit import analysis, polytope, verify
 from fanosplit.errors import InvariantViolationError, UnclassifiableVertexError
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
-from fanosplit.polytope import (Mode, frame_from_indices, free_sum, is_smooth_fano,
-                                make_polytope, special_facet)
+from fanosplit.polytope import (Mode, enumerate_facets, frame_from_indices, free_sum,
+                                is_smooth_fano, make_polytope, special_facet)
 from fanosplit.splitting import direct_sum
 from fanosplit.verify import (
     FAIL,
@@ -73,16 +73,17 @@ class TestVerifyBounds:
         assert all(c.status != FAIL for c in report.checks)
 
     def test_separating_coordinate_can_fail(self):
-        from types import SimpleNamespace
-
         from fanosplit.verify import _check_separating_coordinate
 
-        ctx = SimpleNamespace(coords=np.array([(1, 0), (0, 1), (-1, -1)]), levels=[1, 1, -2])
-        assert _check_separating_coordinate(ctx) == (True, "", True)
-        ctx.levels[2] = 0
-        assert _check_separating_coordinate(ctx) == (
-            False, "level 0 of vertex 2 is not its coordinate sum -2", True
-        )
+        # the outer normal's values against the coordinate sums, ctx.levels
+        base = _Ctx(random_image(example4d(), 1), Mode.LOCAL)
+        assert _check_separating_coordinate(base) == (True, "", True)
+        for shift in (1, -1):
+            levels = list(base.levels)
+            levels[2] += shift
+            ctx = SimpleNamespace(**{**vars(base), "levels": tuple(levels)})
+            assert _check_separating_coordinate(ctx) == (False, (
+                f"level {base.levels[2]} of vertex 2 is not its coordinate sum {levels[2]}"), True)
 
     def test_no_shared_minus_one_can_fail(self):
         from types import SimpleNamespace
@@ -210,7 +211,6 @@ ROW_REFERENCES = (
     (verify._check_opposite_is_lowest, oracle.opposite_is_lowest_rows),
     (verify._check_nongood_low_vertex, oracle.nongood_low_vertex_rows),
     (verify._check_shared_low_coordinate, oracle.shared_low_coordinate_rows),
-    (verify._check_separating_coordinate, oracle.separating_coordinate_rows),
     (verify._check_no_shared_minus_one, oracle.no_shared_minus_one_rows),
     (verify._check_low_vertex_support, oracle.low_vertex_support_rows),
 )
@@ -288,7 +288,6 @@ class TestArrayChecks:
             ("_check_nongood_low_vertex", "level N vertex N below N is not opp(N)"),
             ("_check_shared_low_coordinate",
              "positions (N, N): N level N vertices dip below opp(N)"),
-            ("_check_separating_coordinate", "level N of vertex N is not its coordinate sum N"),
             ("_check_no_shared_minus_one",
              "level N vertex N has coordinate N at both N and N despite distinct opposites"),
             ("_check_low_vertex_support",
@@ -312,20 +311,24 @@ class TestSummandWalk:
                             lambda q: enumerations.append(q) or enumerate_raw(q))
         opposites = verify._opposites
         monkeypatch.setattr(verify, "_opposites",
-                            lambda f, coords: walked.append(f) or opposites(f, coords))
+                            lambda indices, *rest: walked.append(indices) or opposites(indices, *rest))
         assert verify_bounds(p, Mode.FULL).all_satisfied
         assert enumerations == []
         assert len(walked) == 24  # 12 facets per summand, not 144 of p
 
     def test_summand_failure_names_its_factor(self, monkeypatch):
-        monkeypatch.setattr(verify, "_level_zero_failure", lambda f, coords, opp: "forced")
+        # the first failure is at the summand's first facet in `enumerate_facets` order
+        monkeypatch.setattr(verify, "_level_zero_failure",
+                            lambda indices, rows, opp: f"forced at {indices}")
         p = random_image(direct_sum(bundle_b(1), hexagon()), 2)
-        own = free_sum(p, Mode.FULL)[1][0][0]
+        own, q = free_sum(p, Mode.FULL)[1][0]
         details = by_name(verify_bounds(p, Mode.FULL))["level-zero-opposites"].details
-        assert details == f"factor on vertices {own}: forced"
+        first = enumerate_facets(q)[0].vertex_indices
+        assert details == f"factor on vertices {own}: forced at {first}"
         # an irreducible p is its own summand: no prefix
-        details = by_name(verify_bounds(bundle_b(1), Mode.FULL))["level-zero-opposites"].details
-        assert details == "forced"
+        q = random_image(bundle_b(1), 2)
+        details = by_name(verify_bounds(q, Mode.FULL))["level-zero-opposites"].details
+        assert details == f"forced at {enumerate_facets(q)[0].vertex_indices}"
 
 
 class TestClassifier:
