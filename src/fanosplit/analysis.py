@@ -140,7 +140,7 @@ class GoodnessPartition:
         return {(v, w): (v, w, opp[v], opp[w], neg[v], neg[w]) for v, w in self.bar_pairs}
 
     def gamma_of(self, vertex_index: int) -> int:
-        return self.gamma[self.frame.vertex_indices.index(vertex_index)]
+        return self.gamma[self.frame.position_of(vertex_index)]
 
 
 def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
@@ -173,10 +173,10 @@ def goodness_partition(p: Polytope, f: FacetFrame) -> GoodnessPartition:
     at = {j: i for i, j, one in zip(low, rows.argmin(axis=1).tolist(), single) if one}
     negation = {v: at[j] for j, v in enumerate(f.vertex_indices) if v in a and j in at}
     a_prime = negation.keys()
-    gamma_of = {v: g for v, g in zip(f.vertex_indices, gamma)}
+    pos = f.positions
     a_bar = {
         v for v in a_prime
-        if phi[v] in a_prime and gamma_of[v] == 0 and gamma_of[phi[v]] == 0
+        if phi[v] in a_prime and gamma[pos[v]] == 0 and gamma[pos[phi[v]]] == 0
     }
     for v in a_bar:
         w = phi[v]

@@ -112,7 +112,7 @@ def _factor_form(q: Polytope, budget_state: list[int], budget: int) -> Matrix:
     for f in enumerate_facets(q):
         if any(g < 0 for g in f.coordinates(s)):
             continue
-        rows = q.coords_rows(f._raw.dual).tolist()
+        rows = q.coords_rows(f.dual).tolist()
         cols = tuple(tuple(r[j] for r in rows) for j in range(q.dim))
         for perm in _orderings(cols, budget_state, budget):
             mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))

@@ -43,6 +43,10 @@ class NotSimplicialError(FanoError):
     """Some supporting hyperplane contains more vertices than a simplex facet allows."""
 
 
+class VertexIndexError(FanoError):
+    """A vertex index is out of range, repeated, or not on the frame it is asked of."""
+
+
 class NoNegativeVertexError(FanoError):
     """A ridge pivot found no vertex on the negative side; the origin cannot be interior."""
 

@@ -17,15 +17,14 @@ its primitive outer normal.  All geometry is exact:
 * ties in the ratio rule across a ridge certify a non-simplicial facet and
   are a hard error, never silently broken.
 
-Internally a facet is one record, `_RawFacet`: its vertex indices by frame
-position, the exact rational dual basis (`dual` / `det`) and the primitive
-outer normal.  The scaled dual basis is one exact d x d array for the
-record's whole life, under `linalg._exact_array`'s rule: int64 when
-`_products_fit` proves its entries fit, else exact Python ints.  One
-dual-basis update (`_neighbor_raw`), a single numpy rank-1 update, crosses a
-ridge; the enumeration, the special-facet walk and `pivot` all use it.
-`FacetFrame` is the public, sorted, unimodular view of a record, and keeps
-its record for the next pivot.
+A facet is one record, `FacetFrame`: its vertex indices by frame position,
+the exact rational dual basis (`dual` / `det`), the primitive outer normal
+and its value on the facet (`height`).  The scaled dual basis is one exact
+d x d array for the record's whole life, under `linalg._exact_array`'s rule:
+int64 when `_products_fit` proves its entries fit, else exact Python ints.
+One dual-basis update (`_neighbor_raw`), a single numpy rank-1 update,
+crosses a ridge; the enumeration, the special-facet walk and `pivot` all use
+it.  The public functions return sorted unimodular records only.
 
 The gift-wrap runs once per polytope (`_initial_raw_cached`, which keeps a
 failure too) and is the first thing `make_polytope` does after its duplicate
@@ -70,6 +69,7 @@ from .errors import (
     NotSmoothFanoError,
     NotUnimodularError,
     OriginNotInteriorError,
+    VertexIndexError,
 )
 from .linalg import IntMatrix, IntKernel, dot, gcd_of
 
@@ -225,40 +225,67 @@ def vertex_deficit(p: Polytope) -> int:
     return 3 * p.dim - p.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FacetFrame:
     """A facet's vertex indices with the dual basis of its vertex basis.
 
-    Row i of `dual_basis` is the functional u_i that is 1 on vertex
-    `vertex_indices[i]` and 0 on the other frame vertices.  Their sum is the
-    primitive outer normal: 1 on the facet, <= 1 on the whole polytope.
+    Row i of `dual` is `det` times the functional u_i that is 1 on vertex
+    `vertex_indices[i]` and 0 on the other frame vertices; the u_i sum to
+    `outer_normal` / `height`, which is 1 on the facet.  Public functions
+    return sorted frames with `det` = `height` = 1, whose `dual_basis` is the
+    u_i as an `IntMatrix`.  `FacetFrame(vertex_indices, dual_basis, outer_normal)`
+    builds such a frame by hand from integer rows in any form.
     """
 
     vertex_indices: tuple[int, ...]
-    dual_basis: IntMatrix
-    outer_normal: LatticeVector
+    dual: np.ndarray  # exact d x d array under `linalg._exact_array`'s rule
+    dual_max: int  # max |entry| of dual: the bound on products with it
+    det: int  # > 0; the vertex basis is unimodular iff det == 1
+    outer_normal: LatticeVector  # primitive outer normal A
+    height: int  # c > 0 with <A, x> = c on the facet, <= c on P
+
+    def __init__(self, vertex_indices: tuple[int, ...], dual_basis, outer_normal: LatticeVector,
+                 det: int = 1, height: int = 1, dual_max: int | None = None):
+        if dual_max is None:  # rows in any integer form, not yet an exact array
+            dual_basis, dual_max = linalg._to_array(dual_basis)
+        self.__dict__.update(vertex_indices=vertex_indices, dual=dual_basis, dual_max=dual_max,
+                             det=det, outer_normal=outer_normal, height=height)
+
+    @cached_property
+    def dual_basis(self) -> IntMatrix:
+        return IntMatrix(tuple(map(tuple, self.dual.tolist())))
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """The frame position of every vertex index on the frame."""
+        return {v: j for j, v in enumerate(self.vertex_indices)}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FacetFrame) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @property
+    def _key(self) -> tuple:
+        return self.vertex_indices, self.dual_basis, self.outer_normal
 
     @property
     def dim(self) -> int:
         return len(self.vertex_indices)
 
     def position_of(self, vertex_index: int) -> int:
-        return self.vertex_indices.index(vertex_index)
+        if vertex_index not in self.positions:
+            raise VertexIndexError(f"vertex {vertex_index} is not on facet {self.vertex_indices}")
+        return self.positions[vertex_index]
 
     def coordinates(self, x: Sequence[int]) -> LatticeVector:
         if len(x) != self.dim:
             raise DimensionError("coordinates shape mismatch")
-        return tuple(linalg.products_with(self._raw.dual, x, self._raw.dual_max))
+        return tuple(linalg.products_with(self.dual, x, self.dual_max))
 
     def level(self, x: Sequence[int]) -> int:
         return dot(self.outer_normal, x)
-
-    @cached_property
-    def _raw(self) -> _RawFacet:
-        """The frame's record; a frame built from a record keeps that one."""
-        dual, hi = linalg._to_array(self.dual_basis.entries)
-        dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
-        return _RawFacet(self.vertex_indices, dual, hi, 1, self.outer_normal, 1)
 
 
 @dataclass(frozen=True)
@@ -285,26 +312,7 @@ class SmoothFanoCertificate:
         return f"invalid kind={self.failure_kind} witness={self.witness}"
 
 
-@dataclass(frozen=True, eq=False)
-class _RawFacet:
-    """Internal facet record; `dual`/`det` is the exact rational dual basis.
-
-    `dual` is one d x d array under `linalg._exact_array`'s rule, int64
-    exactly when its entries fit, else exact Python ints; it is never turned
-    back into tuples while the record lives.  Row i of `dual` belongs to
-    `indices[i]`.  Records are sorted by index except between the steps of a
-    walk, which keeps frame positions fixed.
-    """
-
-    indices: tuple[int, ...]
-    dual: np.ndarray
-    dual_max: int  # max |entry| of dual: the bound on products with it
-    det: int  # > 0; facet vertex basis is unimodular iff det == 1
-    normal: LatticeVector  # primitive outer normal A
-    level: int  # c > 0 with <A, x> = c on the facet, <= c on P
-
-
-def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> _RawFacet:
+def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> FacetFrame:
     """The record of a scaled dual basis; its row sum over `det` is the normal."""
     hi = linalg._max_abs(dual)
     dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
@@ -313,18 +321,17 @@ def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> _RawFacet:
     g = gcd_of(rowsum + [det])
     if g == 0:
         raise InvariantViolationError("zero outer normal")
-    return _RawFacet(tuple(indices), dual, hi, det,
-                     tuple(a // g for a in rowsum), det // g)
+    return FacetFrame(tuple(indices), dual, tuple(a // g for a in rowsum), det, det // g, hi)
 
 
-def _sorted_raw(raw: _RawFacet) -> _RawFacet:
+def _sorted_raw(raw: FacetFrame) -> FacetFrame:
     """The same record with its (index, dual row) pairs in index order."""
-    idx = raw.indices
+    idx = raw.vertex_indices
     if all(a < b for a, b in zip(idx, idx[1:])):
         return raw
     order = sorted(range(len(idx)), key=idx.__getitem__)
-    return _RawFacet(tuple(idx[w] for w in order), raw.dual.take(order, axis=0),
-                     raw.dual_max, raw.det, raw.normal, raw.level)
+    return FacetFrame(tuple(idx[w] for w in order), raw.dual.take(order, axis=0),
+                      raw.outer_normal, raw.det, raw.height, raw.dual_max)
 
 
 def _min_ratio(entries: Iterable[tuple[int, int]], levels: Sequence[int], delta: int) -> list[int]:
@@ -350,7 +357,7 @@ def _min_ratio(entries: Iterable[tuple[int, int]], levels: Sequence[int], delta:
     return best
 
 
-def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
+def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> FacetFrame:
     """The record of the sorted vertex index set `indices`."""
     dual, delta = linalg.scaled_dual(p._array[list(indices)])
     if delta < 0:
@@ -358,21 +365,21 @@ def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> _RawFacet:
     return _make_raw(indices, dual, delta)
 
 
-def _check_facet(p: Polytope, raw: _RawFacet) -> None:
+def _check_facet(p: Polytope, raw: FacetFrame) -> None:
     """Verify the facet hyperplane supports P and carries exactly d vertices."""
-    values = p.products(raw.normal)
-    on = [i for i, v in enumerate(values) if v == raw.level]
-    if max(values) > raw.level:
+    values = p.products(raw.outer_normal)
+    on = [i for i, v in enumerate(values) if v == raw.height]
+    if max(values) > raw.height:
         raise InvariantViolationError(
-            f"hyperplane of facet {raw.indices} does not support the polytope"
+            f"hyperplane of facet {raw.vertex_indices} does not support the polytope"
         )
-    if raw.level <= 0:
+    if raw.height <= 0:
         raise OriginNotInteriorError(
-            f"facet hyperplane {raw.normal} has non-positive level {raw.level}"
+            f"facet hyperplane {raw.outer_normal} has non-positive level {raw.height}"
         )
     if len(on) != p.dim:
         raise NotSimplicialError(
-            f"hyperplane through facet {raw.indices} contains {len(on)} vertices: {tuple(on)}"
+            f"hyperplane through facet {raw.vertex_indices} contains {len(on)} vertices: {tuple(on)}"
         )
 
 
@@ -391,7 +398,7 @@ def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int, below: np.ndarray) 
     return int(idx[0]) if idx.size else None
 
 
-def _initial_raw(p: Polytope) -> _RawFacet:
+def _initial_raw(p: Polytope) -> FacetFrame:
     """Gift-wrap one facet: rotate a supporting hyperplane onto new vertices
     one kernel direction at a time until it supports a full-rank vertex set.
 
@@ -451,7 +458,7 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(mask.nonzero()[0].tolist())
 
 
-def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _RawFacet:
+def _neighbor_raw(raw: FacetFrame, ct: Sequence[int], pos: int, target: int) -> FacetFrame:
     """Dual-basis update when frame position `pos` is replaced by `target`,
     whose coordinate row (exact ints) is `ct`; every other position keeps its
     place.
@@ -470,7 +477,7 @@ def _neighbor_raw(raw: _RawFacet, ct: Sequence[int], pos: int, target: int) -> _
     if raw.det != 1:
         rows //= raw.det  # exact: the rows are the adjugate of the new vertex basis
     rows[pos] = base
-    indices = [target if w == pos else i for w, i in enumerate(raw.indices)]
+    indices = [target if w == pos else i for w, i in enumerate(raw.vertex_indices)]
     return _make_raw(indices, rows, beta)
 
 
@@ -490,29 +497,29 @@ def _ridge_target(indices: tuple[int, ...], entries: Iterable[tuple[int, int]],
     return targets[0]
 
 
-def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
+def _enumerate_raw(p: Polytope) -> list[FacetFrame]:
     """Breadth-first closure of ridge pivots starting from the wrapped facet."""
     from collections import deque
 
     start = _initial_raw_cached(p)
-    visited = {start.indices}
+    visited = {start.vertex_indices}
     queue = deque([start])
     out = []
     covered = set()
     while queue:
         raw = queue.popleft()
         out.append(raw)
-        covered.update(raw.indices)
+        covered.update(raw.vertex_indices)
         coords = p.coords_rows(raw.dual).tolist()
         levels = [sum(row) for row in coords]
         for pos, column in enumerate(zip(*coords)):
-            target = _ridge_target(raw.indices, enumerate(column), levels, raw.det, pos)
-            key = tuple(sorted(set(raw.indices) - {raw.indices[pos]} | {target}))
+            target = _ridge_target(raw.vertex_indices, enumerate(column), levels, raw.det, pos)
+            key = tuple(sorted(set(raw.vertex_indices) - {raw.vertex_indices[pos]} | {target}))
             if key in visited:
                 continue
             neighbor = _sorted_raw(_neighbor_raw(raw, coords[target], pos, target))
             _check_facet(p, neighbor)
-            visited.add(neighbor.indices)
+            visited.add(neighbor.vertex_indices)
             queue.append(neighbor)
     if len(covered) != p.n:
         missing = sorted(set(range(p.n)) - covered)
@@ -522,22 +529,19 @@ def _enumerate_raw(p: Polytope) -> list[_RawFacet]:
     return out
 
 
-def _frame_from_raw(raw: _RawFacet) -> FacetFrame:
+def _frame_from_raw(raw: FacetFrame) -> FacetFrame:
+    """The sorted record, which must be unimodular; its error is also
+    validation's witness of a facet that is not."""
     raw = _sorted_raw(raw)
     if raw.det != 1:
-        raise NotUnimodularError(
-            raw.det, f"facet {raw.indices} has vertex basis with |det| = {raw.det}"
-        )
-    # with det 1 the row sum is already primitive, so it is the normal
-    frame = FacetFrame(raw.indices, IntMatrix(tuple(map(tuple, raw.dual.tolist()))), raw.normal)
-    frame.__dict__["_raw"] = raw  # the frame's next pivot starts from the array
-    return frame
+        raise NotUnimodularError(raw.det, f"facet {raw.vertex_indices} has |det| = {raw.det}")
+    return raw
 
 
-def _cross(p: Polytope, raw: _RawFacet, pos: int) -> _RawFacet:
+def _cross(p: Polytope, raw: FacetFrame, pos: int) -> FacetFrame:
     """Cross ridge `pos` of a unimodular record to its unimodular neighbor."""
     cv = p.products(raw.dual[pos])
-    best = _ridge_target(raw.indices, enumerate(cv), p.products(raw.normal), 1, pos)
+    best = _ridge_target(raw.vertex_indices, enumerate(cv), p.products(raw.outer_normal), 1, pos)
     if cv[best] != -1:
         raise NotUnimodularError(
             cv[best],
@@ -553,20 +557,19 @@ def enumerate_facets(p: Polytope) -> tuple[FacetFrame, ...]:
     Requires every facet basis to be unimodular (NotUnimodularError
     otherwise); use `is_smooth_fano` for a non-raising validity check.
     """
-    raws = _full_raws(p)
-    frames = [_frame_from_raw(raw) for raw in raws]
+    frames = [_frame_from_raw(raw) for raw in _full_raws(p)]
     frames.sort(key=lambda f: f.vertex_indices)
     return tuple(frames)
 
 
-def _full_raws(p: Polytope) -> list[_RawFacet]:
+def _full_raws(p: Polytope) -> list[FacetFrame]:
     cache = p._cert_cache
     if "raws" not in cache:
         cache["raws"] = _enumerate_raw(p)
     return cache["raws"]
 
 
-def _initial_raw_cached(p: Polytope) -> _RawFacet:
+def _initial_raw_cached(p: Polytope) -> FacetFrame:
     """`_initial_raw`, run once per polytope.  A failure is kept without its
     traceback and each caller gets a fresh copy of it (same type, arguments
     and attributes), so no raise pins frames or arrays in the cache."""
@@ -615,11 +618,6 @@ _FAILURE_KINDS = {
     NotFullDimError: "NotFullDim",
     NotUnimodularError: "FacetNotUnimodular",
 }
-
-
-def _not_unimodular(mode: Mode, raw: _RawFacet) -> SmoothFanoCertificate:
-    return SmoothFanoCertificate(False, mode, "FacetNotUnimodular",
-                                 f"facet {raw.indices} has |det| = {raw.det}")
 
 
 def coordinate_blocks(coords: np.ndarray) -> tuple[list[list[int]], list[int]]:
@@ -684,9 +682,7 @@ def _summand_mode(mode: Mode, dim: int) -> Mode:
 def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
     """The certificate of an affinely full-dimensional p."""
     try:
-        start = _initial_raw_cached(p)
-        if start.det != 1:
-            return _not_unimodular(mode, start)
+        start = _frame_from_raw(_initial_raw_cached(p))
         summands = _block_summands(p, start)
         if summands:
             return _certify_summands(mode, start, summands)
@@ -694,22 +690,22 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
             return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
                                          unproven_dim=p.dim)
         raws = _full_raws(p)
+        for raw in raws:  # the witness is the first one in breadth-first order
+            if raw.det != 1:
+                _frame_from_raw(raw)
     except tuple(_FAILURE_KINDS) as e:
         return SmoothFanoCertificate(False, mode, _FAILURE_KINDS[type(e)], str(e))
-    bad = next((raw for raw in raws if raw.det != 1), None)
-    if bad is not None:
-        return _not_unimodular(mode, bad)
     return SmoothFanoCertificate(True, mode, facet_count=len(raws), proof=Proof.FULL)
 
 
-def _block_summands(p: Polytope, start: _RawFacet
+def _block_summands(p: Polytope, start: FacetFrame
                     ) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:
     """(frame positions, vertex indices, block polytope) of every block of the
     unimodular start facet, or () when there is one block.  Cached on p, so
     that the certificates of both modes prove the same summand objects."""
     cache = p._cert_cache
     if "summands" not in cache:
-        coords = _cached_coords(p, start.indices, start.dual)
+        coords = frame_coords(p, start)
         blocks, assign = coordinate_blocks(coords)
         cache["summands"] = () if len(blocks) == 1 else tuple(
             (block, own, q)
@@ -717,7 +713,7 @@ def _block_summands(p: Polytope, start: _RawFacet
     return cache["summands"]
 
 
-def _certify_summands(mode: Mode, start: _RawFacet,
+def _certify_summands(mode: Mode, start: FacetFrame,
                       summands: Sequence[tuple[list[int], tuple[int, ...], Polytope]]
                       ) -> SmoothFanoCertificate:
     """The certificate of the free sum of the block polytopes."""
@@ -732,7 +728,7 @@ def _certify_summands(mode: Mode, start: _RawFacet,
             return SmoothFanoCertificate(
                 False, mode, "OriginNotInterior",
                 f"factor on vertices {own}: every vertex lies on the "
-                f"hyperplane of facet {start.indices}")
+                f"hyperplane of facet {start.vertex_indices}")
         q.__dict__["_full_dim"] = True  # it spans, as above: skip the proof
         cert = is_smooth_fano(q, _summand_mode(mode, q.dim))
         if not cert.valid:
@@ -792,8 +788,8 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     direction) over vertices with negative such coordinate.
     """
     pos = frame.position_of(vertex_index)
-    neighbor = _cross(p, frame._raw, pos)
-    return _frame_from_raw(neighbor), p.vertices[neighbor.indices[pos]]
+    neighbor = _cross(p, frame, pos)
+    return _frame_from_raw(neighbor), p.vertices[neighbor.vertex_indices[pos]]
 
 
 def frame_coords(p: Polytope, frame: FacetFrame) -> np.ndarray:
@@ -803,20 +799,14 @@ def frame_coords(p: Polytope, frame: FacetFrame) -> np.ndarray:
     The array is int64 exactly when d times its largest |entry| fits, so that
     row sums and their differences with entries fit too: a dense disguise
     inflates the vertices and the dual basis, not the coordinates.  For
-    frames that several stages read, above all the special facet; a walk
-    over every facet calls `Polytope.coords_rows` and keeps nothing.
+    frames that several stages read, above all the special facet, which is
+    validation's start facet whenever the walk takes no step; a walk over
+    every facet calls `Polytope.coords_rows` and keeps nothing.
     """
-    return _cached_coords(p, frame.vertex_indices, frame._raw.dual)
-
-
-def _cached_coords(p: Polytope, indices: tuple[int, ...], dual: np.ndarray) -> np.ndarray:
-    """`frame_coords` of the unimodular sorted frame on `indices`, cached on
-    p: validation computes them for its start facet, which is also the
-    special facet whenever the walk takes no step."""
     cache = p._cert_cache
-    key = ("coords", indices)
+    key = ("coords", frame.vertex_indices)
     if key not in cache:
-        c = p.coords_rows(dual)
+        c = p.coords_rows(frame.dual)
         hi = max(int(c.max()), -int(c.min()))  # no n x d temporary, unlike np.abs
         cache[key] = linalg._exact_array(c, linalg._products_fit(hi, 1, p.dim))
     return cache[key]
@@ -854,6 +844,12 @@ def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:
     idx = sorted(int(i) for i in indices)
     if len(idx) != p.dim:
         raise NotSimplicialError(f"a facet frame needs exactly {p.dim} vertices")
+    bad = next((i for i in idx if not 0 <= i < p.n), None)
+    if bad is not None:
+        raise VertexIndexError(f"vertex index {bad} is out of range for {p.n} vertices")
+    bad = next((a for a, b in zip(idx, idx[1:]) if a == b), None)
+    if bad is not None:
+        raise VertexIndexError(f"vertex index {bad} appears more than once")
     raw = _raw_from_rows(p, idx)
     _check_facet(p, raw)
     return _frame_from_raw(raw)

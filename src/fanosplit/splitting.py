@@ -65,7 +65,7 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
     both u_v and u_phi(v); each clean pair spans a hexagon direct summand.
     """
     coords = frame_coords(p, f)
-    pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
+    pos = f.positions
     bar_positions = [pos[v] for v in sorted(g.a_bar)]
     bad = support_bound_violation(coords, g.levels, bar_positions, vertex_deficit(p))
     if bad is not None:
@@ -151,7 +151,8 @@ def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[i
         factors.append(Factor(own, q, (lo, hi), kinds[bi]))
         lo = hi
     hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
-    basis = IntMatrix(tuple(f.dual_basis.entries[j] for block in blocks for j in block))
+    rows = f.dual.take([j for block in blocks for j in block], axis=0).tolist()
+    basis = IntMatrix(tuple(map(tuple, rows)))
     return Decomposition(tuple(factors), basis, hexagons)
 
 
@@ -169,7 +170,7 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     g = goodness_partition(p, f)
     pairs = clean_pairs(p, f, g)
 
-    pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
+    pos = f.positions
     blocks: list[list[int]] = []
     assign = [-1] * p.n
     for bi, pair in enumerate(pairs):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -26,9 +25,8 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
-    _full_raws,
     _opposites,
-    _sorted_raw,
+    enumerate_facets,
     frame_coords,
     free_sum,
     require_smooth_fano,
@@ -130,7 +128,7 @@ class _Ctx:
         self.g = goodness_partition(p, self.frame)
         self.levels, self.eta = self.g.levels, self.g.eta
         self.coords = frame_coords(p, self.frame)
-        self.pos = {v: j for j, v in enumerate(self.frame.vertex_indices)}
+        self.pos = self.frame.positions
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
         self.s_level = sum(self.g.gamma)  # the level of the vertex sum
 
@@ -142,13 +140,12 @@ class _Ctx:
         have coordinates in its block only.  A failure on a summand facet
         names the summand's vertices, as validation's witnesses do."""
         if self.mode is Mode.FULL:
-            # the facet records in `enumerate_facets`' order, with no frame built
             summands = free_sum(self.p, self.mode)[1]
-            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "", raw.indices, rows,
-                     _opposites(raw.indices, map(enumerate, zip(*rows)), list(map(sum, rows))))
+            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "", f.vertex_indices, rows,
+                     _opposites(f.vertex_indices, map(enumerate, zip(*rows)), list(map(sum, rows))))
                     for own, q in summands
-                    for raw in sorted(map(_sorted_raw, _full_raws(q)), key=attrgetter("indices"))
-                    for rows in [q.coords_rows(raw.dual).tolist()])
+                    for f in enumerate_facets(q)
+                    for rows in [q.coords_rows(f.dual).tolist()])
         else:
             walk = [("", self.frame.vertex_indices, self.coords.tolist(),
                      [self.g.opp[v] for v in self.frame.vertex_indices])]
@@ -190,7 +187,7 @@ def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int,
 def _classify(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> dict[str, tuple[int, ...]]:
     """`classify_level_minus_one` on f's partition g, without the count bounds."""
     coords = frame_coords(p, f)
-    pos = {v: j for j, v in enumerate(f.vertex_indices)}
+    pos = f.positions
     negated = set(g.negation.values())  # -v for each v in A'
     out = {TYPE_C_OPPOSITE: [], TYPE_B_SUPPORTED: [], TYPE_NEGATED_BASIS: []}
     for i, lv in enumerate(g.levels):

@@ -341,7 +341,7 @@ def crossed_neighbor_normal(ctx) -> tuple[bool, str, bool]:
     g = ctx.g
     good = sorted(g.a | g.b)
     for z in good:
-        normal = _cross(ctx.p, ctx.frame._raw, ctx.pos[z]).normal
+        normal = _cross(ctx.p, ctx.frame, ctx.pos[z]).outer_normal
         expect = vec_sub(ctx.frame.outer_normal, ctx.frame.dual_basis.row(ctx.pos[z]))
         if normal != expect:
             return False, f"neighbor normal across good vertex {z} is not u_F - u_z", True

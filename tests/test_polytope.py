@@ -19,6 +19,7 @@ from fanosplit.errors import (
     NotSimplicialError,
     NotSmoothFanoError,
     NotUnimodularError,
+    VertexIndexError,
 )
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
 from fanosplit.linalg import IntMatrix
@@ -154,9 +155,9 @@ class TestArrayGiftWrap:
             assert str(exc.value) == str(e)
             return
         got = polytope._initial_raw(p)
-        assert got.indices == want.indices
+        assert got.vertex_indices == want.vertex_indices
         assert got.dual.tolist() == want.dual.tolist()
-        assert (got.det, got.normal, got.level) == (want.det, want.normal, want.level)
+        assert (got.det, got.outer_normal, got.height) == (want.det, want.outer_normal, want.height)
 
     @pytest.mark.parametrize("name, base", base_instances(), ids=[n for n, _ in base_instances()])
     def test_corpus_and_two_disguises(self, name, base):
@@ -266,6 +267,23 @@ class TestPivot:
             pivot(p, f, 1)
         assert str(info.value) == (
             "pivot tie at ridge 1 of facet (0, 1): vertices (2,) are coplanar with the ridge")
+
+    def test_pivot_rejects_a_vertex_off_the_frame(self):
+        p = example4d()
+        f = frame_from_indices(p, [0, 1, 2, 3])
+        with pytest.raises(VertexIndexError) as info:
+            pivot(p, f, 4)
+        assert str(info.value) == "vertex 4 is not on facet (0, 1, 2, 3)"
+
+    @pytest.mark.parametrize("indices, message", [
+        ([0, 2, 5, -1], "vertex index -1 is out of range for 10 vertices"),
+        ([0, 2, 5, 10], "vertex index 10 is out of range for 10 vertices"),
+        ([0, 2, 2, 5], "vertex index 2 appears more than once"),
+    ])
+    def test_frame_from_indices_rejects_bad_indices(self, indices, message):
+        with pytest.raises(VertexIndexError) as info:
+            frame_from_indices(example4d(), indices)
+        assert str(info.value) == message
 
     def test_pivot_involution(self):
         p = example4d()
@@ -391,7 +409,8 @@ class TestVertexSumAndSpecialFacet:
     def test_coordinates_are_exact(self, entries, dtype):
         # a hand-built frame: any integer dual basis, its outer normal unused
         f = FacetFrame((0, 1, 2), IntMatrix(entries), (1, 1, 1))
-        assert f._raw.dual.dtype == dtype
+        assert f.dual.dtype == dtype
+        assert f.dual_basis == IntMatrix(entries) == IntMatrix.from_rows(f.dual.tolist())
         for x in ((1, 2, 3), (0, 0, 0), (2**70, -2**65, 7), [-(2**63), 2**62, -1]):
             assert f.coordinates(x) == f.dual_basis.matvec(x)
         with pytest.raises(DimensionError):
@@ -470,9 +489,9 @@ class TestNeighborUpdate:
         dual = tuple(map(tuple, raw.dual.tolist()))
         ct = [linalg.dot(u, x) for u in dual]
         new = _neighbor_raw(raw, ct, pos, target)
-        expected = neighbor_raw_tuples(raw.indices, dual, raw.det, ct, pos, target)
+        expected = neighbor_raw_tuples(raw.vertex_indices, dual, raw.det, ct, pos, target)
         got = tuple(map(tuple, new.dual.tolist()))
-        assert (new.indices, got, new.det, new.normal, new.level) == expected
+        assert (new.vertex_indices, got, new.det, new.outer_normal, new.height) == expected
         # the new rows are the scaled dual of the new basis
         basis = [x if w == pos else row for w, row in enumerate(rows)]
         for i, u in enumerate(got):
@@ -539,6 +558,22 @@ class TestNeighborUpdate:
             # a pivot from a pivoted frame crosses back
             back, back_opp = pivot(p, neigh, p.index_of(opp))
             assert back == f and p.index_of(back_opp) == z
+
+
+class TestOneRecord:
+    """A frame is the facet record itself: the public constructor, the
+    `IntMatrix` view of its array and the enumeration cache agree on it."""
+
+    @pytest.mark.parametrize("name, base", base_instances(), ids=[n for n, _ in base_instances()])
+    def test_corpus_and_one_disguise(self, name, base):
+        for p in [base] + imaged(base, range(1, 2)):
+            frames = enumerate_facets(p)
+            assert all(a is b for a, b in zip(frames, enumerate_facets(p), strict=True))
+            for f in frames:
+                hand_built = FacetFrame(f.vertex_indices, f.dual_basis, f.outer_normal)
+                assert hand_built == f and hash(hand_built) == hash(f)
+                assert f.dual_basis == IntMatrix.from_rows(f.dual.tolist())
+                assert [f.position_of(v) for v in f.vertex_indices] == list(range(p.dim))
 
 
 class TestCertifyByDecomposition:
