@@ -73,7 +73,7 @@ def _cmd_gen(args) -> int:
             params.append(tok)
     try:
         p = generate(args.name, params, args.seed)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: a size no list can hold
         return _fail_io(str(e))
     text = serialize_fano(p)
     if args.output:
@@ -186,25 +186,17 @@ def _cmd_verify(args) -> int:
         except NotSmoothFanoError as e:
             results.append((path, None, e.certificate))
 
-    all_pass = True
     reports = []
     for path, report, cert in results:
-        if report is None:
-            print(f"== {path}")
-            print(cert.describe())
-            all_pass = False
-            continue
         if args.json:
-            reports.append({"file": path, **report.to_dict()})
+            reports.append({"file": path, **report.to_dict()} if report is not None
+                           else {"file": path, "passed": False, "certificate": cert.describe()})
         else:
             print(f"== {path}")
-            for line in report.lines():
-                print(line)
-        if not report.passed:
-            all_pass = False
+            print("\n".join(report.lines() if report is not None else [cert.describe()]))
     if args.json:
         print(json.dumps(reports, sort_keys=True))
-    return 0 if all_pass else 1
+    return 0 if all(report is not None and report.passed for _, report, _ in results) else 1
 
 
 @functools.cache

@@ -7,11 +7,11 @@ factors tagged.  It validates nothing itself: validating p already proves
 every free summand.  `hexagon_split` realizes the guarantee that drives this
 package: a smooth Fano polytope with 3d-k vertices and d >= 15k^2 + 37k + 2
 splits off at least floor((d - 15k^2 - 37k)/2) hexagon factors.  It finds
-them constructively -- pairs from the paired core of the special facet whose
-dual coordinates vanish on every vertex outside the hexagon orbit set -- in
-the special facet's coordinates, and verifies the guaranteed count as a
-post-condition, raising TheoremViolationError if it ever fails (a bug or a
-counterexample; never swallowed).
+them in the special facet's coordinates: the orbit of each clean pair of
+the paired core is a hexagon factor, and every other vertex lies in one
+residual block.  The guaranteed count is a post-condition, raising
+TheoremViolationError if it ever fails (a bug or a counterexample; never
+swallowed).
 
 Both return a `Decomposition` whose change of basis is unimodular, so
 factors live in honest coordinate blocks and reassembly is exact.
@@ -20,6 +20,8 @@ factors live in honest coordinate blocks and reassembly is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .analysis import GoodnessPartition, goodness_partition, support_bound_viola
 from .errors import InvariantViolationError, TheoremViolationError
 from .linalg import IntMatrix
 from .polytope import (
-    HEXAGON_VERTICES,
     FacetFrame,
     Mode,
     Polytope,
@@ -74,30 +75,12 @@ def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[
             f"vertex {i} at level {g.levels[i]} touches {support} paired-core "
             f"directions, above the bound {bound}"
         )
-    pairs = g.bar_pairs
-    if not pairs:
+    if not g.bar_pairs:
         return []
-
-    # orbit points of one pair must not show up in another pair's directions;
-    # member x belongs to the orbit of pair x // 6, position j to pair owner[j]
-    owner = np.full(p.dim, -1)
-    for q, (v, w) in enumerate(pairs):
-        owner[[pos[v], pos[w]]] = q
-    nonzero = coords != 0
-    members = [i for orbit in g.orbits.values() for i in orbit]
-    x, j = np.nonzero(nonzero[members])
-    foreign = ((owner[j] >= 0) & (owner[j] != x // 6)).nonzero()[0]
-    if foreign.size:
-        t = foreign[0]
-        raise InvariantViolationError(
-            f"orbit vertex {members[x[t]]} of pair {pairs[x[t] // 6]} has nonzero coordinate "
-            f"in a foreign paired-core direction {j[t]}"
-        )
-
     outside = np.ones(p.n, dtype=bool)
-    outside[members] = False
-    touched = nonzero[outside].any(axis=0)  # positions a vertex outside every orbit touches
-    return [(v, w) for v, w in pairs if not touched[pos[v]] and not touched[pos[w]]]
+    outside[[i for orbit in g.orbits.values() for i in orbit]] = False
+    touched = (coords[outside] != 0).any(axis=0)  # positions a vertex outside every orbit touches
+    return [(v, w) for v, w in g.bar_pairs if not touched[pos[v]] and not touched[pos[w]]]
 
 
 @dataclass(frozen=True)
@@ -126,36 +109,6 @@ class Decomposition:
         return None
 
 
-def _extract(p: Polytope, f: FacetFrame, blocks: list[list[int]], assign: list[int],
-             kinds: list[str]) -> Decomposition:
-    """Build the decomposition given per-block frame positions, a map
-    assigning every vertex to a block and the blocks' kinds."""
-    coords = frame_coords(p, f)
-    block_of = np.empty(p.dim, dtype=np.intp)  # the block of every frame position
-    for bi, block in enumerate(blocks):
-        block_of[block] = bi
-    outside = ((coords != 0) & (block_of != np.asarray(assign)[:, None])).any(axis=1).tolist()
-    factors = []
-    lo = 0
-    for bi, (block, (own, q)) in enumerate(zip(blocks, _block_polytopes(coords, blocks, assign))):
-        hi = lo + len(block)
-        # with every row zero outside its block, the padded factors are the
-        # transformed vertices
-        bad = next((i for i in own if outside[i]), None)
-        if bad is not None:
-            raise InvariantViolationError(f"vertex {bad} has support outside its block {(lo, hi)}")
-        if kinds[bi] == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
-            raise InvariantViolationError(
-                f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}"
-            )
-        factors.append(Factor(own, q, (lo, hi), kinds[bi]))
-        lo = hi
-    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
-    rows = f.dual.take([j for block in blocks for j in block], axis=0).tolist()
-    basis = IntMatrix(tuple(map(tuple, rows)))
-    return Decomposition(tuple(factors), basis, hexagons)
-
-
 def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     """Split off every clean hexagon pair of a special facet.
 
@@ -170,23 +123,26 @@ def hexagon_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     g = goodness_partition(p, f)
     pairs = clean_pairs(p, f, g)
 
+    # In f's coordinates frame vertex v is the unit vector e_v, and analysis
+    # defines the rest of the orbit of a paired-core pair (v, w) by its rows:
+    # opp(v) is e_w - e_v (phi(v) = w), opp(w) is e_v - e_w (phi(w) = v), -v is
+    # -e_v and -w is -e_w.  So an orbit lives on its pair's two positions: a
+    # clean pair's block, where it is the standard hexagon, or two residual
+    # positions.  A vertex outside every orbit is zero at the clean positions
+    # by the definition of clean.  So every row is zero outside its block, the
+    # blocks split p and nothing is left to check.
     pos = f.positions
-    blocks: list[list[int]] = []
-    assign = [-1] * p.n
+    blocks = [[pos[v], pos[w]] for v, w in pairs]
+    assign = [len(pairs)] * p.n  # the residual block, unless an orbit holds the vertex
     for bi, pair in enumerate(pairs):
-        blocks.append([pos[pair[0]], pos[pair[1]]])
         for i in g.orbits[pair]:
             assign[i] = bi
-    paired_positions = {j for b in blocks for j in b}
-    rest = [j for j in range(p.dim) if j not in paired_positions]
-    if rest or any(a == -1 for a in assign):
+    rest = sorted(set(range(p.dim)).difference(*blocks))
+    if rest:  # without one, a vertex outside every orbit would be 0
         blocks.append(rest)
-        ri = len(blocks) - 1
-        for i in range(p.n):
-            if assign[i] == -1:
-                assign[i] = ri
-    kinds = ["hexagon"] * len(pairs) + ["residual"] * (len(blocks) - len(pairs))
-    dec = _extract(p, f, blocks, assign, kinds)
+    basis = IntMatrix(tuple(f.dual_basis.entries[j] for block in blocks for j in block))
+    dec = _decomposition(basis, _block_polytopes(frame_coords(p, f), blocks, assign),
+                         ["hexagon"] * len(pairs) + ["residual"])
 
     d, k = p.dim, vertex_deficit(p)
     if d >= split_threshold(k) and dec.hexagon_count < guaranteed_hexagons(d, k):
@@ -205,10 +161,15 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
     is validated here.
     """
     basis, summands = free_sum(p, mode)
-    factors = []
-    lo = 0
-    for own, q in summands:
-        kind = "hexagon" if (q.dim, q.n) == (2, 6) else "residual"
-        factors.append(Factor(own, q, (lo, lo + q.dim), kind))
-        lo += q.dim
-    return Decomposition(tuple(factors), basis, sum(f.kind == "hexagon" for f in factors))
+    return _decomposition(basis, summands, ["hexagon" if (q.dim, q.n) == (2, 6) else "residual"
+                                            for _, q in summands])
+
+
+def _decomposition(basis: IntMatrix, summands: Sequence[tuple[tuple[int, ...], Polytope]],
+                   kinds: Sequence[str]) -> Decomposition:
+    """The factors `summands`, (vertex indices, polytope) in block order,
+    tagged by `kinds`, with the change of basis that lays them out."""
+    ends = accumulate(q.dim for _, q in summands)
+    factors = tuple(Factor(own, q, (hi - q.dim, hi), kind)
+                    for (own, q), kind, hi in zip(summands, kinds, ends))
+    return Decomposition(factors, basis, sum(f.kind == "hexagon" for f in factors))

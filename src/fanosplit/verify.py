@@ -138,21 +138,25 @@ class _Ctx:
         checks, at the special facet (LOCAL) or on every facet of every free
         summand (FULL): P's facets are their joins, and a summand's vertices
         have coordinates in its block only.  A failure on a summand facet
-        names the summand's vertices, as validation's witnesses do."""
+        names the summand's vertices, as validation's witnesses do.  At the
+        special facet only the opposite and level-0 rows become lists."""
         if self.mode is Mode.FULL:
             summands = free_sum(self.p, self.mode)[1]
             walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "", f.vertex_indices, rows,
-                     _opposites(f.vertex_indices, map(enumerate, zip(*rows)), list(map(sum, rows))))
+                     _opposites(f.vertex_indices, map(enumerate, zip(*rows)), levels), levels)
                     for own, q in summands
                     for f in enumerate_facets(q)
-                    for rows in [q.coords_rows(f.dual).tolist()])
+                    for rows in [q.coords_rows(f.dual).tolist()]
+                    for levels in [list(map(sum, rows))])
         else:
-            walk = [("", self.frame.vertex_indices, self.coords.tolist(),
-                     [self.g.opp[v] for v in self.frame.vertex_indices])]
+            opp = [self.g.opp[v] for v in self.frame.vertex_indices]
+            read = sorted({*opp, *(i for i, lv in enumerate(self.levels) if lv == 0)})
+            walk = [("", self.frame.vertex_indices, dict(zip(read, self.coords[read].tolist())),
+                     opp, self.levels)]
         coord_fail = zero_fail = None
-        for prefix, indices, rows, opp in walk:
+        for prefix, indices, rows, opp, levels in walk:
             c = _opposite_coordinate_failure(indices, rows, opp)
-            z = _level_zero_failure(indices, rows, opp)
+            z = _level_zero_failure(indices, rows, opp, levels)
             coord_fail = coord_fail or c and prefix + c
             zero_fail = zero_fail or z and prefix + z
             if coord_fail and zero_fail:
@@ -249,8 +253,6 @@ def _check_vertex_count(ctx):
 def _check_eta_bounds(ctx):
     eta, d, k = ctx.eta, ctx.d, ctx.k
     problems = []
-    if eta.eta(1) != d:
-        problems.append(f"eta_1={eta.eta(1)} != d")
     if not (d - k <= eta.eta(0) <= d):
         problems.append(f"eta_0={eta.eta(0)} outside [{d - k}, {d}]")
     if not (d - 2 * k <= eta.eta(-1) <= d):
@@ -264,7 +266,7 @@ def _check_eta_bounds(ctx):
 
 
 def _check_sum_level(ctx):
-    ok = 0 <= ctx.s_level <= ctx.k
+    ok = ctx.s_level <= ctx.k
     return ok, f"level of vertex sum is {ctx.s_level}, k={ctx.k}" if not ok else "", True
 
 
@@ -276,14 +278,12 @@ def _opposite_coordinate_failure(indices, coords, opp):
     return None
 
 
-def _level_zero_failure(indices, coords, opp):
+def _level_zero_failure(indices, coords, opp, levels):
     opp_set = set(opp)
-    for i, row in enumerate(coords):
-        if sum(row) != 0:
-            continue
+    for i in (i for i, level in enumerate(levels) if level == 0):
         if i not in opp_set:
             return f"level-0 vertex {i} is opposite to no vertex of {indices}"
-        for j, c in enumerate(row):
+        for j, c in enumerate(coords[i]):
             is_opp = opp[j] == i
             if is_opp != (c < 0) or (c < 0 and c != -1):
                 return f"level-0 vertex {i}, facet position {j}: coordinate {c} vs opposite={is_opp}"
@@ -486,10 +486,7 @@ def _check_level_minus_one_types(ctx):
 def _check_phi_almost_involution(ctx):
     g = ctx.g
     for v in sorted(g.a_prime):
-        w = g.phi[v]
-        if w is None:
-            return False, f"phi-paired vertex {v} has phi = 0", True
-        ww = g.phi[w]
+        ww = g.phi[g.phi[v]]
         if ww is not None and ww != v:
             return False, f"phi(phi({v})) = {ww}, neither 0 nor {v}", True
     return True, "", bool(g.a_prime)

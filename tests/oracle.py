@@ -303,10 +303,10 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
     coord_fail = zero_fail = None
     for f in enumerate_facets(p):
         coords = p.coords_rows(f.dual_basis.entries).tolist()
-        opp = _opposites(f.vertex_indices, map(enumerate, zip(*coords)),
-                         [sum(row) for row in coords])
+        levels = [sum(row) for row in coords]
+        opp = _opposites(f.vertex_indices, map(enumerate, zip(*coords)), levels)
         coord_fail = coord_fail or _opposite_coordinate_failure(f.vertex_indices, coords, opp)
-        zero_fail = zero_fail or _level_zero_failure(f.vertex_indices, coords, opp)
+        zero_fail = zero_fail or _level_zero_failure(f.vertex_indices, coords, opp, levels)
     return coord_fail, zero_fail
 
 
@@ -418,47 +418,37 @@ def clean_pairs_rows(p: Polytope, f, g, rows) -> list[tuple[int, int]]:
         raise InvariantViolationError(
             f"vertex {i} at level {g.levels[i]} touches {support} paired-core "
             f"directions, above the bound {bound}")
-    for pair, orbit in g.orbits.items():
-        own = {pos[pair[0]], pos[pair[1]]}
-        for i in orbit:
-            for j in bar_positions:
-                if j not in own and rows[i][j] != 0:
-                    raise InvariantViolationError(
-                        f"orbit vertex {i} of pair {pair} has nonzero coordinate "
-                        f"in a foreign paired-core direction {j}")
     outside = [i for i in range(p.n) if i not in w_set]
     return [pair for pair in g.bar_pairs
             if all(rows[i][pos[pair[0]]] == 0 and rows[i][pos[pair[1]]] == 0 for i in outside)]
 
 
-def extract_rows(p: Polytope, f, blocks, assign, kinds, rows):
-    """`splitting._extract` on coordinate rows, reordered block by block."""
+def extract_rows(p: Polytope, f, g, pairs, rows):
+    """`splitting.hexagon_split`'s decomposition on coordinate rows: a block
+    [pos v, pos w] holding the orbit of every pair (v, w) in `pairs`, then one
+    block of the other positions holding every other vertex, reordered block
+    by block."""
     from fanosplit.linalg import IntMatrix
-    from fanosplit.polytope import HEXAGON_VERTICES
     from fanosplit.splitting import Decomposition, Factor
 
+    pos = {vi: i for i, vi in enumerate(f.vertex_indices)}
+    blocks = [[pos[v], pos[w]] for v, w in pairs]
+    members = [sorted(g.orbits[pair]) for pair in pairs]
+    rest = [j for j in range(p.dim) if all(j not in block for block in blocks)]
+    if rest:
+        blocks.append(rest)
+        members.append([i for i in range(p.n) if all(i not in own for own in members)])
     order = [j for block in blocks for j in block]
     coords = [tuple(map(row.__getitem__, order)) for row in rows]
-    members = [[] for _ in blocks]
-    for i, bi in enumerate(assign):
-        members[bi].append(i)
     factors = []
     lo = 0
     for bi, (block, own) in enumerate(zip(blocks, members)):
         hi = lo + len(block)
-        for i in own:
-            if any(coords[i][:lo]) or any(coords[i][hi:]):
-                raise InvariantViolationError(
-                    f"vertex {i} has support outside its block {(lo, hi)}")
         q = Polytope(hi - lo, tuple(coords[i][lo:hi] for i in own))
-        if kinds[bi] == "hexagon" and set(q.vertices) != HEXAGON_VERTICES:
-            raise InvariantViolationError(
-                f"clean pair block {(lo, hi)} is not a standard hexagon: {q.vertices}")
-        factors.append(Factor(tuple(own), q, (lo, hi), kinds[bi]))
+        factors.append(Factor(tuple(own), q, (lo, hi), "hexagon" if bi < len(pairs) else "residual"))
         lo = hi
-    hexagons = sum(1 for fac in factors if fac.kind == "hexagon")
     basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
-    return Decomposition(tuple(factors), basis, hexagons)
+    return Decomposition(tuple(factors), basis, len(pairs))
 
 
 def expansion_structure_rows(ctx):

@@ -220,6 +220,12 @@ def test_budget_below_one_is_a_usage_error(tmp_path, capsys, cmd, budget):
     assert f"argument --budget: must be at least 1, got {budget}" in captured.err
 
 
+def test_gen_rejects_a_size_no_list_can_hold(capsys):
+    # bundleB 10**20 asks for rows of length 3 * 10**20
+    assert main(["gen", "bundleB", str(10**20)]) == 2
+    assert capsys.readouterr() == ("", "error: cannot fit 'int' into an index-sized integer\n")
+
+
 def test_gen_rejects_nested_random_image(capsys):
     assert main(["gen", "random_image", "random_image", "hexagon", "--seed", "1"]) == 2
     assert capsys.readouterr() == (
@@ -351,6 +357,17 @@ def test_verify_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data[0]["passed"] is True
     assert data[0]["k"] == 2
+
+
+def test_verify_json_keeps_invalid_files_in_the_array(tmp_path, capsys):
+    good = write(tmp_path, "good.fano", example4d())
+    square = make_polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    bad = write(tmp_path, "bad.fano", square)
+    assert main(["verify", "--json", bad, good]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert [(r["file"], r["passed"]) for r in data] == [(bad, False), (good, True)]
+    assert data[0]["certificate"].startswith("invalid kind=FacetNotUnimodular witness=")
+    assert data[0].keys() == {"file", "passed", "certificate"}
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

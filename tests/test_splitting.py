@@ -93,16 +93,9 @@ class TestCleanPairs:
             assert p.vertices[i][:3] == (0, 0, 0)
 
 
-def split_steps(p, monkeypatch):
-    """The special facet, its partition and the arguments `hexagon_split`
-    hands to `_extract` on p."""
-    calls = []
-    extract = splitting._extract
-    monkeypatch.setattr(splitting, "_extract", lambda *a: calls.append(a) or extract(*a))
-    hexagon_split(p, Mode.LOCAL)
-    monkeypatch.undo()
-    _, f, blocks, assign, kinds = calls[0]
-    return f, goodness_partition(p, f), (blocks, assign, kinds)
+def split_rows(p, f, g, rows):
+    """`hexagon_split` of p at f by loops over coordinate rows."""
+    return extract_rows(p, f, g, clean_pairs_rows(p, f, g, rows), rows)
 
 
 def outcome(fn, *args):
@@ -113,16 +106,16 @@ def outcome(fn, *args):
 
 
 class TestArraySplit:
-    """clean_pairs, the support bound and _extract on the coordinate array
-    against the loops over row tuples they replaced."""
+    """clean_pairs, the support bound and hexagon_split on the coordinate
+    array against the loops over row tuples they replaced."""
 
-    def test_match_row_references(self, monkeypatch):
+    def test_match_row_references(self):
         for name, p in reference_instances():
-            f, g, (blocks, assign, kinds) = split_steps(p, monkeypatch)
+            f = special_facet(p, Mode.LOCAL)
+            g = goodness_partition(p, f)
             rows = frame_coords(p, f).tolist()
             assert clean_pairs(p, f, g) == clean_pairs_rows(p, f, g, rows), name
-            assert (splitting._extract(p, f, blocks, assign, kinds)
-                    == extract_rows(p, f, blocks, assign, kinds, rows)), name
+            assert hexagon_split(p, Mode.LOCAL) == split_rows(p, f, g, rows), name
 
     def test_failures_match_row_references(self, monkeypatch):
         # coordinate entries and whole rows changed at random: every failure
@@ -135,7 +128,8 @@ class TestArraySplit:
         rng = random.Random(0)
         seen = set()
         for p in bases:
-            f, g, (blocks, assign, kinds) = split_steps(p, monkeypatch)
+            f = special_facet(p, Mode.LOCAL)
+            g = goodness_partition(p, f)
             base = frame_coords(p, f)
             bar = [f.position_of(v) for v in sorted(g.a_bar)]
             for _ in range(200):
@@ -154,19 +148,22 @@ class TestArraySplit:
                     m.setattr(splitting, "frame_coords", lambda q, frame: coords)
                     pairs = (
                         (outcome(clean_pairs, p, f, g), outcome(clean_pairs_rows, p, f, g, rows)),
-                        (outcome(splitting._extract, p, f, blocks, assign, kinds),
-                         outcome(extract_rows, p, f, blocks, assign, kinds, rows)))
+                        (outcome(hexagon_split, p, Mode.LOCAL), outcome(split_rows, p, f, g, rows)))
                 for got, want in pairs:
                     assert got == want
                     if isinstance(got, str):
                         seen.add(re.sub(r"-?\d+", "N", got.split(":")[0]))
         assert seen == {
             "vertex N at level N touches N paired-core directions, above the bound N",
-            "orbit vertex N of pair (N, N) has nonzero coordinate in a foreign paired-core "
-            "direction N",
-            "vertex N has support outside its block (N, N)",
-            "clean pair block (N, N) is not a standard hexagon",
         }
+
+    def test_hexagons_match_finest_split(self):
+        # each hexagon free summand gives exactly one clean pair, and each
+        # clean pair's orbit is a hexagon summand's vertex set
+        for name, p in reference_instances():
+            hexagons = [{frozenset(f.vertex_indices) for f in dec.factors if f.kind == "hexagon"}
+                        for dec in (hexagon_split(p), finest_split(p))]
+            assert hexagons[0] == hexagons[1], name
 
 
 class TestHexagonSplit:

@@ -319,7 +319,7 @@ class TestSummandWalk:
     def test_summand_failure_names_its_factor(self, monkeypatch):
         # the first failure is at the summand's first facet in `enumerate_facets` order
         monkeypatch.setattr(verify, "_level_zero_failure",
-                            lambda indices, rows, opp: f"forced at {indices}")
+                            lambda indices, rows, opp, levels: f"forced at {indices}")
         p = random_image(direct_sum(bundle_b(1), hexagon()), 2)
         own, q = free_sum(p, Mode.FULL)[1][0]
         details = by_name(verify_bounds(p, Mode.FULL))["level-zero-opposites"].details
