@@ -73,7 +73,7 @@ def _cmd_gen(args) -> int:
             params.append(tok)
     try:
         p = generate(args.name, params, args.seed)
-    except (ValueError, OverflowError) as e:  # OverflowError: a size no list can hold
+    except ValueError as e:
         return _fail_io(str(e))
     text = serialize_fano(p)
     if args.output:

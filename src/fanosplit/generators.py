@@ -11,6 +11,16 @@ from .polytope import Polytope
 # comfortably below 2**31 for readable test output
 _MAP_ENTRY_BOUND = 2**12
 
+# the most vertex entries (n * d) a generator builds; a larger output is
+# refused before any row is built
+MAX_ENTRIES = 10**8
+
+
+def _check_size(name: str, param: int, n: int, d: int) -> None:
+    if n * d > MAX_ENTRIES:
+        raise ValueError(f"{name} {param} would have {n} x {d} vertex entries, "
+                         f"more than {MAX_ENTRIES}")
+
 
 def hexagon() -> Polytope:
     """The smooth Fano hexagon: maximal vertex count in dimension 2."""
@@ -26,6 +36,7 @@ def simplex(d: int) -> Polytope:
     """conv(e_1, ..., e_d, -e_1-...-e_d): the d-simplex with interior origin."""
     if d < 1:
         raise ValueError(f"simplex dimension must be positive, got {d}")
+    _check_size("simplex", d, d + 1, d)
     rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     rows.append(tuple(-1 for _ in range(d)))
     return Polytope(d, tuple(rows))
@@ -61,6 +72,7 @@ def bundle_b(dprime: int) -> Polytope:
     """
     if dprime < 1:
         raise ValueError(f"bundleB parameter must be positive, got {dprime}")
+    _check_size("bundleB", dprime, 7 * dprime + 1, 3 * dprime)
     d = 3 * dprime
     rows: list[tuple[int, ...]] = []
     v = [0] * d

@@ -4,16 +4,20 @@ The central objects are an immutable vertex list (`Polytope`) and per-facet
 frames (`FacetFrame`) holding the dual basis of the facet's vertex basis and
 its primitive outer normal.  All geometry is exact:
 
-* one ratio rule (`_min_ratio`) picks every entering vertex: among vertices
-  with negative coordinate along a direction, the minimizers of
-  (level of the hyperplane - level of x) / (-coordinate of x), compared by
-  exact integer cross-multiplication;
+* one ratio rule picks every entering vertex: among vertices with negative
+  coordinate along a direction, the minimizers of (level of the hyperplane
+  - level of x) / (-coordinate of x).  `_min_ratio` compares these ratios
+  by exact integer cross-multiplication; on arrays, the enumeration's
+  `_ratio_targets` and the gift-wrap's `_wrap_target` first keep the
+  vertices with the least floor of the ratio, in numpy, and call
+  `_min_ratio` only where floors tie;
 * an initial facet is found by gift-wrapping -- rotate a supporting
   hyperplane one kernel direction at a time, entering the first minimizer
   of the ratio rule;
-* the remaining facets come from breadth-first ridge pivoting: dropping a
-  frame vertex and entering the unique minimizer of the ratio rule along the
-  dropped dual direction;
+* the remaining facets come from breadth-first ridge pivoting, one layer at
+  a time (`_enumerate_raw`): one ratio-rule kernel finds the target across
+  every ridge of the layer's facets, the unique minimizer along each
+  dropped dual direction, and one batched dual update builds the next layer;
 * ties in the ratio rule across a ridge certify a non-simplicial facet and
   are a hard error, never silently broken.
 
@@ -22,9 +26,11 @@ the exact rational dual basis (`dual` / `det`), the primitive outer normal
 and its value on the facet (`height`).  The scaled dual basis is one exact
 d x d array for the record's whole life, under `linalg._exact_array`'s rule:
 int64 when `_products_fit` proves its entries fit, else exact Python ints.
-One dual-basis update (`_neighbor_raw`), a single numpy rank-1 update,
-crosses a ridge; the enumeration, the special-facet walk and `pivot` all use
-it.  The public functions return sorted unimodular records only.
+One dual-basis update (`_crossed`), a numpy rank-1 update of any number of
+records at once, crosses ridges: the enumeration runs it on a whole layer,
+and `_cross` (the special-facet walk and `pivot`) on one record
+(`_neighbor_raw`).  The public functions return sorted unimodular records
+only.
 
 The gift-wrap runs once per polytope (`_initial_raw_cached`, which keeps a
 failure too) and is the first thing `make_polytope` does after its duplicate
@@ -84,6 +90,8 @@ FULL_MODE_MAX_DIM = 12
 HEXAGON_VERTICES = frozenset(
     [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, 0), (0, -1)]
 )
+
+_I64_MAX = np.iinfo(np.int64).max
 
 # Safety cap for the special-facet ascent; the walk must terminate long
 # before this since its objective strictly increases over a finite facet set.
@@ -312,16 +320,30 @@ class SmoothFanoCertificate:
         return f"invalid kind={self.failure_kind} witness={self.witness}"
 
 
-def _make_raw(indices: Sequence[int], dual: np.ndarray, det: int) -> FacetFrame:
-    """The record of a scaled dual basis; its row sum over `det` is the normal."""
-    hi = linalg._max_abs(dual)
-    dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
-    sums = linalg._exact_array(dual, linalg._products_fit(hi, 1, len(indices)))
-    rowsum = sums.sum(axis=0).tolist()
-    g = gcd_of(rowsum + [det])
-    if g == 0:
-        raise InvariantViolationError("zero outer normal")
-    return FacetFrame(tuple(indices), dual, tuple(a // g for a in rowsum), det, det // g, hi)
+def _make_raws(indices: np.ndarray, rows: np.ndarray, det: np.ndarray
+               ) -> tuple[list[FacetFrame], np.ndarray]:
+    """The records of K scaled dual bases: vertex indices (K x d), `rows`
+    (K x d x d) and their dets (K), all exact arrays.  A record's row sum over
+    its det is its normal; its dual is int64 exactly when its own max |entry|
+    is below 2**62 (`linalg._exact_array`'s rule).  Returns the records and
+    their row sums (K x d, exact)."""
+    d = rows.shape[1]
+    his = np.maximum.reduce(np.abs(rows), axis=(1, 2)).tolist()
+    hi = max(his)
+    int64 = rows.dtype != object and hi < linalg._I64_SAFE
+    sums = np.add.reduce(linalg._exact_array(rows, int64 and linalg._products_fit(hi, 1, d)), axis=1)
+    dets = det.tolist()
+    normals, heights = sums, dets
+    if max(dets) != 1:
+        g = np.gcd.reduce(np.concatenate((sums, det[:, None]), axis=1), axis=1)
+        if not g.all():
+            raise InvariantViolationError("zero outer normal")
+        normals, heights = sums // g[:, None], (det // g).tolist()
+    duals = rows if int64 else [linalg._exact_array(r, h < linalg._I64_SAFE)
+                                for r, h in zip(rows, his)]
+    raws = [FacetFrame(tuple(i), r, tuple(a), t, h, m) for i, r, a, t, h, m in zip(
+        indices.tolist(), duals, normals.tolist(), dets, heights, his)]
+    return raws, sums
 
 
 def _sorted_raw(raw: FacetFrame) -> FacetFrame:
@@ -357,30 +379,109 @@ def _min_ratio(entries: Iterable[tuple[int, int]], levels: Sequence[int], delta:
     return best
 
 
+def _ratio_targets(gaps: np.ndarray, cols: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, dict[tuple, list[int]]]:
+    """The ratio rule on every column of exact arrays of at least two rows.
+
+    For each index c of the axes after the first: the first row i minimizing
+    gaps[i, c] / cols[i, c] over cols[i, c] < 0 (`gaps` broadcasts against
+    `cols`), or -1 when no row qualifies.  Only the rows with the least floor
+    of the ratio can minimize it; `_min_ratio` ranks them where floors tie.
+    Returns these first minimizers, the least floors, and, for each c with
+    no or several minimizers, all of them in row order.
+    """
+    keep = cols >= 0
+    q = np.where(keep, -1, cols)
+    q = np.floor_divide(gaps, q, out=q if q.dtype == gaps.dtype else None)
+    np.putmask(q, keep, _I64_MAX if q.dtype != object else q.max() + 1)
+    least = np.minimum.reduce(q, axis=0)
+    cand = q == least  # every row of a column where no row qualifies
+    best = cand.argmax(axis=0)
+    odd: dict[tuple, list[int]] = {}
+    if np.count_nonzero(cand) > best.size:  # some column has several candidates
+        for c in map(tuple, np.argwhere(np.add.reduce(cand, axis=0) > 1).tolist()):
+            col = (slice(None), *c)
+            rows = cand[col].nonzero()[0]
+            wins = rows[_min_ratio(enumerate(cols[col][rows].tolist()),
+                                   np.broadcast_to(gaps, cols.shape)[col][rows].tolist(), 0)]
+            best[c] = wins[0] if wins.size else -1
+            if wins.size != 1:
+                odd[c] = wins.tolist()
+    return best, least, odd
+
+
+def _ridge_targets(coords: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """The vertex entering across every ridge of K facets: for facet k and
+    frame position j, the ratio rule's minimizer of gaps[i, k] / coords[i, k, j]
+    over coords[i, k, j] < 0, where coords is n x K x d and gaps (n x K x 1)
+    are the vertices' levels minus the facet's.  The target must be unique
+    and lie below the facet (gap < 0).  Returns the first minimizers (K x d),
+    the first k d + j where the rule fails (K d if none) and the minimizers
+    there."""
+    best, least, odd = _ratio_targets(gaps, coords)
+    d = best.shape[1]
+    bad = [k * d + j for k, j in odd]
+    if np.count_nonzero(least) < least.size:  # only a zero floor can come from a zero gap
+        on = gaps[best, np.arange(len(best))[:, None], 0] == 0
+        bad += np.flatnonzero(on)[:1].tolist()
+    if not bad:
+        return best, best.size, []
+    first = min(bad)
+    c = divmod(first, d)
+    return best, first, odd.get(c, [int(best[c])])
+
+
+def _ridge_error(indices: tuple[int, ...], pos: int, targets: list[int]) -> FanoError:
+    """The failure of the ratio rule across ridge `pos` of the facet on
+    `indices`: no vertex below it, or `targets`, its minimizers, tie or lie
+    on the facet's hyperplane."""
+    if not targets:
+        return NoNegativeVertexError(f"no vertex below ridge {pos} of facet {indices}")
+    return NotSimplicialError(
+        f"pivot tie at ridge {pos} of facet {indices}: "
+        f"vertices {tuple(targets)} are coplanar with the ridge"
+    )
+
+
 def _raw_from_rows(p: Polytope, indices: Sequence[int]) -> FacetFrame:
     """The record of the sorted vertex index set `indices`."""
     dual, delta = linalg.scaled_dual(p._array[list(indices)])
     if delta < 0:
         dual, delta = -dual, -delta
-    return _make_raw(indices, dual, delta)
+    det = linalg._exact_array([delta], delta < linalg._I64_SAFE)
+    return _make_raws(np.array([indices]), dual[None], det)[0][0]
+
+
+def _check_facets(p: Polytope, raws: Sequence[FacetFrame], levels: np.ndarray,
+                  tops: np.ndarray) -> None:
+    """Verify that each record's hyperplane supports P and carries exactly d
+    vertices, from the n x K `levels` of the vertices on the records'
+    hyperplanes and the records' own levels `tops`, both scaled alike; the
+    first record that fails raises."""
+    above = levels > tops
+    on = levels == tops
+    bad = (np.add.reduce(on, axis=0) != p.dim) | (tops <= 0)
+    if np.count_nonzero(above) or np.count_nonzero(bad):
+        k = int((bad | np.logical_or.reduce(above, axis=0)).argmax())
+        raw = raws[k]
+        if above[:, k].any():
+            raise InvariantViolationError(
+                f"hyperplane of facet {raw.vertex_indices} does not support the polytope"
+            )
+        if raw.height <= 0:
+            raise OriginNotInteriorError(
+                f"facet hyperplane {raw.outer_normal} has non-positive level {raw.height}"
+            )
+        found = _indices(on[:, k])
+        raise NotSimplicialError(
+            f"hyperplane through facet {raw.vertex_indices} contains {len(found)} vertices: {found}"
+        )
 
 
 def _check_facet(p: Polytope, raw: FacetFrame) -> None:
-    """Verify the facet hyperplane supports P and carries exactly d vertices."""
-    values = p.products(raw.outer_normal)
-    on = [i for i, v in enumerate(values) if v == raw.height]
-    if max(values) > raw.height:
-        raise InvariantViolationError(
-            f"hyperplane of facet {raw.vertex_indices} does not support the polytope"
-        )
-    if raw.height <= 0:
-        raise OriginNotInteriorError(
-            f"facet hyperplane {raw.outer_normal} has non-positive level {raw.height}"
-        )
-    if len(on) != p.dim:
-        raise NotSimplicialError(
-            f"hyperplane through facet {raw.vertex_indices} contains {len(on)} vertices: {tuple(on)}"
-        )
+    """`_check_facets` on one record, by the products with its normal."""
+    _check_facets(p, [raw], linalg._vertex_products(p._array, [raw.outer_normal], p._abs_max),
+                  linalg._exact_array([raw.height], raw.height < linalg._I64_SAFE))
 
 
 def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int, below: np.ndarray) -> int | None:
@@ -458,27 +559,40 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(mask.nonzero()[0].tolist())
 
 
-def _neighbor_raw(raw: FacetFrame, ct: Sequence[int], pos: int, target: int) -> FacetFrame:
-    """Dual-basis update when frame position `pos` is replaced by `target`,
-    whose coordinate row (exact ints) is `ct`; every other position keeps its
-    place.
+def _crossed(dual: np.ndarray, det: np.ndarray, ct: np.ndarray, pos: np.ndarray,
+             ct_max: int, dual_max: int, det_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-basis updates of K records, scaled duals `dual` (K x d x d) with
+    dets `det`, when frame position pos[k] is replaced by a vertex whose
+    coordinate row is ct[k]; every other position keeps its place.  Returns
+    the new rows and dets.  The `_max` arguments bound |ct|, |dual| and det.
 
-    One rank-1 update, rows = (beta D - c outer (sign D[pos])) // delta; its
+    One rank-1 update, rows = (beta D - c outer (sign D[pos])) // det; its
     entries are at most 2 max|c| max|D|, so it runs in int64 when that bound
-    (and delta) fits and on exact Python ints otherwise.
+    (and det) fits and on exact Python ints otherwise.
     """
-    sign = -1 if ct[pos] < 0 else 1
-    beta = sign * ct[pos]
-    fits = (linalg._products_fit(max(map(abs, ct)), raw.dual_max, 2)
-            and linalg._products_fit(raw.det, 1, 1))
-    dual = linalg._exact_array(raw.dual, fits)
-    base = dual[pos] if sign == 1 else -dual[pos]
-    rows = beta * dual - linalg._exact_array(ct, fits)[:, None] * base
-    if raw.det != 1:
-        rows //= raw.det  # exact: the rows are the adjugate of the new vertex basis
-    rows[pos] = base
+    fits = linalg._products_fit(ct_max, dual_max, 2) and linalg._products_fit(det_max, 1, 1)
+    dual, ct = linalg._exact_array(dual, fits), linalg._exact_array(ct, fits)
+    k = np.arange(len(pos))
+    c = ct[k, pos]
+    sign = np.sign(c)
+    beta = sign * c
+    base = dual[k, pos] * sign[:, None]
+    rows = beta[:, None, None] * dual - ct[:, :, None] * base[:, None, :]
+    if det_max != 1:
+        rows //= linalg._exact_array(det, fits)[:, None, None]  # exact: an adjugate
+    rows[k, pos] = base
+    return rows, beta
+
+
+def _neighbor_raw(raw: FacetFrame, ct: Sequence[int], pos: int, target: int) -> FacetFrame:
+    """`_crossed` on one record: frame position `pos` is replaced by
+    `target`, whose coordinate row (exact ints) is `ct`."""
+    ct_max = max(map(abs, ct))
+    rows, beta = _crossed(raw.dual[None], linalg._exact_array([raw.det], raw.det < linalg._I64_SAFE),
+                          linalg._exact_array([ct], ct_max < linalg._I64_SAFE), np.array([pos]),
+                          ct_max, raw.dual_max, raw.det)
     indices = [target if w == pos else i for w, i in enumerate(raw.vertex_indices)]
-    return _make_raw(indices, rows, beta)
+    return _make_raws(np.array([indices]), rows, beta)[0][0]
 
 
 def _ridge_target(indices: tuple[int, ...], entries: Iterable[tuple[int, int]],
@@ -487,44 +601,65 @@ def _ridge_target(indices: tuple[int, ...], entries: Iterable[tuple[int, int]],
     level `delta`: the ratio rule's unique minimizer over a column's
     (vertex, entry) `entries`, its negative ones at least, which lies below it."""
     targets = _min_ratio(entries, levels, delta)
-    if not targets:
-        raise NoNegativeVertexError(f"no vertex below ridge {pos} of facet {indices}")
-    if len(targets) > 1 or levels[targets[0]] == delta:
-        raise NotSimplicialError(
-            f"pivot tie at ridge {pos} of facet {indices}: "
-            f"vertices {tuple(targets)} are coplanar with the ridge"
-        )
+    if len(targets) != 1 or levels[targets[0]] == delta:
+        raise _ridge_error(indices, pos, targets)
     return targets[0]
 
 
 def _enumerate_raw(p: Polytope) -> list[FacetFrame]:
-    """Breadth-first closure of ridge pivots starting from the wrapped facet."""
-    from collections import deque
+    """Breadth-first closure of ridge pivots from the wrapped facet, one
+    layer at a time.
 
+    A layer of K facets is a few exact array operations: one ratio-rule
+    kernel finds the target of every (facet, ridge) from the layer's n x K x d
+    coordinates, the targets' sorted index tuples are checked against the
+    facets found so far in (facet, ridge) order, one batched rank-1 update
+    builds the new records, and one product of the vertices with their
+    scaled duals and row sums gives the next layer's coordinates and levels,
+    which check the new hyperplanes.  The start facet reads its cached
+    `frame_coords`.  Records, their order and the first error are those of
+    crossing one ridge after the other.
+    """
     start = _initial_raw_cached(p)
-    visited = {start.vertex_indices}
-    queue = deque([start])
-    out = []
-    covered = set()
-    while queue:
-        raw = queue.popleft()
-        out.append(raw)
-        covered.update(raw.vertex_indices)
-        coords = p.coords_rows(raw.dual).tolist()
-        levels = [sum(row) for row in coords]
-        for pos, column in enumerate(zip(*coords)):
-            target = _ridge_target(raw.vertex_indices, enumerate(column), levels, raw.det, pos)
-            key = tuple(sorted(set(raw.vertex_indices) - {raw.vertex_indices[pos]} | {target}))
-            if key in visited:
-                continue
-            neighbor = _sorted_raw(_neighbor_raw(raw, coords[target], pos, target))
-            _check_facet(p, neighbor)
-            visited.add(neighbor.vertex_indices)
-            queue.append(neighbor)
-    if len(covered) != p.n:
-        missing = sorted(set(range(p.n)) - covered)
+    n, d = p.n, p.dim
+    key = np.dtype((np.void, 8 * d))  # a row of d int64 indices as one hashable bytes
+    idx = np.array([start.vertex_indices], dtype=np.int64)
+    visited = {idx.tobytes()}
+    facets, dual, dual_max = [start], start.dual[None], start.dual_max
+    det, det_max = linalg._exact_array([start.det], start.det < linalg._I64_SAFE), start.det
+    coords, levels = frame_coords(p, start)[:, None, :], frame_levels(p, start)[:, None]
+    out = [start]
+    covered = np.zeros(n, dtype=bool)
+    diagonal = np.eye(d, dtype=bool)
+    while True:
+        covered[idx] = True
+        best, stop, targets = _ridge_targets(coords, (levels - det)[:, :, None])
+        # the neighbor across every (facet, ridge), as vertex indices
+        swapped = np.where(diagonal, best[:, :, None], idx[:, None, :]).reshape(-1, d)
+        keys = np.sort(swapped, axis=1)
+        new = [j for j, b in enumerate(keys[:stop].view(key).ravel().tolist())
+               if b not in visited and not visited.add(b)]
+        if new:
+            j = np.array(new)
+            k, pos = j // d, j % d
+            dual, det = _crossed(dual[k], det[k], coords[best.reshape(-1)[j], k], pos,
+                                 d * p._abs_max * dual_max, dual_max, det_max)
+            dual, idx = dual[np.arange(len(j))[:, None], swapped[j].argsort(axis=1)], keys[j]
+            found, sums = _make_raws(idx, dual, det)
+            both = np.concatenate((dual, sums[:, None, :]), axis=1).reshape(-1, d)
+            coords = linalg._vertex_products(p._array, both, p._abs_max).reshape(n, len(j), d + 1)
+            coords, levels = coords[:, :, :d], coords[:, :, d]
+            _check_facets(p, found, levels, det)
+        if stop < best.size:
+            raise _ridge_error(facets[stop // d].vertex_indices, stop % d, targets)
+        if not new:
+            break
+        out += found
+        facets = found
+        dual_max, det_max = max(raw.dual_max for raw in found), max(raw.det for raw in found)
+    if np.count_nonzero(covered) < n:
         raise NotAVertexError(
-            f"points at indices {tuple(missing)} are not vertices of the hull"
+            f"points at indices {_indices(~covered)} are not vertices of the hull"
         )
     return out
 
@@ -800,8 +935,9 @@ def frame_coords(p: Polytope, frame: FacetFrame) -> np.ndarray:
     row sums and their differences with entries fit too: a dense disguise
     inflates the vertices and the dual basis, not the coordinates.  For
     frames that several stages read, above all the special facet, which is
-    validation's start facet whenever the walk takes no step; a walk over
-    every facet calls `Polytope.coords_rows` and keeps nothing.
+    validation's start facet whenever the walk takes no step, and whose
+    array is also the first layer of the enumeration; a walk over every
+    facet calls `Polytope.coords_rows` and keeps nothing.
     """
     cache = p._cert_cache
     key = ("coords", frame.vertex_indices)

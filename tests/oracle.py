@@ -12,6 +12,13 @@ every surviving frame ordering, without splitting P into free summands.
 tuples of Python ints, the reference for the array update
 `polytope._neighbor_raw`.
 
+`enumerate_raw_per_facet` is the breadth-first enumeration one facet and one
+ridge at a time: `_min_ratio` per ridge, one record per crossing
+(`neighbor_raw_one`, `make_raw_one`) and one check per new facet
+(`check_facet_one`).  It is the reference for the layer enumeration
+`polytope._enumerate_raw`: the same records in the same order, each with the
+same dual dtype, and the same first error.
+
 `parse_ints_scan` is the token-by-token line parser, the reference for
 `fanofile._parse_ints`: the same tuple of integers, or the same FanoFileError.
 
@@ -53,26 +60,33 @@ the references for the array versions in `analysis`, `splitting` and
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
+import numpy as np
+
+from fanosplit import linalg
 from fanosplit.equivalence import DEFAULT_BUDGET, _orderings, _serialize
 from fanosplit.errors import (
     FanoFileError,
     InvariantViolationError,
+    NotAVertexError,
     NotSimplicialError,
     OriginNotInteriorError,
     SingularMatrixError,
 )
 from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual
 from fanosplit.polytope import (
+    FacetFrame,
     Mode,
     Polytope,
-    _check_facet,
     _cross,
+    _initial_raw_cached,
     _min_ratio,
     _opposites,
     _raw_from_rows,
+    _ridge_target,
+    _sorted_raw,
     enumerate_facets,
     require_smooth_fano,
 )
@@ -293,8 +307,86 @@ def initial_raw_lists(p: Polytope):
             f"initial supporting hyperplane contains {len(on)} vertices: {tuple(on)}"
         )
     raw = _raw_from_rows(p, sorted(on))
-    _check_facet(p, raw)
+    check_facet_one(p, raw)
     return raw
+
+
+def make_raw_one(indices, dual: np.ndarray, det: int) -> FacetFrame:
+    """The record of one scaled dual basis; its row sum over `det` is the normal."""
+    hi = linalg._max_abs(dual)
+    dual = linalg._exact_array(dual, linalg._products_fit(hi, 1, 1))
+    sums = linalg._exact_array(dual, linalg._products_fit(hi, 1, len(indices)))
+    rowsum = sums.sum(axis=0).tolist()
+    g = gcd_of(rowsum + [det])
+    if g == 0:
+        raise InvariantViolationError("zero outer normal")
+    return FacetFrame(tuple(indices), dual, tuple(a // g for a in rowsum), det, det // g, hi)
+
+
+def neighbor_raw_one(raw: FacetFrame, ct, pos: int, target: int) -> FacetFrame:
+    """The rank-1 dual update of one record when frame position `pos` is
+    replaced by `target`, whose coordinate row is `ct`."""
+    sign = -1 if ct[pos] < 0 else 1
+    beta = sign * ct[pos]
+    fits = (linalg._products_fit(max(map(abs, ct)), raw.dual_max, 2)
+            and linalg._products_fit(raw.det, 1, 1))
+    dual = linalg._exact_array(raw.dual, fits)
+    base = dual[pos] if sign == 1 else -dual[pos]
+    rows = beta * dual - linalg._exact_array(ct, fits)[:, None] * base
+    if raw.det != 1:
+        rows //= raw.det
+    rows[pos] = base
+    indices = [target if w == pos else i for w, i in enumerate(raw.vertex_indices)]
+    return make_raw_one(indices, rows, beta)
+
+
+def check_facet_one(p: Polytope, raw: FacetFrame) -> None:
+    """The facet hyperplane supports P and carries exactly d vertices."""
+    values = p.products(raw.outer_normal)
+    on = [i for i, v in enumerate(values) if v == raw.height]
+    if max(values) > raw.height:
+        raise InvariantViolationError(
+            f"hyperplane of facet {raw.vertex_indices} does not support the polytope"
+        )
+    if raw.height <= 0:
+        raise OriginNotInteriorError(
+            f"facet hyperplane {raw.outer_normal} has non-positive level {raw.height}"
+        )
+    if len(on) != p.dim:
+        raise NotSimplicialError(
+            f"hyperplane through facet {raw.vertex_indices} contains {len(on)} vertices: {tuple(on)}"
+        )
+
+
+def enumerate_raw_per_facet(p: Polytope) -> list[FacetFrame]:
+    """Breadth-first closure of ridge pivots starting from the wrapped facet,
+    one facet and one ridge at a time."""
+    start = _initial_raw_cached(p)
+    visited = {start.vertex_indices}
+    queue = deque([start])
+    out = []
+    covered = set()
+    while queue:
+        raw = queue.popleft()
+        out.append(raw)
+        covered.update(raw.vertex_indices)
+        coords = p.coords_rows(raw.dual).tolist()
+        levels = [sum(row) for row in coords]
+        for pos, column in enumerate(zip(*coords)):
+            target = _ridge_target(raw.vertex_indices, enumerate(column), levels, raw.det, pos)
+            key = tuple(sorted(set(raw.vertex_indices) - {raw.vertex_indices[pos]} | {target}))
+            if key in visited:
+                continue
+            neighbor = _sorted_raw(neighbor_raw_one(raw, coords[target], pos, target))
+            check_facet_one(p, neighbor)
+            visited.add(neighbor.vertex_indices)
+            queue.append(neighbor)
+    if len(covered) != p.n:
+        missing = sorted(set(range(p.n)) - covered)
+        raise NotAVertexError(
+            f"points at indices {tuple(missing)} are not vertices of the hull"
+        )
+    return out
 
 
 def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:

@@ -12,7 +12,7 @@ from fanosplit import cli
 from fanosplit.cli import main
 from fanosplit.fanofile import save_polytope, serialize_fano
 from fanosplit import linalg, polytope
-from fanosplit.generators import bundle_b, example4d, hexagon, random_image, simplex
+from fanosplit.generators import MAX_ENTRIES, bundle_b, example4d, hexagon, random_image, simplex
 from fanosplit.polytope import Polytope, make_polytope
 from fanosplit.splitting import direct_sum
 
@@ -223,7 +223,22 @@ def test_budget_below_one_is_a_usage_error(tmp_path, capsys, cmd, budget):
 def test_gen_rejects_a_size_no_list_can_hold(capsys):
     # bundleB 10**20 asks for rows of length 3 * 10**20
     assert main(["gen", "bundleB", str(10**20)]) == 2
-    assert capsys.readouterr() == ("", "error: cannot fit 'int' into an index-sized integer\n")
+    assert capsys.readouterr() == ("", (
+        "error: bundleB 100000000000000000000 would have 700000000000000000001 x "
+        "300000000000000000000 vertex entries, more than 100000000\n"))
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["simplex", str(10**20)], f"simplex {10**20} would have {10**20 + 1} x {10**20}"),
+    (["bundleB", "100000000"], "bundleB 100000000 would have 700000001 x 300000000"),
+    (["random_image", "simplex", "100000", "--seed", "1"],
+     "simplex 100000 would have 100001 x 100000"),
+])
+def test_gen_refuses_an_output_above_the_entry_cap(argv, refused, capsys):
+    # each would build at least 10**10 entries before writing a line
+    assert main(["gen", *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {refused} vertex entries, more than {MAX_ENTRIES}\n")
 
 
 def test_gen_rejects_nested_random_image(capsys):

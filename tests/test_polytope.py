@@ -29,7 +29,9 @@ from fanosplit.polytope import (
     Polytope,
     Proof,
     _enumerate_raw,
+    _min_ratio,
     _neighbor_raw,
+    _ratio_targets,
     _raw_from_rows,
     enumerate_facets,
     frame_from_indices,
@@ -45,7 +47,14 @@ from fanosplit.polytope import (
 from fanosplit.splitting import direct_sum
 
 from corpus import base_instances, imaged, large_sums
-from oracle import brute_facets, brute_neighbor, brute_valid, initial_raw_lists, neighbor_raw_tuples
+from oracle import (
+    brute_facets,
+    brute_neighbor,
+    brute_valid,
+    enumerate_raw_per_facet,
+    initial_raw_lists,
+    neighbor_raw_tuples,
+)
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -558,6 +567,117 @@ class TestNeighborUpdate:
             # a pivot from a pivoted frame crosses back
             back, back_opp = pivot(p, neigh, p.index_of(opp))
             assert back == f and p.index_of(back_opp) == z
+
+
+def _outcome(enumerate_raw, p: Polytope):
+    """Every record of `enumerate_raw` on a fresh copy of p, field by field
+    with the dtype of its dual, or the type and message of its error."""
+    try:
+        raws = enumerate_raw(Polytope(p.dim, p.vertices))
+    except FanoError as e:
+        return type(e), str(e)
+    return [(r.vertex_indices, r.dual.dtype, r.dual.tolist(), r.det, r.outer_normal, r.height,
+             r.dual_max) for r in raws]
+
+
+def _sheared(p: Polytope, factor: int) -> Polytope:
+    """p under the shear x_1 += factor * x_0."""
+    return Polytope(p.dim, tuple((v[0], v[1] + factor * v[0], *v[2:]) for v in p.vertices))
+
+
+# disguises of small bases for the property test: the valid half of its inputs
+_SMALL_BASES = [p for _, p in base_instances() if p.dim <= 4]
+
+
+class TestLayerEnumeration:
+    """The layer enumeration against the per-facet loop of `tests/oracle.py`:
+    the same records in the same order, each with the same dual dtype, and
+    the same first error."""
+
+    def check(self, p: Polytope):
+        got = _outcome(_enumerate_raw, p)
+        assert got == _outcome(enumerate_raw_per_facet, p)
+        return got
+
+    @pytest.mark.parametrize("name, base", base_instances(), ids=[n for n, _ in base_instances()])
+    def test_corpus_and_two_disguises(self, name, base):
+        for q in [base] + imaged(base, range(1, 3)):
+            assert isinstance(self.check(q), list)
+
+    @pytest.mark.parametrize("rows, error", [
+        # cube: the gift-wrap meets a square
+        ([(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)], NotSimplicialError),
+        # triangular prism: a pivot tie at a square facet
+        ([(1, 1, 0), (1, 0, 1), (1, -1, -1), (-1, 1, 0), (-1, 0, 1), (-1, -1, -1)],
+         NotSimplicialError),
+        # the interior-point file: (0, 0) is on no facet
+        ([(1, 0), (0, 1), (-1, -1), (0, 0)], NotAVertexError),
+        # complete, through a facet with |det| = 2
+        ([(1, 0), (0, 1), (-1, -2)], None),
+        # complete, dividing the rows of |det| = 2 facets by their det
+        ([(-2, -2), (-1, 1), (2, 0)], None),
+    ])
+    def test_invalid_inputs(self, rows, error):
+        got = self.check(make_polytope(rows))
+        if error is None:
+            assert max(r[3] for r in got) > 1
+        else:
+            assert got[0] is error
+
+    @pytest.mark.parametrize("factor", [2**40, 2**70])
+    def test_object_layers(self, factor):
+        # 2**40 vertex entries make every layer's coordinates object ints;
+        # the records' duals stay int64 below 2**62 and are object ints above
+        for base in (bundle_b(1), example4d()):
+            p = _sheared(random_image(base, 3), factor)
+            assert p._array.dtype == object
+            dtypes = {r[1] for r in self.check(p)}
+            assert dtypes == ({np.dtype(np.int64)} if factor < 2**62 else {np.dtype(object)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(_SMALL_BASES), st.integers(0, 2**32)).map(
+            lambda bs: random_image(*bs)),
+        st.integers(1, 4).flatmap(lambda d: st.sets(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=d + 4))))
+    def test_random_point_sets(self, case):
+        if isinstance(case, Polytope):
+            assert isinstance(self.check(case), list)
+            return
+        try:
+            p = make_polytope(sorted(case))
+        except FanoError:
+            return
+        self.check(p)
+
+    def test_neighbor_check_failure(self, monkeypatch):
+        # a wrong update: every new record's det doubled, so that its
+        # hyperplane lies below all its vertices
+        crossed = polytope._crossed
+        monkeypatch.setattr(polytope, "_crossed",
+                            lambda *args: (lambda rows, det: (rows, 2 * det))(*crossed(*args)))
+        with pytest.raises(NotSimplicialError) as exc:
+            _enumerate_raw(simplex(2))
+        assert str(exc.value) == "hyperplane through facet (1, 2) contains 0 vertices: ()"
+
+
+class TestRatioTargets:
+    """The array ratio rule against `_min_ratio` on every column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-6, 0), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-4, 3), min_size=n, max_size=n), min_size=1, max_size=4))))
+    def test_matches_min_ratio(self, case):
+        gaps, columns = case
+        cols = np.array(columns).T
+        for dtype in (np.int64, object):
+            best, _, odd = _ratio_targets(np.array(gaps, dtype=dtype)[:, None], cols.astype(dtype))
+            for j, column in enumerate(columns):
+                # (0 - gap) / -x over x < 0 is gap / x
+                wins = _min_ratio(enumerate(column), gaps, 0)
+                assert best[j] == (wins[0] if wins else -1)
+                assert odd.get((j,), wins) == wins
 
 
 class TestOneRecord:
