@@ -141,6 +141,15 @@ def _cmd_split(args) -> int:
     p = load_polytope(args.file)
     mode = _resolve_mode(args.mode, p)
     dec = hexagon_split(p, mode)
+    # written before anything is printed, so a write error leaves stdout empty
+    if args.output:
+        outdir = Path(args.output)
+        outdir.mkdir(parents=True, exist_ok=True)
+        names = _write_factors(dec, outdir)
+        manifest = _manifest_lines(dec, names)
+        (outdir / "decomposition.txt").write_text(
+            "\n".join(manifest) + "\n", encoding="ascii", newline="\n"
+        )
     d, k = p.dim, vertex_deficit(p)
     print(f"hexagons={dec.hexagon_count}")
     if d >= split_threshold(k):
@@ -150,14 +159,6 @@ def _cmd_split(args) -> int:
         print(f"residual-dim={residual.polytope.dim} residual-n={residual.polytope.n}")
     if not args.hexagons_only:
         print(f"finest-factors={len(free_summands(p, mode))}")
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        names = _write_factors(dec, outdir)
-        manifest = _manifest_lines(dec, names)
-        (outdir / "decomposition.txt").write_text(
-            "\n".join(manifest) + "\n", encoding="ascii", newline="\n"
-        )
     return 0
 
 

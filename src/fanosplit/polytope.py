@@ -43,20 +43,21 @@ gift-wrapped facet must be unimodular; its dual basis then gives lattice
 coordinates, and the blocks of their support graph (`coordinate_blocks`)
 split P into a free sum.  The facets of a free sum are the joins of its
 summands' facets, so P is smooth Fano iff every block polytope is, and its
-facet count is their product.  Each summand is proved alone: a standard
-hexagon by its vertex set, every other one by enumerating its facets (FULL).
-The proved block polytopes stay on P (`free_summands`, `free_sum`), for the
-normal form, the finest split and FULL `verify`.
-An irreducible summand above FULL_MODE_MAX_DIM is checked only at its
-start facet when LOCAL is asked for, since facet counts grow exponentially
-while the splitting pipeline touches only one pivot path; the certificate
-then says its proof is incomplete.
+facet count is their product.  One loop (`_certify`) proves each summand
+alone from its block of P's start facet, its unit vectors (`_seed_start`),
+with no gift-wrap of its own: a standard hexagon by its vertex set, every
+other one by enumerating its facets (FULL).  The proved block polytopes
+stay on P (`free_summands`, `free_sum`), for the normal form, the finest
+split and FULL `verify`.  A summand above FULL_MODE_MAX_DIM is checked only
+at its start facet when LOCAL is asked for, since facet counts grow
+exponentially while the splitting pipeline touches only one pivot path; the
+certificate then says its proof is incomplete.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -167,7 +168,7 @@ class Polytope:
     def _full_dim(self) -> bool:
         """Affine full dimension: the vectors (x, 1) have rank d + 1.
 
-        With n > d a gift-wrapped facet proves it: its d linearly independent
+        With n > d the start facet proves it: its d linearly independent
         vertices span the one affine hyperplane through them, which
         `_check_facet` has shown to carry no other vertex.  The exact rank
         decides only when n <= d or the gift-wrap fails; validation re-raises
@@ -705,13 +706,14 @@ def _full_raws(p: Polytope) -> list[FacetFrame]:
 
 
 def _initial_raw_cached(p: Polytope) -> FacetFrame:
-    """`_initial_raw`, run once per polytope.  A failure is kept without its
+    """The start facet: a free summand's seed (`_seed_start`), else
+    `_initial_raw`, run once per polytope.  A failure is kept without its
     traceback and each caller gets a fresh copy of it (same type, arguments
     and attributes), so no raise pins frames or arrays in the cache."""
     cache = p._cert_cache
     if "initial" not in cache:
         try:
-            cache["initial"] = _initial_raw(p)
+            cache["initial"] = _seed_start(p) if "block" in cache else _initial_raw(p)
         except FanoError as e:
             cache["initial"] = e.with_traceback(None)
     found = cache["initial"]
@@ -727,10 +729,10 @@ def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate
     unimodular simplex.
 
     The gift-wrapped facet's coordinates split P into free summands, and each
-    summand is proved alone: FULL enumerates its facets, and so does LOCAL up
-    to dimension FULL_MODE_MAX_DIM.  Above it LOCAL checks the summand's
-    gift-wrapped facet only and trusts the rest (proof `local-unproven`);
-    pivots performed later keep checking every frame they touch.
+    summand is proved alone from its block of that facet: FULL enumerates its
+    facets, and so does LOCAL up to dimension FULL_MODE_MAX_DIM.  Above it
+    LOCAL checks the summand's start facet only and trusts the rest (proof
+    `local-unproven`); pivots performed later keep checking every frame they touch.
     """
     cache = p._cert_cache
     key = ("cert", mode)
@@ -809,73 +811,65 @@ def _block_polytopes(coords: np.ndarray, blocks: Sequence[list[int]], assign: Se
             for rows in [coords.take(own, axis=0).take(block, axis=1)]]
 
 
-def _summand_mode(mode: Mode, dim: int) -> Mode:
-    """LOCAL only for an irreducible summand above FULL_MODE_MAX_DIM."""
-    return Mode.FULL if mode is Mode.FULL else auto_mode(dim)
-
-
 def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
-    """The certificate of an affinely full-dimensional p."""
+    """The certificate of an affinely full-dimensional p, one block of its
+    start facet at a time; a failure inside a block of several names it."""
+    prefix, count, unproven = "", 1, None
     try:
         start = _frame_from_raw(_initial_raw_cached(p))
-        summands = _block_summands(p, start)
-        if summands:
-            return _certify_summands(mode, start, summands)
-        if _summand_mode(mode, p.dim) is Mode.LOCAL:
-            return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
-                                         unproven_dim=p.dim)
-        raws = _full_raws(p)
-        for raw in raws:  # the witness is the first one in breadth-first order
-            if raw.det != 1:
-                _frame_from_raw(raw)
+        blocks = _block_summands(p)
+        for _, own, q in blocks:
+            if q is not p:
+                prefix = f"factor on vertices {own}: "
+                if set(q.vertices) == HEXAGON_VERTICES:
+                    count *= 6
+                    continue
+                # the block holds the unit vectors of its positions, at level
+                # 1, and every other vertex of it lies below
+                if q.n == q.dim:
+                    raise OriginNotInteriorError(
+                        f"every vertex lies on the hyperplane of facet {start.vertex_indices}")
+                _check_facet(q, _initial_raw_cached(q))
+            if mode is Mode.LOCAL and q.dim > FULL_MODE_MAX_DIM:
+                unproven = max(unproven or 0, q.dim)
+                continue
+            raws = _full_raws(q)
+            for raw in raws:  # the witness is the first one in breadth-first order
+                if raw.det != 1:
+                    _frame_from_raw(raw)
+            count *= len(raws)
     except tuple(_FAILURE_KINDS) as e:
-        return SmoothFanoCertificate(False, mode, _FAILURE_KINDS[type(e)], str(e))
-    return SmoothFanoCertificate(True, mode, facet_count=len(raws), proof=Proof.FULL)
+        return SmoothFanoCertificate(False, mode, _FAILURE_KINDS[type(e)], prefix + str(e))
+    if unproven is not None:
+        return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
+                                     unproven_dim=unproven)
+    proof = Proof.FULL if len(blocks) == 1 else Proof.BY_DECOMPOSITION
+    return SmoothFanoCertificate(True, mode, facet_count=count, proof=proof)
 
 
-def _block_summands(p: Polytope, start: FacetFrame
-                    ) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:
-    """(frame positions, vertex indices, block polytope) of every block of the
-    unimodular start facet, or () when there is one block.  Cached on p, so
-    that the certificates of both modes prove the same summand objects."""
+def _block_summands(p: Polytope) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:
+    """(frame positions, vertex indices, block polytope) of every block of
+    p's unimodular start facet; p itself is the one block of an irreducible p.
+    Cached on p, so that the certificates of both modes prove the same
+    summands.  The cache keeps () for one block: p in its own cache would be
+    a reference cycle, which holds p's facet records until a gc collection."""
     cache = p._cert_cache
     if "summands" not in cache:
-        coords = frame_coords(p, start)
+        coords = frame_coords(p, _frame_from_raw(_initial_raw_cached(p)))
         blocks, assign = coordinate_blocks(coords)
         cache["summands"] = () if len(blocks) == 1 else tuple(
             (block, own, q)
             for block, (own, q) in zip(blocks, _block_polytopes(coords, blocks, assign)))
-    return cache["summands"]
+        for _, _, q in cache["summands"]:
+            q._cert_cache["block"] = True  # its start facet is its block of p's
+    return cache["summands"] or ((list(range(p.dim)), tuple(range(p.n)), p),)
 
 
-def _certify_summands(mode: Mode, start: FacetFrame,
-                      summands: Sequence[tuple[list[int], tuple[int, ...], Polytope]]
-                      ) -> SmoothFanoCertificate:
-    """The certificate of the free sum of the block polytopes."""
-    count, unproven = 1, None
-    for _, own, q in summands:
-        if set(q.vertices) == HEXAGON_VERTICES:
-            count *= 6
-            continue
-        # the block holds the unit vectors of its positions, which lie at
-        # level 1; it is affinely full-dimensional unless every row does
-        if all(sum(row) == 1 for row in q.vertices):
-            return SmoothFanoCertificate(
-                False, mode, "OriginNotInterior",
-                f"factor on vertices {own}: every vertex lies on the "
-                f"hyperplane of facet {start.vertex_indices}")
-        q.__dict__["_full_dim"] = True  # it spans, as above: skip the proof
-        cert = is_smooth_fano(q, _summand_mode(mode, q.dim))
-        if not cert.valid:
-            return replace(cert, mode=mode, witness=f"factor on vertices {own}: {cert.witness}")
-        if cert.proof is Proof.LOCAL_UNPROVEN:
-            unproven = max(unproven or 0, q.dim)
-        else:
-            count *= cert.facet_count
-    if unproven is not None:
-        return SmoothFanoCertificate(True, mode, proof=Proof.LOCAL_UNPROVEN,
-                                     unproven_dim=unproven)
-    return SmoothFanoCertificate(True, mode, facet_count=count, proof=Proof.BY_DECOMPOSITION)
+def _seed_start(q: Polytope) -> FacetFrame:
+    """A block polytope's start facet in place of a gift-wrap: its block of
+    the sum's start facet, on its unit vectors, so its dual is the identity."""
+    units = np.eye(q.dim, dtype=np.int64)
+    return FacetFrame(tuple(map(q.index_of, units.tolist())), units, (1,) * q.dim, dual_max=1)
 
 
 def free_summands(p: Polytope, mode: Mode | None = None) -> tuple[Polytope, ...]:
@@ -883,10 +877,10 @@ def free_summands(p: Polytope, mode: Mode | None = None) -> tuple[Polytope, ...]
 
     Each summand is the block polytope that validation proved, in the
     lattice coordinates of the gift-wrapped facet restricted to its block,
-    in block order.
+    in block order; its facet enumeration and walks start at that block.
     """
     require_smooth_fano(p, mode)
-    return tuple(q for _, _, q in p._cert_cache["summands"]) or (p,)
+    return tuple(q for _, _, q in _block_summands(p))
 
 
 def free_sum(p: Polytope, mode: Mode | None = None
@@ -897,12 +891,13 @@ def free_sum(p: Polytope, mode: Mode | None = None
     facet's dual rows in block order, or the identity when p is irreducible.
     """
     require_smooth_fano(p, mode)
-    blocks = p._cert_cache["summands"]
-    if not blocks:
-        return IntMatrix.identity(p.dim), ((tuple(range(p.n)), p),)
+    blocks = _block_summands(p)
+    summands = tuple((own, q) for _, own, q in blocks)
+    if len(blocks) == 1:
+        return IntMatrix.identity(p.dim), summands
     order = [j for positions, _, _ in blocks for j in positions]
     rows = _initial_raw_cached(p).dual.take(order, axis=0).tolist()
-    return IntMatrix(tuple(map(tuple, rows))), tuple((own, q) for _, own, q in blocks)
+    return IntMatrix(tuple(map(tuple, rows))), summands
 
 
 def require_smooth_fano(p: Polytope, mode: Mode | None = None) -> Mode:

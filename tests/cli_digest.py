@@ -15,7 +15,9 @@ these inputs, byte for byte, including every error message.  The inputs:
   through `eq` (the files `split -o` writes are digested too);
 * a fixed list of malformed files;
 * argparse usage errors and `-h` / `nf -h`, each after a valid run, on the
-  last corpus pair.
+  last corpus pair;
+* each FAILING_FACTORS polytope next to a hexagon, plain and in one
+  disguise, through `check` and `check --mode local`.
 
 The files are written to a fresh temporary directory, which is the working
 directory during the runs and is deleted afterwards; argv and the output name
@@ -44,7 +46,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from corpus import base_instances  # noqa: E402
 from fanosplit import cli  # noqa: E402
 from fanosplit.fanofile import serialize_fano  # noqa: E402
-from fanosplit.generators import random_image  # noqa: E402
+from fanosplit.generators import hexagon, random_image  # noqa: E402
+from fanosplit.polytope import Polytope  # noqa: E402
+from fanosplit.splitting import direct_sum  # noqa: E402
 
 SETS = 1200
 
@@ -61,6 +65,16 @@ MALFORMED = [
     "fano 1\n2 2\n1 0 3\n0 1\n",
     "fano 1\n2 3\n1\t0\n0  1 # c\n-1 -1\n",
     "fano 1\n2 3\n1 0\n0 1\n-1 \xe9\n",
+]
+
+# invalid summands, one per failure kind and witness of a summand's proof
+FAILING_FACTORS = [
+    [(1, 0), (0, 1), (-1, -2)],
+    [(-2, 1), (-1, 1), (0, 1), (1, 0)],
+    [(-1, -1), (1, -1), (0, 1), (0, -1)],
+    [(1, -1), (1, 0), (2, -1)],
+    [(-2, -2), (0, -1), (1, 1)],
+    [(-2, -2), (-1, -1), (0, 1), (1, -2)],
 ]
 
 
@@ -122,6 +136,12 @@ def _argvs():
              ["verify", a, b], ["split", a], ["check", b])
     for pair in zip(valid, usage):
         yield from pair
+    for i, rows in enumerate(FAILING_FACTORS):
+        p = direct_sum(Polytope(2, tuple(rows)), hexagon())
+        for tag, q in (("plain", p), ("disguised", random_image(p, 1))):
+            f = f"factor_{i}_{tag}.fano"
+            Path(f).write_text(serialize_fano(q), encoding="ascii")
+            yield from (["check", f], ["check", "--mode", "local", f])
 
 
 def _run(argv: list[str]) -> tuple[int | str, str, str]:

@@ -175,6 +175,17 @@ def test_split_writes_manifest(tmp_path, capsys):
     assert (outdir / "factor_001.fano").exists()
 
 
+@pytest.mark.parametrize("target, errno", [("taken", 17), ("taken/sub", 20)])
+def test_split_output_error_leaves_stdout_empty(tmp_path, capsys, target, errno):
+    # -o names an existing regular file, or a path below one
+    path = write(tmp_path, "h.fano", hexagon())
+    (tmp_path / "taken").write_text("")
+    assert main(["split", path, "-o", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [Errno {errno}] ")
+
+
 def test_split_hexagons_only(tmp_path, capsys):
     path = write(tmp_path, "h.fano", hexagon())
     assert main(["split", path, "--hexagons-only"]) == 0

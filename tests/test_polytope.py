@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gc
 import random
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -35,6 +37,7 @@ from fanosplit.polytope import (
     _raw_from_rows,
     enumerate_facets,
     frame_from_indices,
+    free_summands,
     is_smooth_fano,
     make_polytope,
     opposite_indices,
@@ -44,6 +47,7 @@ from fanosplit.polytope import (
     vertex_deficit,
     vertex_sum,
 )
+from fanosplit.equivalence import normal_form
 from fanosplit.splitting import direct_sum
 
 from corpus import base_instances, imaged, large_sums
@@ -732,14 +736,60 @@ class TestCertifyByDecomposition:
         assert is_smooth_fano(p, Mode.LOCAL).unproven_dim == 13
         assert ranks == []
 
+    def test_one_gift_wrap_per_input(self, monkeypatch):
+        # every summand starts at its block of the input's start facet
+        calls = []
+        initial_raw = polytope._initial_raw
+        monkeypatch.setattr(polytope, "_initial_raw", lambda p: calls.append(p) or initial_raw(p))
+        p = random_image(reduce(direct_sum, [bundle_b(1), pentagon(), simplex(2), hexagon()]), 1)
+        p = Polytope(p.dim, p.vertices)
+        for mode in Mode:
+            assert is_smooth_fano(p, mode).describe() == (
+                f"valid mode={mode.value} proof=by-decomposition facets=1080")
+        summands = free_summands(p)
+        facets = [enumerate_facets(q) for q in summands]
+        normal_form(p)
+        assert calls == [p]
+        assert [(q.dim, q.n) for q in summands] == [(3, 8), (2, 6), (2, 3), (2, 5)]
+        for q, frames in zip(summands, facets):
+            seed = q._cert_cache["initial"]
+            units = IntMatrix.identity(q.dim)
+            assert tuple(q.vertices[i] for i in seed.vertex_indices) == units.entries
+            assert (seed.dual_basis, seed.outer_normal, seed.det, seed.height, seed.dual_max) == (
+                units, (1,) * q.dim, 1, 1, 1)
+            assert seed in frames
+            assert is_smooth_fano(q).describe() == f"valid mode=full proof=full facets={len(frames)}"
+        assert calls == [p]
+
+    @pytest.mark.parametrize("build", [lambda: bundle_b(2), lambda: direct_sum(bundle_b(1), hexagon())])
+    def test_validated_polytope_is_freed_without_a_collection(self, build):
+        # no cache entry refers back to its polytope, so reference counting
+        # frees it with its facet records, irreducible or not
+        p = random_image(build(), 1)
+        p = Polytope(p.dim, p.vertices)
+        for mode in Mode:
+            assert is_smooth_fano(p, mode).valid
+        free_summands(p)
+        polytope.free_sum(p)
+        alive = weakref.ref(p)
+        gc.disable()
+        try:
+            del p
+            assert alive() is None
+        finally:
+            gc.enable()
+
     # one failing summand per failure kind, next to a hexagon
     @pytest.mark.parametrize("rows, witness", [
         ([(1, 0), (0, 1), (-1, -2)],
          "FacetNotUnimodular witness=factor on vertices (0, 1, 2): "
          "facet (0, 2) has |det| = 2"),
         ([(-2, 1), (-1, 1), (0, 1), (1, 0)],
+         "OriginNotInterior witness=factor on vertices (0, 1, 2, 3): "
+         "no vertex below ridge 0 of facet (2, 3)"),
+        ([(-1, -1), (1, -1), (0, 1), (0, -1)],
          "FacetNotSimplex witness=factor on vertices (0, 1, 2, 3): "
-         "initial supporting hyperplane contains 3 vertices: (0, 1, 2)"),
+         "pivot tie at ridge 1 of facet (1, 2): vertices (0, 3) are coplanar with the ridge"),
         ([(1, -1), (1, 0), (2, -1)],
          "OriginNotInterior witness=factor on vertices (0, 1, 2): "
          "no vertex below ridge 1 of facet (0, 2)"),
