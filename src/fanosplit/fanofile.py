@@ -4,13 +4,22 @@ Layout: a header line ``fano 1``, a dimension line ``d n``, then n lines of
 d space-separated decimal integers.  ``#`` starts a comment running to the
 end of the line; blank lines are ignored; line endings are LF.  Parsing then
 serializing is byte-identical up to comments and blank lines.
+
+`parse_fano` converts the vertex block to the polytope's exact vertex array
+at once, by one numpy call, and falls back to the exact line-by-line parse
+for any other block: one with a tab, an entry beyond 2**62 or a malformed
+line, whose error it locates.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
+from . import linalg
 from .errors import FanoFileError
 from .polytope import Polytope, _checked_polytope
 
@@ -63,7 +72,36 @@ def _scan_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, .
     return tuple(out)
 
 
-def parse_fano(text: str) -> Polytope:
+def _plain_block(block: str, n: int, d: int) -> np.ndarray | None:
+    """The n lines of `block` as one n x d int64 array, converted by one
+    `np.fromstring` call, or None unless every line is d tokens [+-]digits
+    between single or repeated spaces, which `int` and numpy read alike."""
+    try:
+        raw = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    digit = (raw - 48) < 10  # uint8: the bytes below "0" wrap round
+    blank = (raw == 32) | (raw == 10)
+    sign = (raw == 43) | (raw == 45)
+    signs = sign.nonzero()[0]  # each starts its token, and a digit follows it
+    if not ((digit | blank | sign).all() and blank[signs - 1].all() and digit[signs + 1].all()):
+        return None
+    starts = blank[:-1] > blank[1:]  # a token starts at byte i + 1
+    if not (np.add.reduceat(starts, (raw == 10).nonzero()[0][:-1], dtype=np.intp) == d).all():
+        return None
+    # exactly n * d integers, so numpy sizes its array once instead of growing it
+    return np.fromstring(block, dtype=np.int64, count=n * d, sep=" ").reshape(n, d)
+
+
+def _vertex_block(text: str) -> tuple[np.ndarray, int]:
+    """The vertex rows of a `fano 1` text as one exact array and its max |entry|.
+
+    A plain block (`_plain_block`) is converted by one `np.fromstring` call
+    and kept when every |entry| is below 2**62, since numpy saturates a token
+    beyond int64 silently (-99999999999999999999 reads as 2**63 - 1).  Any
+    other block goes line by line through `_parse_ints`, which keeps larger
+    entries exact and raises the first error; the header, dimension-line,
+    line-count and trailing-data errors are the same on both paths."""
     lines = _significant_lines(text)
     try:
         lineno, body = next(lines)
@@ -78,20 +116,30 @@ def parse_fano(text: str) -> Polytope:
     d, n = _parse_ints(lineno, body, 2, "integers (dimension and vertex count)")
     if d < 1 or n < 1:
         raise FanoFileError(lineno, 1, f"dimension and count must be positive, got {d} {n}")
+    block = list(islice(lines, n))
+    extra = next(lines, None)
+    if len(block) == n and extra is None:
+        a = _plain_block("\n".join(body for _, body in block), n, d)
+        if a is not None:
+            hi = max(int(a.max()), -int(a.min()))
+            if hi < linalg._I64_SAFE:
+                return a, hi
     rows = []
     last_line = lineno
-    for _ in range(n):
-        try:
-            lineno, body = next(lines)
-        except StopIteration:
-            raise FanoFileError(
-                last_line + 1, 1, f"expected {n} vertex lines, got {len(rows)}"
-            ) from None
+    for lineno, body in block:
         rows.append(_parse_ints(lineno, body, d, "coordinates"))
         last_line = lineno
-    for lineno, body in lines:
-        raise FanoFileError(lineno, 1, "unexpected data after the vertex block")
-    return _checked_polytope(tuple(rows))
+    if len(rows) < n:
+        raise FanoFileError(last_line + 1, 1, f"expected {n} vertex lines, got {len(rows)}")
+    if extra is not None:
+        raise FanoFileError(extra[0], 1, "unexpected data after the vertex block")
+    return linalg._to_array(rows)
+
+
+def parse_fano(text: str) -> Polytope:
+    """The polytope of a `fano 1` text, built on its exact vertex array
+    (`_vertex_block`) with no vertex tuple."""
+    return _checked_polytope(*_vertex_block(text))
 
 
 def serialize_fano(p: Polytope) -> str:

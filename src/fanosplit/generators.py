@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .polytope import Polytope
+import numpy as np
+
+from . import linalg
+from .polytope import Polytope, _array_polytope
 
 # entry bound for random unimodular maps; keeps transformed coordinates
 # comfortably below 2**31 for readable test output
@@ -97,7 +100,10 @@ def random_image(p: Polytope, seed: int) -> Polytope:
 
     The map is a product of elementary row operations (shears by -2..2,
     coordinate swaps, sign flips); shears that would push map entries past a
-    fixed bound are skipped so coordinates stay small.
+    fixed bound are skipped so coordinates stay small.  It is applied to the
+    vertex array as one exact product (`linalg._vertex_products`: int64 when
+    `_products_fit` proves it, sparse at large d), and the result keeps that
+    array, with no vertex tuple.
     """
     rng = random.Random(seed)
     d = p.dim
@@ -117,9 +123,11 @@ def random_image(p: Polytope, seed: int) -> Polytope:
         else:
             i = rng.randrange(d)
             m[i] = [-a for a in m[i]]
-    vertices = [tuple(sum(r * x for r, x in zip(row, v)) for row in m) for v in p.vertices]
-    rng.shuffle(vertices)
-    return Polytope(d, tuple(vertices))
+    a, hv = p._exact
+    image = linalg._vertex_products(a, np.array(m, dtype=np.int64), hv)
+    order = list(range(p.n))
+    rng.shuffle(order)
+    return _array_polytope(image[order], linalg._max_abs(image))
 
 
 _NO_PARAMS = {"hexagon": hexagon, "pentagon": pentagon, "example4d": example4d}

@@ -222,59 +222,71 @@ class IntKernel:
     """Primitive integer basis of the orthogonal complement of a growing vector set.
 
     The rank of the vectors fed in is dimension minus the rows remaining.  The
-    basis is one exact array, int64 while a growth bound holds.
+    basis is kept in place in one d x d exact array, int64 while a growth bound
+    holds: basis row i is `_sign` times row `_live[i]` of `_rows`, and a
+    dropped row is zero there, so products with `_rows` vanish on it.  A step
+    multiplies only the vector's nonzero columns, writes only the rows it
+    updates, and flips `_sign` where the pivot is negative.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows = np.eye(dim, dtype=np.int64)
+        self._live = list(range(dim))  # the basis rows' ids in `_rows`, in basis order
+        self._sign = 1
         self._max = 1  # bounds every |entry| of _rows
 
     @property
     def remaining(self) -> int:
-        return self._rows.shape[0]
+        return len(self._live)
 
     @property
     def rank(self) -> int:
         return self.dim - self.remaining
 
     def rows(self) -> list[IntVector]:
-        return list(map(tuple, self._rows.tolist()))
+        return list(map(tuple, (self._rows[self._live] * self._sign).tolist()))
 
     def row(self, i: int) -> np.ndarray:
-        """Row i as an exact array, a view valid until the next `reduce`."""
-        return self._rows[i]
+        """Row i as an exact array, valid until the next `reduce`."""
+        r = self._rows[self._live[i]]
+        return r if self._sign > 0 else -r
 
     def reduce(self, vec, bound: int | None = None) -> bool:
         """Shrink the kernel by the hyperplane <., vec> = 0 (|vec| <= `bound`, if given);
-        True if rank grew.  The pivot has the least nonzero |rows @ vec|, lowest index first."""
-        if self.remaining == 0:
+        True if rank grew.  The pivot has the least nonzero |rows @ vec|, lowest index
+        first; every other row with a nonzero product is combined with it."""
+        if not self._live:
             return False
         vec, bound = _to_array(vec) if bound is None else (vec, bound)
-        k = self._rows
-        fits = k.dtype != object and _products_fit(self._max, bound, self.dim)
-        k = _exact_array(k, fits)
-        w = k @ _exact_array(vec, fits)
-        nz = w.nonzero()[0]
+        fits = self._rows.dtype != object and _products_fit(self._max, bound, self.dim)
+        k = self._rows = _exact_array(self._rows, fits)
+        cols = vec.nonzero()[0]
+        w = k[:, cols] @ _exact_array(vec[cols], fits)
+        nz = w.nonzero()[0]  # ids of basis rows, in basis order
         if not nz.size:
             return False
-        aw = np.abs(w[nz])
+        w = w[nz] if self._sign > 0 else -w[nz]
+        aw = np.abs(w)
         j = int(aw.argmin())
-        r = int(nz[j])
-        if w[r] < 0:
-            k, w = -k, -w
+        r, wr = int(nz[j]), int(w[j])
+        if wr < 0:
+            self._sign, w, wr = -self._sign, -w, -wr
         if fits and not _products_fit(self._max, int(aw.max()), 2):
-            k, w = _exact_array(k, False), _exact_array(w, False)
-        upd = np.concatenate((nz[:j], nz[j + 1:]))
-        if upd.size:
-            new = k[upd] * w[r] - np.multiply.outer(w[upd], k[r])
-            g = np.gcd.reduce(np.abs(new), axis=1)
-            if not g.all():
-                raise SingularMatrixError("kernel rows became dependent")
-            new //= g[:, None]
-            k[upd] = new
-            self._max = max(self._max, _max_abs(new))
-        self._rows = np.concatenate((k[:r], k[r + 1:]))
+            k = self._rows = _exact_array(k, False)
+            w = _exact_array(w, False)
+        # in _rows' own sign, k[i] * w[r] - w[i] * k[r] is the combined basis
+        # row; for i = r it is zero, which drops the pivot row
+        new = k[nz] * wr - w[:, None] * k[r]
+        size = np.abs(new)
+        g = np.gcd.reduce(size, axis=1)
+        g[j] = 1
+        if not g.all():
+            raise SingularMatrixError("kernel rows became dependent")
+        new //= g[:, None]
+        k[nz] = new
+        self._max = max(self._max, int(size.max()))
+        self._live.remove(r)
         return True
 
 

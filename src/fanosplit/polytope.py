@@ -1,8 +1,9 @@
 """Lattice polytopes with exact facet enumeration and ridge pivoting.
 
-The central objects are an immutable vertex list (`Polytope`) and per-facet
-frames (`FacetFrame`) holding the dual basis of the facet's vertex basis and
-its primitive outer normal.  All geometry is exact:
+The central objects are an immutable vertex store (`Polytope`: one exact
+vertex array, its tuples built on first use) and per-facet frames
+(`FacetFrame`) holding the dual basis of the facet's vertex basis and its
+primitive outer normal.  All geometry is exact:
 
 * one ratio rule picks every entering vertex: among vertices with negative
   coordinate along a direction, the minimizers of (level of the hyperplane
@@ -57,6 +58,7 @@ certificate then says its proof is incomplete.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -93,6 +95,7 @@ HEXAGON_VERTICES = frozenset(
 )
 
 _I64_MAX = np.iinfo(np.int64).max
+_INT64_STORE = 2**31  # a vertex store is int64 below this max |entry|
 
 # Safety cap for the special-facet ascent; the walk must terminate long
 # before this since its objective strictly increases over a finite facet set.
@@ -116,23 +119,39 @@ def auto_mode(dim: int) -> Mode:
     return Mode.FULL if dim <= FULL_MODE_MAX_DIM else Mode.LOCAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Polytope:
-    """Immutable polytope given by its vertex list (exact integer coordinates)."""
+    """Immutable polytope given by its vertex list (exact integer coordinates).
+
+    The vertices are kept once, as one exact n x d array (`_exact`): int64
+    when every |entry| is below 2**31, exact Python ints otherwise.  The
+    tuples of `vertices` are built from it on first use.  The public
+    constructor `Polytope(dim, vertices)` starts from the tuples instead and
+    builds the array on first use; `make_polytope`, `fanofile.parse_fano`
+    and the block polytopes start from the array (`_array_polytope`).
+    """
 
     dim: int
-    vertices: tuple[LatticeVector, ...]
+    n: int
 
-    def __post_init__(self):
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise NotFullDimError(
-                    f"vertex {v} has length {len(v)}, expected {self.dim}"
-                )
+    def __init__(self, dim: int, vertices: tuple[LatticeVector, ...]):
+        for v in vertices:
+            if len(v) != dim:
+                raise NotFullDimError(f"vertex {v} has length {len(v)}, expected {dim}")
+        self.__dict__.update(dim=dim, n=len(vertices), vertices=vertices)
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
+    @cached_property
+    def vertices(self) -> tuple[LatticeVector, ...]:
+        return tuple(map(tuple, self._array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polytope):
+            return NotImplemented
+        return ((self.dim, self.n) == (other.dim, other.n)
+                and np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.vertices))
 
     def __repr__(self) -> str:
         return f"Polytope(d={self.dim}, n={self.n})"
@@ -149,7 +168,7 @@ class Polytope:
         """The vertex rows as an exact array, int64 below 2**31 and object
         otherwise, with their max |entry|."""
         a, hi = linalg._to_array(self.vertices)
-        return linalg._exact_array(a, hi < 2**31).reshape(self.n, self.dim), hi
+        return linalg._exact_array(a.reshape(self.n, self.dim), hi < _INT64_STORE), hi
 
     @property
     def _array(self) -> np.ndarray:
@@ -180,7 +199,9 @@ class Polytope:
                 return True
             except FanoError:
                 pass
-        return linalg.int_rank([v + (1,) for v in self.vertices], self.dim + 1) == self.dim + 1
+        a = self._array
+        lifted = np.hstack((a, np.ones((self.n, 1), dtype=a.dtype)))
+        return linalg.int_rank(lifted, self.dim + 1) == self.dim + 1
 
     @cached_property
     def _cert_cache(self) -> dict:
@@ -195,33 +216,79 @@ class Polytope:
         return linalg.coords_rows(self._array, dual_rows, self._abs_max)
 
 
+def _array_polytope(a: np.ndarray, hi: int) -> Polytope:
+    """The polytope on the exact n x d array `a` of max |entry| `hi`, unchecked;
+    its store takes `Polytope._exact`'s dtype."""
+    p = object.__new__(Polytope)
+    p.__dict__.update(dim=a.shape[1], n=a.shape[0],
+                      _exact=(linalg._exact_array(a, hi < _INT64_STORE), hi))
+    return p
+
+
 def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
-    """Build a polytope from vertex rows.
+    """Build a polytope from vertex rows of integers: Python ints, numpy
+    integers or bools (what `operator.index` takes; TypeError names the first
+    other entry).
 
     Rejects duplicates and point sets that are not full-dimensional.  The
     full-dimension proof gift-wraps the start facet that validation reuses
     (`Polytope._full_dim`).  Rows that are not actually vertices of the hull
     are only detected later, by validation (NotAVertexError).
     """
-    return _checked_polytope(tuple(tuple(map(int, row)) for row in rows))
+    rows = list(rows)
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged rows
+        a = None
+    if a is None or a.ndim != 2 or not a.size or a.dtype.kind not in "bi":
+        rows = [[_entry(i, j, x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        if not rows:
+            raise NotFullDimError("empty vertex list")
+        d = len(rows[0])
+        if d < 1:
+            raise NotFullDimError("ambient dimension must be at least 1")
+        for v in rows:
+            if len(v) != d:
+                raise NotFullDimError(f"vertex {tuple(v)} has length {len(v)}, expected {d}")
+        a = rows
+    return _checked_polytope(*linalg._to_array(a))
 
 
-def _checked_polytope(vertices: tuple[LatticeVector, ...]) -> Polytope:
-    """`make_polytope` on rows that are already tuples of Python ints."""
-    if not vertices:
-        raise NotFullDimError("empty vertex list")
-    d = len(vertices[0])
-    if d < 1:
-        raise NotFullDimError("ambient dimension must be at least 1")
-    p = Polytope(d, vertices)  # checks every vertex length
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            raise DuplicateVertexError(f"vertex {v} appears more than once")
-        seen.add(v)
+def _entry(i: int, j: int, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"vertex row {i} entry {j} is not an integer: {x!r}") from None
+
+
+def _checked_polytope(a: np.ndarray, hi: int) -> Polytope:
+    """The polytope on the exact n x d vertex array `a` (n, d >= 1; int64 or
+    object) of max |entry| `hi`: `make_polytope` and `fanofile.parse_fano`
+    build the array once and end here.  Rejects a repeated row, naming the
+    first one in input order, and a vertex set that is not full-dimensional;
+    builds no vertex tuple."""
+    p = _array_polytope(a, hi)
+    i = _repeated_row(p._array)
+    if i is not None:
+        raise DuplicateVertexError(f"vertex {tuple(p._array[i].tolist())} appears more than once")
     if not p._full_dim:
         raise NotFullDimError("vertex set is not full-dimensional")
     return p
+
+
+def _repeated_row(a: np.ndarray) -> int | None:
+    """The first row of `a`, in order, equal to an earlier one, or None."""
+    if a.dtype == object:
+        keys = map(tuple, a.tolist())
+    else:
+        buf, width = a.tobytes(), a.shape[1] * a.itemsize
+        keys = (buf[i:i + width] for i in range(0, len(buf), width))
+    seen = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+    return None
 
 
 def vertex_sum(p: Polytope) -> LatticeVector:
@@ -683,7 +750,7 @@ def _cross(p: Polytope, raw: FacetFrame, pos: int) -> FacetFrame:
             cv[best],
             f"neighbor facet across position {pos} is not unimodular",
         )
-    ct = linalg.products_with(raw.dual, p.vertices[best], raw.dual_max)  # D @ x
+    ct = linalg.products_with(raw.dual, p._array[best], raw.dual_max)  # D @ x
     return _neighbor_raw(raw, ct, pos, best)
 
 
@@ -806,7 +873,7 @@ def _block_polytopes(coords: np.ndarray, blocks: Sequence[list[int]], assign: Se
     members: list[list[int]] = [[] for _ in blocks]
     for i, b in enumerate(assign):
         members[b].append(i)
-    return [(tuple(own), Polytope(len(block), tuple(map(tuple, rows.tolist()))))
+    return [(tuple(own), _array_polytope(rows, linalg._max_abs(rows)))
             for block, own in zip(blocks, members)
             for rows in [coords.take(own, axis=0).take(block, axis=1)]]
 
@@ -919,7 +986,7 @@ def pivot(p: Polytope, frame: FacetFrame, vertex_index: int) -> tuple[FacetFrame
     """
     pos = frame.position_of(vertex_index)
     neighbor = _cross(p, frame, pos)
-    return _frame_from_raw(neighbor), p.vertices[neighbor.vertex_indices[pos]]
+    return _frame_from_raw(neighbor), tuple(p._array[neighbor.vertex_indices[pos]].tolist())
 
 
 def frame_coords(p: Polytope, frame: FacetFrame) -> np.ndarray:

@@ -1,29 +1,29 @@
 """Time the stages of the LOCAL split and verify pipeline on large disguised
 inputs.
 
-    PYTHONPATH=src python tests/load_stages.py
+    PYTHONPATH=src python tests/load_stages.py [ROW]
 
 For each input it prints the wall time of, in turn:
 
-* load: `make_polytope` on the vertex rows (the duplicate check and the
-  full-dimension proof, which gift-wraps the start facet and takes its
-  scaled dual);
+* load: `make_polytope` on the vertex rows, as lists of ints (the exact
+  vertex array, the duplicate check and the full-dimension proof, which
+  gift-wraps the start facet and takes its scaled dual);
 * certify: `is_smooth_fano(p, Mode.LOCAL)`;
 * special: `special_facet(p, Mode.LOCAL)`;
 * split: `hexagon_split(p, Mode.LOCAL)`;
 * verify: `verify_bounds(p, Mode.LOCAL)`;
 
-and then the process's peak RSS so far (`resource.getrusage`), so that an
-input whose stages allocate much more than the ones before it shows.
+and then the process's peak RSS (`resource.getrusage`) once the input rows
+are built and after the last stage, so that an input whose stages allocate
+much more than the ones before it shows.  Rows run in one process share one
+peak; `ROW`, a row label such as `d=1609`, runs that row alone, so that its
+peak is its own.
 
 The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489, 809 and 1 609
-under `random_image` (seed 1; the benchmark's `fast_image` applies the same
-map with int64 numpy, since the pure-Python image of d = 1 609 takes
-minutes), and at d = 249 two denser disguises: 3d random +-1 shears (about
-10 % of the gift-wrapped basis nonzero) and 30d shears (fully dense, entries
-in the millions).  Not a test: run it on two commits to compare them.  Where
-the load runs Bareiss elimination on every dual, the d = 809 and 30d rows
-take minutes each.
+under `random_image` (seed 1), and at d = 249 two denser disguises: 3d
+random +-1 shears (about 10 % of the gift-wrapped basis nonzero) and 30d
+shears (fully dense, entries in the millions).  Not a test: run it on two
+commits to compare them.
 """
 
 from __future__ import annotations
@@ -32,26 +32,26 @@ import random
 import resource
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from fanosplit.generators import bundle_b, hexagon
-from fanosplit.polytope import Mode, Polytope, is_smooth_fano, make_polytope, special_facet
-from fanosplit.splitting import direct_sum, hexagon_split
+from fanosplit.generators import bundle_b, hexagon, random_image
+from fanosplit.polytope import (Mode, Polytope, _array_polytope, is_smooth_fano, make_polytope,
+                                special_facet)
+from fanosplit.splitting import hexagon_split
 from fanosplit.verify import verify_bounds
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from workloads import fast_image  # noqa: E402  (random_image's map, applied by numpy)
 
 
 def _family(m: int) -> Polytope:
-    p = bundle_b(1)
-    for _ in range(2):
-        p = direct_sum(p, bundle_b(1))
-    for _ in range(m):
-        p = direct_sum(p, hexagon())
-    return p
+    """bundle_b(1)^3 + hexagon^m, the iterated `direct_sum`, as one
+    block-diagonal vertex array."""
+    parts = [bundle_b(1)] * 3 + [hexagon()] * m
+    a = np.zeros((sum(q.n for q in parts), sum(q.dim for q in parts)), dtype=np.int64)
+    i = j = 0
+    for q in parts:
+        a[i:i + q.n, j:j + q.dim] = q._array
+        i, j = i + q.n, j + q.dim
+    return _array_polytope(a, 1)
 
 
 def _sheared(p: Polytope, shears: int, seed: int) -> Polytope:
@@ -72,8 +72,24 @@ def _sheared(p: Polytope, shears: int, seed: int) -> Polytope:
     return Polytope(d, tuple(vertices))
 
 
+ROWS = {
+    "d=249": lambda: random_image(_family(120), 1),
+    "d=489": lambda: random_image(_family(240), 1),
+    "d=809": lambda: random_image(_family(400), 1),
+    "d=1609": lambda: random_image(_family(800), 1),
+    "shears-3d": lambda: _sheared(_family(120), 3 * 249, 1),
+    "shears-30d": lambda: _sheared(_family(120), 30 * 249, 1),
+}
+
+
+def _peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+
+
 def _stages(label: str, p: Polytope) -> None:
-    rows = [list(v) for v in p.vertices]
+    rows = p._array.tolist()
+    del p
+    input_mb = _peak_mb()
     times = []
     t = time.perf_counter()
     q = make_polytope(rows)
@@ -88,19 +104,18 @@ def _stages(label: str, p: Polytope) -> None:
     spans = "  ".join(f"{name} {s:7.3f} s"
                       for name, s in zip(("load", "certify", "special", "split", "verify"),
                                          times))
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
-    print(f"{label:<24} {spans}  peak {peak_mb:6.0f} MB", flush=True)
+    print(f"{label:<11} {spans}  peak {input_mb:5.0f} -> {_peak_mb():5.0f} MB", flush=True)
 
 
-def main() -> int:
-    for m in (120, 240, 400, 800):
-        p = _family(m)
-        _stages(f"d={p.dim} random_image", fast_image(p, 1))
-    p = _family(120)
-    _stages(f"d={p.dim} shears 3d", _sheared(p, 3 * p.dim, 1))
-    _stages(f"d={p.dim} shears 30d", _sheared(p, 30 * p.dim, 1))
+def main(argv: list[str]) -> int:
+    unknown = [a for a in argv if a not in ROWS]
+    if unknown:
+        print(f"unknown row {unknown[0]!r}; rows: {' '.join(ROWS)}", file=sys.stderr)
+        return 2
+    for label in argv or ROWS:
+        _stages(label, ROWS[label]())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -21,6 +21,9 @@ same dual dtype, and the same first error.
 
 `parse_ints_scan` is the token-by-token line parser, the reference for
 `fanofile._parse_ints`: the same tuple of integers, or the same FanoFileError.
+`parse_fano_lines` is the whole file parsed line by line into tuples of
+Python ints and built by `make_polytope`, the reference for
+`fanofile.parse_fano` and its one-call block conversion.
 
 `determinant_rows` is fraction-free (Bareiss) elimination on lists of
 Python ints, the reference for `linalg.determinant`.
@@ -88,6 +91,7 @@ from fanosplit.polytope import (
     _ridge_target,
     _sorted_raw,
     enumerate_facets,
+    make_polytope,
     require_smooth_fano,
 )
 from fanosplit.verify import _level_zero_failure, _opposite_coordinate_failure
@@ -207,6 +211,35 @@ def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> tuple[i
                 lineno, tok.start() + 1, f"not an integer: {tok.group()!r}"
             ) from None
     return tuple(out)
+
+
+def parse_fano_lines(text: str) -> Polytope:
+    """A `fano 1` text line by line: comments and blank lines dropped, every
+    line through `parse_ints_scan`, the first error raised where it occurs."""
+    lines = ((i, body) for i, raw in enumerate(text.split("\n"), start=1)
+             for body in [raw.split("#", 1)[0]] if body.strip())
+    lineno, body = next(lines, (1, None))
+    if body is None:
+        raise FanoFileError(1, 1, "empty file")
+    if body.strip() != "fano 1":
+        raise FanoFileError(lineno, 1, "expected header 'fano 1'")
+    header_line = lineno
+    lineno, body = next(lines, (header_line + 1, None))
+    if body is None:
+        raise FanoFileError(lineno, 1, "missing dimension line")
+    d, n = parse_ints_scan(lineno, body, 2, "integers (dimension and vertex count)")
+    if d < 1 or n < 1:
+        raise FanoFileError(lineno, 1, f"dimension and count must be positive, got {d} {n}")
+    rows = []
+    while len(rows) < n:
+        last = lineno
+        lineno, body = next(lines, (lineno + 1, None))
+        if body is None:
+            raise FanoFileError(last + 1, 1, f"expected {n} vertex lines, got {len(rows)}")
+        rows.append(parse_ints_scan(lineno, body, d, "coordinates"))
+    for lineno, _ in lines:
+        raise FanoFileError(lineno, 1, "unexpected data after the vertex block")
+    return make_polytope(rows)
 
 
 def determinant_rows(rows) -> int:

@@ -486,3 +486,22 @@ def test_main_without_argv_reads_sys_argv_per_call(tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["fanosplit", *argv])
         assert _outcome(None) == _outcome(argv)
     assert _outcome(None)[0] == 2
+
+
+@pytest.mark.parametrize("command", ["check", "split", "split -o OUT", "verify"])
+def test_commands_build_no_input_vertex_tuples(tmp_path, monkeypatch, capsys, command):
+    # a parsed input keeps only its exact vertex array; a step that builds
+    # the n tuples of d ints (`Polytope.vertices`) would cost the time and
+    # memory the one-array store saves
+    p = bundle_b(1)
+    for q in [bundle_b(1)] * 2 + [hexagon()] * 40:
+        p = direct_sum(p, q)
+    path = write(tmp_path, "d89.fano", random_image(p, 1))
+    loaded = []
+    load = cli.load_polytope
+    monkeypatch.setattr(cli, "load_polytope", lambda f: loaded.append(load(f)) or loaded[-1])
+    name, *rest = command.replace("OUT", str(tmp_path / "out")).split()
+    assert main([name, path, *rest]) == 0
+    assert capsys.readouterr().out
+    (q,) = loaded
+    assert q.dim == 89 and "vertices" not in q.__dict__

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanosplit.errors import FanoFileError
-from fanosplit.fanofile import (_parse_ints, _scan_ints, _significant_lines, parse_fano,
-                                serialize_fano)
-from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, simplex
+from fanosplit.errors import FanoError, FanoFileError
+from fanosplit.fanofile import (_parse_ints, _plain_block, _scan_ints, _significant_lines,
+                                _vertex_block, parse_fano, serialize_fano)
+from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
+from fanosplit.splitting import direct_sum
 
-from oracle import parse_ints_scan
+from oracle import parse_fano_lines, parse_ints_scan
 
 HEX_TEXT = """fano 1
 2 6
@@ -134,3 +136,117 @@ def test_round_trip_property(rows):
     except FanoError:
         return  # degenerate sample; format round-trip needs a valid polytope
     assert parse_fano(serialize_fano(p)).vertices == p.vertices
+
+
+# --- the one-call block conversion against the line-by-line parse ----------
+
+BOUNDARY = [2**62 - 1, 2**62, 2**63 - 1, 2**63, 10**20]
+
+
+def _file_outcome(parse, text: str):
+    """What a text parses to: the polytope's d, vertices and store dtype, or
+    the error's kind and place."""
+    try:
+        p = parse(text)
+    except FanoFileError as e:
+        return "FanoFileError", e.line, e.col, str(e)
+    except FanoError as e:
+        return type(e).__name__, str(e)
+    return p.dim, p.vertices, p._array.dtype
+
+
+def _same_as_lines(text: str) -> None:
+    assert _file_outcome(parse_fano, text) == _file_outcome(parse_fano_lines, text)
+
+
+@pytest.mark.parametrize("text", [
+    HEX_TEXT,
+    # a line with d + 1 tokens next to one with d - 1: the same total count
+    "fano 1\n2 3\n1 0 0\n1\n-1 -1\n",
+    "fano 1\n2 3\n1 0\n0\n-1 -1 1\n",
+    "fano 1\n2 3\n1_0 0\n0 1\n-1 -1\n",
+    "fano 1\n2 3\n+1 0\n0 +1\n-1 -1\n",
+    "fano 1\n2 3\n001 -0\n0 007\n-01 -1\n",
+    "fano 1\n2 3\n1\t0\n0 \t 1\n\t-1 -1\t\n",
+    "# c\nfano 1 # h\n\n2 3\n1 0 # v\n\n# c\n0 1\n-1 -1\n\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1 -1\n0 0\n",
+    "fano 1\n2 3\n1 0\n0 1\n",
+    "fano 1\n2 3\n1 0\n0 1\n- 1 -1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1-1 2\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1 -1\r\n",
+    "fano 1\n2 3\n1 0\n0 1\n\u0661 -1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1\x0b-1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1\x1c-1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1\x01 -1\n",
+    "fano 1\n2 3\n1 0 -\n1\n-1 -1\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1 -\n",
+    "fano 1\n2 3\n1 0\n0 1\n-1 + # c\n",
+    "fano 1\n2 3\n1 0\n0 1\n1 0\n",
+] + [f"fano 1\n2 3\n1 0\n0 1\n{s}{b} -1\n" for b in BOUNDARY for s in "-+"]
+  + [f"fano 1\n2 3\n{b} 0\n0 1\n-{b} -1\n" for b in BOUNDARY])
+def test_parse_matches_line_by_line(text):
+    _same_as_lines(text)
+
+
+@st.composite
+def fano_texts(draw):
+    """Texts of small vertex blocks: signs, lone signs, leading zeros, tabs,
+    comments, blank lines, digit-group underscores, entries on both sides of
+    2**62 and 2**63, and sometimes a token moved from one line to another."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(BOUNDARY).flatmap(
+        lambda b: st.sampled_from([b, -b])))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i].append(rows[j].pop())
+
+    def token(x):
+        form = draw(st.sampled_from(["plain", "plain", "plus", "zeros", "underscore", "sign"]))
+        if form == "sign":  # a lone sign: no integer, though numpy reads "1 -" as 1, 0
+            return "-" if x < 0 else "+"
+        text = str(abs(x))
+        if form == "zeros":
+            text = "00" + text
+        elif form == "underscore" and len(text) > 1:
+            text = text[0] + "_" + text[1:]
+        return ("-" if x < 0 else "+" if form == "plus" else "") + text
+
+    lines = ["fano 1", f"{d} {n}"]
+    for row in rows:
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(map(token, row))
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" # note", "#", "\t"]))
+        lines.append(line)
+        if not draw(st.integers(0, 5)):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\n0 0\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fano_texts())
+def test_parse_matches_line_by_line_property(text):
+    _same_as_lines(text)
+
+
+@pytest.mark.parametrize("block, plain", [
+    ("1 -2\n+3 007", True), ("-1  0\n0 1", True), ("99999999999999999999 2\n3 4", True),
+    # any other block takes the line-by-line parse
+    ("-1\t0\n0 1", False), ("1 -2\r\n3 4", False), ("1 -2\n3", False), ("1_0 2\n3 4", False),
+    ("- 1 2\n3 4", False), ("1 -\n3 4", False), ("1-2 3\n4 5", False), ("1 2-\n3 4", False),
+    ("1 +-2\n3 4", False), ("1 x\n3 4", False), ("1.5 2\n3 4", False), ("1e5 2\n3 4", False),
+    ("0x1 2\n3 4", False), ("1\x012 3\n4 5", False), ("1\x1c2\n3 4", False),
+    ("\u0661 2\n3 4", False), ("1\xa02\n3 4", False), ("1 2\n3 +", False), ("1 2\n3 - ", False),
+])
+def test_plain_block(block, plain):
+    assert (_plain_block(block, 2, 2) is not None) == plain
+
+
+def test_serialized_inputs_take_the_block_conversion(monkeypatch):
+    # every file `serialize_fano` writes is plain: one numpy call converts it
+    calls, fromstring = [], np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+    p = random_image(direct_sum(bundle_b(2), hexagon()), 1)
+    a, hi = _vertex_block(serialize_fano(p))
+    assert len(calls) == 1 and a.dtype == np.int64 and a.tolist() == list(map(list, p.vertices))
+    assert hi == max(abs(x) for v in p.vertices for x in v)

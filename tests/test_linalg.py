@@ -384,6 +384,26 @@ def test_kernel_reduce_matches_list_reference(vecs):
         assert ker.rows() == [tuple(r) for r in rows]
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(80, 96).flatmap(lambda d: st.lists(st.lists(
+    st.tuples(st.integers(0, d - 1), st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=4),
+    min_size=d - 8, max_size=d + 4).map(lambda vecs: (d, vecs))))
+def test_kernel_reduce_matches_list_reference_on_sparse_vectors(case):
+    # large d, vectors with at most four nonzeros, as a disguised vertex has:
+    # only their columns are multiplied, and only the rows they meet change
+    d, vecs = case
+    ker = IntKernel(d)
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for entries in vecs:
+        v = [0] * d
+        for j, x in entries:
+            v[j] += x
+        assert ker.reduce(v) == (bool(rows) and kernel_reduce_rows(rows, v))
+        assert ker.rows() == [tuple(r) for r in rows]
+        if rows:
+            assert ker.row(0).tolist() == rows[0]
+
+
 # --- sparse vertex products against the dense reference --------------------
 
 @st.composite

@@ -95,6 +95,77 @@ class TestMakePolytope:
         with pytest.raises(NotAVertexError):
             enumerate_facets(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.7, 0], [0, 1], [-1, -1]], "vertex row 0 entry 0 is not an integer: 1.7"),
+        ([[1, 0], [0, "1"], [-1, -1]], "vertex row 1 entry 1 is not an integer: '1'"),
+        ([[1, 0], [0, 1], [-1, np.float64(-1)]],
+         "vertex row 2 entry 1 is not an integer: np.float64(-1.0)"),
+        ([[1, 0], [0, 1], [-1, None]], "vertex row 2 entry 1 is not an integer: None"),
+        ([[1, 0], [0, 1.0, 2], [-1, -1]], "vertex row 1 entry 1 is not an integer: 1.0"),
+        (np.array([[1, 0], [0, 1], [-1, -1]], dtype=float),
+         "vertex row 0 entry 0 is not an integer: np.float64(1.0)"),
+    ])
+    def test_non_integer_entries_are_refused(self, rows, message):
+        # int() would truncate 1.7 to 1 and read "1"; only integers are coordinates
+        with pytest.raises(TypeError) as exc:
+            make_polytope(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0), (0, 1), (-1, -1)],
+        [(True, False), (np.int8(0), np.int64(1)), (-1, -1)],
+        np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16),
+        iter([[1, 0], [0, 1], [-1, -1]]),
+    ])
+    def test_integer_entries_of_any_kind(self, rows):
+        p = make_polytope(rows)
+        assert p.vertices == ((1, 0), (0, 1), (-1, -1)) and p._array.dtype == np.int64
+        assert all(type(x) is int for v in p.vertices for x in v)
+
+    @pytest.mark.parametrize("big", [0, 2**31, 2**62, 2**63, 10**20])
+    def test_store_dtype(self, big):
+        p = make_polytope([(1, 0), (0, 1), (-1 - big, -1)])
+        assert p._array.dtype == (np.int64 if p._abs_max < 2**31 else object)
+        assert p._abs_max == 1 + big and p.vertices[2] == (-1 - big, -1)
+
+    def test_vertex_tuples_are_built_on_first_use(self):
+        p = make_polytope([(1, 0), (0, 1), (-1, -1)])
+        assert "vertices" not in p.__dict__
+        assert (repr(p), p.n) == ("Polytope(d=2, n=3)", 3) and "vertices" not in p.__dict__
+        q = Polytope(2, ((1, 0), (0, 1), (-1, -1)))
+        assert p == q and hash(p) == hash(q) and p.vertices == q.vertices
+        assert p != Polytope(2, ((1, 0), (0, 1), (-1, -2))) and p != Polytope(2, ((1, 0), (0, 1)))
+        assert pivot(p, special_facet(p), 0)[1] == pivot(q, special_facet(q), 0)[1] == (-1, -1)
+
+
+def _first_repeat(rows) -> tuple[int, ...] | None:
+    """The set walk: the first row, in input order, whose value came before."""
+    seen = set()
+    for v in map(tuple, rows):
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=2, max_size=8)),
+       st.sampled_from([0, 2**40, 2**70]))
+def test_duplicate_check_names_the_set_walks_vertex(rows, scale):
+    # int64 stores (scale 0) and object stores (entries from 2**31 on, and
+    # beyond int64)
+    rows = [[x * scale or x for x in row] for row in rows]
+    want = _first_repeat(rows)
+    try:
+        make_polytope(rows)
+    except DuplicateVertexError as e:
+        assert str(e) == f"vertex {want} appears more than once"
+        return
+    except NotFullDimError:
+        pass
+    assert want is None
+
 
 def _points(d: int, k: int, origin: bool):
     """Point lists in dimension d inside an affine subspace of dimension k,
