@@ -20,19 +20,42 @@ The normal form is computed one irreducible free summand at a time.
   iff their multisets of summand classes agree.  Validation already builds
   and proves these block polytopes (`polytope.free_summands`).
 * Each summand Q is searched over its *special* facets only: those whose
-  cone contains its vertex sum, i.e. whose dual basis has no negative
-  product with it.  A unimodular map carries the vertex sum of Q to that of
-  its image and facets to facets, so it carries special facets to special
-  facets: the set searched is an invariant (the idea of Øbro's SFP
-  algorithm, arXiv:0704.0049).  With vertex sum 0 every facet is special.
+  cone contains its vertex sum s, i.e. whose dual basis has no negative
+  product with it.  They are the facets on which the level of s is
+  maximal: every facet lies at level 1, so the ray through s leaves Q
+  through exactly the facets whose cones contain s.  A unimodular map
+  carries the vertex sum of Q to that of its image and facets to facets, so
+  it carries special facets to special facets: the set searched is an
+  invariant (the idea of Øbro's SFP algorithm, arXiv:0704.0049).  With
+  vertex sum 0 every facet is special.
 * In each special facet's dual basis the vertices get a coordinate matrix
   that depends only on the class, up to the ordering of the frame's vertices
   and of the rows.  Rows are sorted lexicographically, and frame orderings
-  are pruned by invariants (per-position value multisets, refined against
+  are refined by invariants (per-position value multisets, refined against
   already-placed positions); the lexicographically minimal matrix over the
-  surviving candidates is Q's form.  The pruning keys are computed from
-  value multisets only, so they are invariants themselves and the searched
+  surviving orderings is Q's form.  The refinement keys are computed from
+  value multisets only, so they are invariants themselves and the surviving
   set -- hence the minimum -- is the same for equivalent summands.
+* The search skips what the automorphisms of Q map onto work already done,
+  as in PALP and Grinis-Kasprzyk (arXiv:1301.6641); ties reveal them.  Two
+  orderings pi_0, pi of one facet with the same sorted matrix give the
+  column map pi_0[i] -> pi[i], which maps the facet's set of rows onto
+  itself.  Such a map g fixing a prefix P sends the orderings below
+  P + [j] onto those below P + [g(j)] with the same matrices, and the
+  refinement keys, being invariants, are preserved; so a candidate is
+  skipped when the maps fixing the prefix send a searched sibling onto it,
+  and a leaf tying an earlier leaf abandons its branch at the node where
+  their paths part, the image of the earlier leaf's finished branch.  A tie
+  of leaves of two facets gives a vertex permutation (v goes to the vertex
+  whose row at the second leaf is v's row at the first), a lattice
+  automorphism carrying the first facet onto the second.  Automorphisms
+  fix the vertex sum, so they carry special facets to special facets with
+  the same matrices: a facet in the closure of the searched facets under
+  the vertex maps found (within-facet ties give vertex maps too) is
+  skipped, and a facet whose search ties an earlier facet stops.  Every
+  skipped ordering or facet gives exactly the matrices of one searched, so
+  the minimum is that of the full refined search, and `budget` counts the
+  orderings searched after pruning.
 * The summand forms, sorted by (dim, n, matrix), are placed block-diagonally
   and the rows sorted.  The result is the vertex matrix of a polytope
   equivalent to P that depends only on P's class, so equal digests mean
@@ -68,57 +91,152 @@ def _serialize(matrix: Matrix) -> bytes:
     return "\n".join(" ".join(str(x) for x in row) for row in matrix).encode("ascii")
 
 
-def _orderings(cols: Matrix, budget_state: list[int], budget: int):
-    """Yield the column orderings that survive invariant-based refinement.
+def _node(keys: dict[int, tuple]) -> list:
+    """A search node over the unplaced positions' keys: [candidates, index of
+    the next candidate, candidates searched, keys replaced by their ranks]."""
+    ranks = {key: r for r, key in enumerate(sorted(set(keys.values())))}
+    ranked = {t: ranks[key] for t, key in keys.items()}
+    return [sorted(t for t, r in ranked.items() if r == 0), 0, [], ranked]
 
-    At each depth only the positions whose accumulated invariant key is
-    minimal are branched on; the key is (value multiset, tuple of pair
-    profiles against the already-placed positions), which is invariant under
-    any relabeling of vertices or coordinates.
+
+def _in_orbit(j: int, searched: list[int], prefix: list[int],
+              col_maps: list[tuple[int, ...]]) -> bool:
+    """Whether the group generated by the maps in col_maps that fix every
+    position of prefix sends some searched position onto j."""
+    fixing = [g for g in col_maps if all(g[c] == c for c in prefix)]
+    orbit, todo = set(searched), list(searched)
+    while todo and fixing:
+        c = todo.pop()
+        for g in fixing:
+            if g[c] not in orbit:
+                orbit.add(g[c])
+                todo.append(g[c])
+    return j in orbit
+
+
+def _orderings(cols: Matrix, col_maps: list[tuple[int, ...]], budget_state: list[int],
+               budget: int):
+    """Yield, depth first, the column orderings that survive invariant-based
+    refinement and automorphism pruning.
+
+    At each depth only the positions of minimal key are branched on.  At the
+    root a position's key is its value multiset; in a child it is (its key
+    in the parent, its pair profile against the position just placed), and
+    every node replaces its keys by their ranks among themselves.  Ranks
+    keep every comparison of the accumulated keys, so the candidates are
+    those of the full keys, which are invariant under any relabeling of
+    vertices or coordinates.
+
+    `col_maps` holds column permutations known to map the frame's set of
+    rows onto itself; the caller appends to it.  A candidate is skipped when
+    the maps that fix the prefix send an already searched sibling onto it.
+    After each yield the caller sends None, or a depth k to abandon the
+    branch of the depth-k node that holds the last ordering; the search
+    then goes on with that node's next candidate.
     """
     d = len(cols)
-    base = tuple(tuple(sorted(c)) for c in cols)
+    prefix: list[int] = []
+    stack = [_node({j: tuple(sorted(c)) for j, c in enumerate(cols)})]
+    while stack:
+        node = stack[-1]
+        cands, i, searched, keys = node
+        if i == len(cands):
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        node[1] += 1
+        j = cands[i]
+        if searched and _in_orbit(j, searched, prefix, col_maps):
+            continue
+        searched.append(j)
+        prefix.append(j)
+        if len(prefix) < d:
+            stack.append(_node({t: (key, tuple(sorted(zip(cols[j], cols[t]))))
+                                for t, key in keys.items() if t != j}))
+            continue
+        budget_state[0] += 1
+        if budget_state[0] > budget:
+            raise SizeLimitError(budget)
+        depth = yield tuple(prefix)
+        if depth is not None:
+            del stack[depth + 1:], prefix[depth + 1:]
+        prefix.pop()
 
-    def rec(prefix: list[int], acc: dict[int, tuple]):
-        if len(prefix) == d:
-            budget_state[0] += 1
-            if budget_state[0] > budget:
-                raise SizeLimitError(budget)
-            yield tuple(prefix)
-            return
-        by_key: dict[tuple, list[int]] = {}
-        for j, key in acc.items():
-            by_key.setdefault(key, []).append(j)
-        min_key = min(by_key)
-        for j in sorted(by_key[min_key]):
-            nxt = {
-                t: key + (tuple(sorted(zip(cols[j], cols[t]))),)
-                for t, key in acc.items()
-                if t != j
-            }
-            prefix.append(j)
-            yield from rec(prefix, nxt)
-            prefix.pop()
 
-    start = {j: (base[j],) for j in range(d)}
-    yield from rec([], start)
+def _vertex_map(a: tuple, b: tuple) -> tuple[int, ...]:
+    """The vertex permutation a tie of leaves a and b, each (matrix, rows,
+    ordering), reveals: v goes to the vertex whose row in b's ordering is
+    v's row in a's ordering.  It is a lattice automorphism mapping a's
+    facet onto b's."""
+    at = {tuple(r[j] for j in a[2]): v for v, r in enumerate(a[1])}
+    sigma = [0] * len(at)
+    for w, r in enumerate(b[1]):
+        sigma[at[tuple(r[j] for j in b[2])]] = w
+    return tuple(sigma)
+
+
+def _close(covered: set[tuple[int, ...]], faces, vertex_maps: list[tuple[int, ...]]) -> None:
+    """Add faces and their images under the group vertex_maps generate."""
+    todo = [x for x in faces if x not in covered]
+    covered.update(todo)
+    while todo:
+        x = todo.pop()
+        for s in vertex_maps:
+            y = tuple(sorted(s[v] for v in x))
+            if y not in covered:
+                covered.add(y)
+                todo.append(y)
 
 
 def _factor_form(q: Polytope, budget_state: list[int], budget: int) -> Matrix:
     """Minimal sorted coordinate matrix of an irreducible, proved-valid q over
-    its special facets and their surviving orderings."""
+    its special facets and their surviving orderings, skipping what the
+    automorphisms revealed by ties map onto work already done."""
     s = vertex_sum(q)
-    best: Matrix | None = None
-    for f in enumerate_facets(q):
-        if any(g < 0 for g in f.coordinates(s)):
+    best = None  # the least leaf so far: (matrix, rows, ordering)
+    vertex_maps: list[tuple[int, ...]] = []
+    covered: set[tuple[int, ...]] = set()  # searched facets, closed under vertex_maps
+    facets = enumerate_facets(q)
+    levels = [f.level(s) for f in facets]
+    top = max(levels)
+    for f, level in zip(facets, levels):
+        face = f.vertex_indices
+        if level < top or face in covered:
             continue
         rows = q.coords_rows(f.dual).tolist()
         cols = tuple(tuple(r[j] for r in rows) for j in range(q.dim))
-        for perm in _orderings(cols, budget_state, budget):
-            mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))
-            if best is None or mat < best:
-                best = mat
-    return best
+        col_maps: list[tuple[int, ...]] = []
+        search = _orderings(cols, col_maps, budget_state, budget)
+        first = depth = None
+        while True:
+            try:
+                perm = search.send(depth)
+            except StopIteration:
+                break
+            depth = None
+            leaf = (tuple(sorted(tuple(r[j] for j in perm) for r in rows)), rows, perm)
+            if first is None:
+                first = leaf
+            if best is None or leaf[0] < best[0]:
+                best = leaf
+                continue
+            ref = first if first is not leaf and first[0] == leaf[0] else best
+            if ref[0] != leaf[0]:
+                continue
+            sigma = _vertex_map(ref, leaf)
+            vertex_maps.append(sigma)
+            if ref[1] is rows:  # a column map of this facet, fixing the common prefix
+                g = list(range(q.dim))
+                for a, b in zip(ref[2], perm):
+                    g[a] = b
+                col_maps.append(tuple(g))
+                depth = next(k for k, (a, b) in enumerate(zip(ref[2], perm)) if a != b)
+            _close(covered, [tuple(sorted(sigma[v] for v in x)) for x in covered], vertex_maps)
+            if face in covered:  # the image of a searched facet: nothing new below
+                break
+        _close(covered, [face], vertex_maps)
+    return best[0]
 
 
 def normal_form(p: Polytope, budget: int = DEFAULT_BUDGET) -> NormalForm:

@@ -17,7 +17,10 @@ these inputs, byte for byte, including every error message.  The inputs:
 * argparse usage errors and `-h` / `nf -h`, each after a valid run, on the
   last corpus pair;
 * each FAILING_FACTORS polytope next to a hexagon, plain and in one
-  disguise, through `check` and `check --mode local`.
+  disguise, through `check` and `check --mode local`;
+* two disguises of each SYMMETRIC polytope, each through `nf`, and the pair
+  through `eq`: inputs whose normal forms the automorphism pruning cuts
+  short.
 
 The files are written to a fresh temporary directory, which is the working
 directory during the runs and is deleted afterwards; argv and the output name
@@ -46,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from corpus import base_instances  # noqa: E402
 from fanosplit import cli  # noqa: E402
 from fanosplit.fanofile import serialize_fano  # noqa: E402
-from fanosplit.generators import hexagon, random_image  # noqa: E402
+from fanosplit.generators import hexagon, random_image, simplex  # noqa: E402
 from fanosplit.polytope import Polytope  # noqa: E402
 from fanosplit.splitting import direct_sum  # noqa: E402
 
@@ -76,6 +79,9 @@ FAILING_FACTORS = [
     [(-2, -2), (0, -1), (1, 1)],
     [(-2, -2), (-1, -1), (0, 1), (1, -2)],
 ]
+
+SYMMETRIC = [(f"simplex{d}", simplex(d)) for d in range(4, 8)]
+SYMMETRIC.append(("hexagon3", direct_sum(direct_sum(hexagon(), hexagon()), hexagon())))
 
 
 def _point_set(rng: random.Random) -> list[tuple[int, ...]]:
@@ -142,6 +148,14 @@ def _argvs():
             f = f"factor_{i}_{tag}.fano"
             Path(f).write_text(serialize_fano(q), encoding="ascii")
             yield from (["check", f], ["check", "--mode", "local", f])
+    for name, base in SYMMETRIC:
+        files = []
+        for seed in (1, 2):
+            f = f"{name}_{seed}.fano"
+            Path(f).write_text(serialize_fano(random_image(base, seed)), encoding="ascii")
+            files.append(f)
+            yield ["nf", f]
+        yield ["eq", *files]
 
 
 def _run(argv: list[str]) -> tuple[int | str, str, str]:

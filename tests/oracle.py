@@ -5,8 +5,13 @@ hyperplane exactly and keeps the supporting ones.  It is completely
 independent of the package's gift-wrap/pivot path: only the scaled-dual
 solver is shared, and that is property-tested on its own.
 
-`monolithic_digest` is the normal form searched over every facet of P and
-every surviving frame ordering, without splitting P into free summands.
+`orderings_unpruned` is the frame-ordering search by invariant refinement
+alone, on the full accumulated keys and with no automorphism pruning.
+`factor_form_unpruned` is a summand's form searched over every special
+facet and every ordering it yields, the reference for the pruned
+`equivalence._factor_form`.  `monolithic_digest` is the normal form searched
+over every facet of P and every ordering `orderings_unpruned` yields,
+without splitting P into free summands.
 
 `neighbor_raw_tuples` is the ridge-crossing dual-basis update row by row on
 tuples of Python ints, the reference for the array update
@@ -69,7 +74,7 @@ from itertools import combinations
 import numpy as np
 
 from fanosplit import linalg
-from fanosplit.equivalence import DEFAULT_BUDGET, _orderings, _serialize
+from fanosplit.equivalence import DEFAULT_BUDGET, _serialize
 from fanosplit.errors import (
     FanoFileError,
     InvariantViolationError,
@@ -77,6 +82,7 @@ from fanosplit.errors import (
     NotSimplicialError,
     OriginNotInteriorError,
     SingularMatrixError,
+    SizeLimitError,
 )
 from fanosplit.linalg import IntKernel, determinant, dot, gcd_of, scaled_dual
 from fanosplit.polytope import (
@@ -93,6 +99,7 @@ from fanosplit.polytope import (
     enumerate_facets,
     make_polytope,
     require_smooth_fano,
+    vertex_sum,
 )
 from fanosplit.verify import _level_zero_failure, _opposite_coordinate_failure
 
@@ -156,20 +163,54 @@ def brute_neighbor(facets: dict, facet: tuple[int, ...], dropped: int) -> tuple[
     return neighbor, extra.pop()
 
 
+def orderings_unpruned(cols, budget_state: list[int], budget: int, prefix=(), acc=None):
+    """Yield the column orderings that survive invariant-based refinement.
+
+    At each depth only the positions whose accumulated invariant key is
+    minimal are branched on; the key is (value multiset, tuple of pair
+    profiles against the already-placed positions).
+    """
+    if acc is None:
+        acc = {j: (tuple(sorted(c)),) for j, c in enumerate(cols)}
+    if len(prefix) == len(cols):
+        budget_state[0] += 1
+        if budget_state[0] > budget:
+            raise SizeLimitError(budget)
+        yield prefix
+        return
+    min_key = min(acc.values())
+    for j in sorted(t for t, key in acc.items() if key == min_key):
+        nxt = {t: key + (tuple(sorted(zip(cols[j], cols[t]))),)
+               for t, key in acc.items() if t != j}
+        yield from orderings_unpruned(cols, budget_state, budget, prefix + (j,), nxt)
+
+
+def _least_matrix(p: Polytope, frames, budget_state: list[int], budget: int):
+    """The least sorted coordinate matrix over frames and all their orderings."""
+    best = None
+    for f in frames:
+        rows = p.coords_rows(f.dual).tolist()
+        cols = tuple(tuple(r[j] for r in rows) for j in range(p.dim))
+        for perm in orderings_unpruned(cols, budget_state, budget):
+            mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))
+            if best is None or mat < best:
+                best = mat
+    return best
+
+
+def factor_form_unpruned(q: Polytope, budget_state: list[int], budget: int = DEFAULT_BUDGET):
+    """Minimal sorted coordinate matrix of an irreducible, proved-valid q over
+    every special facet and every ordering that survives refinement."""
+    s = vertex_sum(q)
+    special = [f for f in enumerate_facets(q) if not any(g < 0 for g in f.coordinates(s))]
+    return _least_matrix(q, special, budget_state, budget)
+
+
 def monolithic_digest(p: Polytope, budget: int = DEFAULT_BUDGET) -> bytes:
     """Digest of the minimal sorted coordinate matrix over all facet frames
     of p and their surviving orderings."""
     require_smooth_fano(p, Mode.FULL)
-    best: tuple[tuple[int, ...], ...] | None = None
-    budget_state = [0]
-    for f in enumerate_facets(p):
-        rows = p.coords_rows(f.dual_basis.entries).tolist()
-        cols = tuple(tuple(r[j] for r in rows) for j in range(p.dim))
-        for perm in _orderings(cols, budget_state, budget):
-            mat = tuple(sorted(tuple(row[j] for j in perm) for row in rows))
-            if best is None or mat < best:
-                best = mat
-    return _serialize(best)
+    return _serialize(_least_matrix(p, enumerate_facets(p), [0], budget))
 
 
 def neighbor_raw_tuples(indices, dual, det, ct, pos, target):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from fanosplit import equivalence
 from fanosplit.cli import main
-from fanosplit.equivalence import are_equivalent, normal_form
+from fanosplit.equivalence import DEFAULT_BUDGET, are_equivalent, normal_form
 from fanosplit.errors import SizeLimitError
 from fanosplit.fanofile import save_polytope
 from fanosplit.generators import (
@@ -20,7 +22,7 @@ from fanosplit.polytope import Polytope, free_summands, is_smooth_fano, make_pol
 from fanosplit.splitting import direct_sum
 
 from corpus import base_instances
-from oracle import monolithic_digest
+from oracle import factor_form_unpruned, monolithic_digest
 
 
 def apply_map(p, rows):
@@ -164,3 +166,39 @@ def test_budget_covers_all_summands_together():
     with pytest.raises(SizeLimitError):
         normal_form(p, budget=max(counts))
     normal_form(p, budget=sum(counts))
+
+
+def test_pruned_factor_forms_match_unpruned_search():
+    bases = [p for _, p in base_instances()] + [simplex(d) for d in range(2, 8)]
+    bases += [power_sum(hexagon(), k) for k in range(1, 5)]
+    bases += [bundle_b(k) for k in (1, 2, 3)] + [pentagon()]
+    for base in bases:
+        for x in (base, random_image(base, 1), random_image(base, 2)):
+            for q in free_summands(x):
+                pruned = equivalence._factor_form(q, [0], DEFAULT_BUDGET)
+                assert pruned == factor_form_unpruned(q, [0]), x
+
+
+@pytest.mark.parametrize("d", [9, 12])
+def test_disguised_simplex_normal_forms_finish(d):
+    a, b = (random_image(simplex(d), seed) for seed in (1, 2))
+    assert normal_form(a).digest == normal_form(simplex(d)).digest
+    assert are_equivalent(a, b)
+
+
+def test_normal_form_leaves_no_cyclic_garbage():
+    def from_equivalence(x):
+        code = getattr(x, "__code__", None) or getattr(x, "gi_code", None) or getattr(x, "f_code", None)
+        return code is not None and code.co_filename == equivalence.__file__
+
+    p = random_image(bundle_b(2), 1)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        normal_form(p)
+        gc.collect()
+        leaked = [x for x in gc.garbage if from_equivalence(x)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
