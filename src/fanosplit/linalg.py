@@ -12,9 +12,12 @@ One floor, _LARGE_DIM, marks the large dimensions, where disguised smooth
 Fano polytopes give vertex rows, dual bases and kernel rows that are almost
 all zeros.  From it on:
 
-* a dual basis of n rows is first the inverse mod _P, kept only when the
+* `scaled_dual` of n rows is first the inverse mod _P, kept only when the
   exact product m @ X is I, which proves det m = +-1 and X = m^-1; otherwise
-  fraction-free (Bareiss) elimination runs;
+  fraction-free (Bareiss) elimination runs.  It serves the public API and
+  the start facets the gift-wrap's kernel leaves without a dual basis
+  (`IntKernel.dropped_rows`): non-unimodular ones and dense ones whose
+  kernel rows outgrew int64;
 * a product of vertex rows with rows of length d (`_vertex_products`)
   multiplies only nonzero entries.  One row with at most d/4 nonzeros
   meets only those columns.  Several rows expand into the pairs of nonzeros
@@ -223,16 +226,24 @@ class IntKernel:
 
     The rank of the vectors fed in is dimension minus the rows remaining.  The
     basis is kept in place in one d x d exact array, int64 while a growth bound
-    holds: basis row i is `_sign` times row `_live[i]` of `_rows`, and a
-    dropped row is zero there, so products with `_rows` vanish on it.  A step
+    holds: basis row i is `_sign` times row `_live[i]` of `_rows`.  A step
     multiplies only the vector's nonzero columns, writes only the rows it
     updates, and flips `_sign` where the pivot is negative.
+
+    The row a rank-growing step drops as its pivot stays in `_rows` and is
+    combined with every later pivot like the live rows, so it stays orthogonal
+    to every rank-growing vector but its own (`dropped_rows`): after d of them
+    these rows are their dual basis, each up to a scale.  They ride along only
+    while the int64 bound holds for all rows; where it breaks they are zeroed,
+    so products with `_rows` vanish on them, and the kernel goes on without.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows = np.eye(dim, dtype=np.int64)
         self._live = list(range(dim))  # the basis rows' ids in `_rows`, in basis order
+        self._is_live = np.ones(dim, dtype=bool)
+        self._dropped: list[int] | None = []  # each rank-growing step's pivot id, in order
         self._sign = 1
         self._max = 1  # bounds every |entry| of _rows
 
@@ -252,6 +263,17 @@ class IntKernel:
         r = self._rows[self._live[i]]
         return r if self._sign > 0 else -r
 
+    def dropped_rows(self) -> np.ndarray | None:
+        """Row j is the row the j-th rank-growing `reduce` dropped, an int64 array
+        orthogonal to every other rank-growing vector and not to its own; None
+        once the int64 bound broke."""
+        return None if self._dropped is None else self._rows[self._dropped]
+
+    def _discard_dropped(self) -> None:
+        self._rows[~self._is_live] = 0
+        self._max = _max_abs(self._rows)
+        self._dropped = None
+
     def reduce(self, vec, bound: int | None = None) -> bool:
         """Shrink the kernel by the hyperplane <., vec> = 0 (|vec| <= `bound`, if given);
         True if rank grew.  The pivot has the least nonzero |rows @ vec|, lowest index
@@ -260,23 +282,30 @@ class IntKernel:
             return False
         vec, bound = _to_array(vec) if bound is None else (vec, bound)
         fits = self._rows.dtype != object and _products_fit(self._max, bound, self.dim)
+        if not fits and self._dropped is not None:
+            self._discard_dropped()
+            return self.reduce(vec, bound)
         k = self._rows = _exact_array(self._rows, fits)
         cols = vec.nonzero()[0]
         w = k[:, cols] @ _exact_array(vec[cols], fits)
-        nz = w.nonzero()[0]  # ids of basis rows, in basis order
-        if not nz.size:
+        nz = w.nonzero()[0]  # ids of the rows met; the live ones in basis order
+        live = self._is_live[nz].nonzero()[0]
+        if not live.size:
             return False
         w = w[nz] if self._sign > 0 else -w[nz]
         aw = np.abs(w)
-        j = int(aw.argmin())
+        j = int(live[aw[live].argmin()])
         r, wr = int(nz[j]), int(w[j])
-        if wr < 0:
-            self._sign, w, wr = -self._sign, -w, -wr
         if fits and not _products_fit(self._max, int(aw.max()), 2):
+            if self._dropped is not None:
+                self._discard_dropped()
+                return self.reduce(vec, bound)
             k = self._rows = _exact_array(k, False)
             w = _exact_array(w, False)
-        # in _rows' own sign, k[i] * w[r] - w[i] * k[r] is the combined basis
-        # row; for i = r it is zero, which drops the pivot row
+        if wr < 0:
+            self._sign, w, wr = -self._sign, -w, -wr
+        # in _rows' own sign, k[i] * w[r] - w[i] * k[r] is the combined row; for
+        # i = r it is zero, which drops the pivot row unless it is kept
         new = k[nz] * wr - w[:, None] * k[r]
         size = np.abs(new)
         g = np.gcd.reduce(size, axis=1)
@@ -284,9 +313,13 @@ class IntKernel:
         if not g.all():
             raise SingularMatrixError("kernel rows became dependent")
         new //= g[:, None]
+        if self._dropped is not None:
+            new[j] = k[r]
+            self._dropped.append(r)
         k[nz] = new
         self._max = max(self._max, int(size.max()))
         self._live.remove(r)
+        self._is_live[r] = False
         return True
 
 

@@ -575,6 +575,13 @@ def _initial_raw(p: Polytope) -> FacetFrame:
     at the vertices, both divided by their gcd, which leaves every choice as
     it is.  A rotation to scale * a + shift * w updates the values from the
     products <w, x> alone: scale * values + shift * <w, x>.
+
+    The record comes from the same elimination: the kernel's dropped rows Q
+    (`IntKernel.dropped_rows`) make Q V^T diagonal for the facet's vertex
+    rows V in the order they entered.  When every diagonal entry is +-1 the
+    facet is unimodular and Q with those signs is its dual basis, which one
+    exact product proves.  A facet of |det| > 1, or a kernel that dropped Q
+    at the int64 bound, takes `_raw_from_rows` instead.
     """
     d = p.dim
     vertices, hx = p._exact
@@ -585,7 +592,8 @@ def _initial_raw(p: Polytope) -> FacetFrame:
     hv = hx  # bounds |values|
     on = values == c
     kernel = IntKernel(d)
-    for i in on.nonzero()[0].tolist():
+    entered = on.nonzero()[0].tolist()
+    for i in entered:
         kernel.reduce(vertices[i], hx)
     while kernel.remaining > 0:
         if np.count_nonzero(on) > d - kernel.remaining:
@@ -613,12 +621,24 @@ def _initial_raw(p: Polytope) -> FacetFrame:
         was_on, on = on, values == c
         for i in (on & ~was_on).nonzero()[0].tolist():
             kernel.reduce(vertices[i], hx)
+            entered.append(i)
     if np.count_nonzero(on) != d:
         found = _indices(on)
         raise NotSimplicialError(
             f"initial supporting hyperplane contains {len(found)} vertices: {found}"
         )
-    raw = _raw_from_rows(p, on.nonzero()[0].tolist())
+    # d vertices entered at rank d: each grew the rank and dropped one row of q
+    idx = on.nonzero()[0]
+    q = kernel.dropped_rows()
+    raw = None
+    if q is not None:
+        prod = linalg._vertex_products(vertices[entered], q, hx)
+        signs = prod.diagonal()
+        if np.array_equal(prod * signs, np.eye(d, dtype=np.int64)):
+            dual = (q * signs[:, None].astype(np.int64))[np.argsort(entered)]
+            raw = _make_raws(idx[None], dual[None], np.ones(1, dtype=np.int64))[0][0]
+    if raw is None:
+        raw = _raw_from_rows(p, idx.tolist())
     _check_facet(p, raw)
     return raw
 

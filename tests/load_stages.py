@@ -7,17 +7,20 @@ For each input it prints the wall time of, in turn:
 
 * load: `make_polytope` on the vertex rows, as lists of ints (the exact
   vertex array, the duplicate check and the full-dimension proof, which
-  gift-wraps the start facet and takes its scaled dual);
+  gift-wraps the start facet; the wrap's kernel gives the facet's dual
+  basis);
 * certify: `is_smooth_fano(p, Mode.LOCAL)`;
 * special: `special_facet(p, Mode.LOCAL)`;
 * split: `hexagon_split(p, Mode.LOCAL)`;
 * verify: `verify_bounds(p, Mode.LOCAL)`;
 
-and then the process's peak RSS (`resource.getrusage`) once the input rows
-are built and after the last stage, so that an input whose stages allocate
-much more than the ones before it shows.  Rows run in one process share one
-peak; `ROW`, a row label such as `d=1609`, runs that row alone, so that its
-peak is its own.
+then where the start facet's dual came from: `kernel`, or `scaled_dual`
+when the load fell back to a second elimination (the kernel's rows outgrew
+int64, as dense inputs' do); and then the process's peak RSS
+(`resource.getrusage`) once the input rows are built and after the last
+stage, so that an input whose stages allocate much more than the ones
+before it shows.  Rows run in one process share one peak; `ROW`, a row
+label such as `d=1609`, runs that row alone, so that its peak is its own.
 
 The inputs are `bundle_b(1)^3 + hexagon^m` at d = 249, 489, 809 and 1 609
 under `random_image` (seed 1), and at d = 249 two denser disguises: 3d
@@ -35,6 +38,7 @@ import time
 
 import numpy as np
 
+from fanosplit import linalg
 from fanosplit.generators import bundle_b, hexagon, random_image
 from fanosplit.polytope import (Mode, Polytope, _array_polytope, is_smooth_fano, make_polytope,
                                 special_facet)
@@ -90,10 +94,15 @@ def _stages(label: str, p: Polytope) -> None:
     rows = p._array.tolist()
     del p
     input_mb = _peak_mb()
-    times = []
-    t = time.perf_counter()
-    q = make_polytope(rows)
-    times.append(time.perf_counter() - t)
+    times, duals = [], []
+    scaled_dual = linalg.scaled_dual
+    linalg.scaled_dual = lambda m: duals.append(len(m)) or scaled_dual(m)
+    try:
+        t = time.perf_counter()
+        q = make_polytope(rows)
+        times.append(time.perf_counter() - t)
+    finally:
+        linalg.scaled_dual = scaled_dual
     for stage in (lambda: is_smooth_fano(q, Mode.LOCAL),
                   lambda: special_facet(q, Mode.LOCAL),
                   lambda: hexagon_split(q, Mode.LOCAL),
@@ -104,7 +113,9 @@ def _stages(label: str, p: Polytope) -> None:
     spans = "  ".join(f"{name} {s:7.3f} s"
                       for name, s in zip(("load", "certify", "special", "split", "verify"),
                                          times))
-    print(f"{label:<11} {spans}  peak {input_mb:5.0f} -> {_peak_mb():5.0f} MB", flush=True)
+    source = "scaled_dual" if duals else "kernel"
+    print(f"{label:<11} {spans}  dual {source:<11}  peak {input_mb:5.0f} -> {_peak_mb():5.0f} MB",
+          flush=True)
 
 
 def main(argv: list[str]) -> int:

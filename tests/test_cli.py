@@ -488,15 +488,20 @@ def test_main_without_argv_reads_sys_argv_per_call(tmp_path, monkeypatch):
     assert _outcome(None)[0] == 2
 
 
+def _d89(tmp_path) -> str:
+    """A file holding disguised bundle_b(1)^3 + hexagon^40 (d = 89)."""
+    p = bundle_b(1)
+    for q in [bundle_b(1)] * 2 + [hexagon()] * 40:
+        p = direct_sum(p, q)
+    return write(tmp_path, "d89.fano", random_image(p, 1))
+
+
 @pytest.mark.parametrize("command", ["check", "split", "split -o OUT", "verify"])
 def test_commands_build_no_input_vertex_tuples(tmp_path, monkeypatch, capsys, command):
     # a parsed input keeps only its exact vertex array; a step that builds
     # the n tuples of d ints (`Polytope.vertices`) would cost the time and
     # memory the one-array store saves
-    p = bundle_b(1)
-    for q in [bundle_b(1)] * 2 + [hexagon()] * 40:
-        p = direct_sum(p, q)
-    path = write(tmp_path, "d89.fano", random_image(p, 1))
+    path = _d89(tmp_path)
     loaded = []
     load = cli.load_polytope
     monkeypatch.setattr(cli, "load_polytope", lambda f: loaded.append(load(f)) or loaded[-1])
@@ -505,3 +510,17 @@ def test_commands_build_no_input_vertex_tuples(tmp_path, monkeypatch, capsys, co
     assert capsys.readouterr().out
     (q,) = loaded
     assert q.dim == 89 and "vertices" not in q.__dict__
+
+
+@pytest.mark.parametrize("command", ["check", "split", "verify"])
+def test_commands_run_one_elimination(tmp_path, monkeypatch, capsys, command):
+    # the gift-wrap's kernel hands back the start facet's dual basis, so a
+    # valid input needs no second elimination: no modular inverse, no Bareiss
+    path = _d89(tmp_path)
+    calls = []
+    for name in ("_inverse_mod_p", "_bareiss"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert main([command, path]) == 0
+    assert capsys.readouterr().out
+    assert calls == []

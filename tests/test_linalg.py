@@ -190,6 +190,20 @@ def test_scaled_dual_crosses_from_int64_to_exact_ints():
             assert dot(dual[i], m[j]) == (delta if i == j else 0)
 
 
+def _assert_dropped_rows(ker, grown):
+    """The kernel's dropped rows Q against the rank-growing vectors `grown`:
+    Q V^T is diagonal with a nonzero diagonal, while Q rides along on int64;
+    once discarded, Q is zero in the kernel's array and costs no more work."""
+    q = ker.dropped_rows()
+    if q is None:
+        assert not ker._rows[~ker._is_live].any()
+        return
+    assert q.dtype == np.int64 and ker._rows.dtype == np.int64
+    prods = dense_products(grown, q.tolist())
+    assert [[x != 0 for x in row] for row in prods] == [
+        [i == j for j in range(len(grown))] for i in range(len(grown))]
+
+
 def test_kernel_reduce_crosses_from_int64_to_exact_ints():
     import random
 
@@ -197,9 +211,16 @@ def test_kernel_reduce_crosses_from_int64_to_exact_ints():
     d = 7
     vecs = [tuple(random.randint(-2**20, 2**20) for _ in range(d)) for _ in range(5)]
     ker = IntKernel(d)
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
     assert ker._rows.dtype != object
+    kept = []
     for v in vecs:
-        assert ker.reduce(v)
+        assert ker.reduce(v) and kernel_reduce_rows(rows, v)
+        assert ker.rows() == [tuple(r) for r in rows]
+        kept.append(ker.dropped_rows() is not None)
+        _assert_dropped_rows(ker, vecs[:len(kept)])
+    # the dropped rows are discarded at the int64 bound, the live rows go on exact
+    assert kept[0] and not kept[-1] and kept == sorted(kept, reverse=True)
     assert ker._rows.dtype == object  # the kernel entries outgrew the int64 bound
     assert ker.rank == 5
     assert ker.remaining == 2
@@ -379,9 +400,13 @@ def test_kernel_reduce_matches_list_reference(vecs):
     d = len(vecs[0])
     ker = IntKernel(d)
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    grown = []
     for v in vecs:
-        assert ker.reduce(v) == (bool(rows) and kernel_reduce_rows(rows, v))
+        grew = ker.reduce(v)
+        assert grew == (bool(rows) and kernel_reduce_rows(rows, v))
         assert ker.rows() == [tuple(r) for r in rows]
+        grown += [v] * grew
+        _assert_dropped_rows(ker, grown)
 
 
 @settings(max_examples=10, deadline=None)
@@ -394,14 +419,39 @@ def test_kernel_reduce_matches_list_reference_on_sparse_vectors(case):
     d, vecs = case
     ker = IntKernel(d)
     rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    grown = []
     for entries in vecs:
         v = [0] * d
         for j, x in entries:
             v[j] += x
-        assert ker.reduce(v) == (bool(rows) and kernel_reduce_rows(rows, v))
+        grew = ker.reduce(v)
+        assert grew == (bool(rows) and kernel_reduce_rows(rows, v))
         assert ker.rows() == [tuple(r) for r in rows]
         if rows:
             assert ker.row(0).tolist() == rows[0]
+        grown += [v] * grew
+    _assert_dropped_rows(ker, grown)
+
+
+@pytest.mark.parametrize("steps, kept", [(3 * N, True), (30 * N, False)])
+def test_kernel_dropped_rows_of_unimodular_rows_are_the_dual(steps, kept):
+    # d independent rows of a unimodular matrix: the dropped rows are the dual
+    # basis up to the sign of each row, in the order the rows were fed in;
+    # dense rows (30 N shears) outgrow the int64 bound, which discards them
+    m = _shear_matrix(3, N, steps)
+    ker = IntKernel(N)
+    for row in m:
+        assert ker.reduce(row)
+    q = ker.dropped_rows()
+    assert (q is not None) == kept
+    if not kept:
+        return
+    signs = [dot(u, row) for u, row in zip(q.tolist(), m)]
+    assert set(signs) <= {1, -1}
+    _assert_dropped_rows(ker, m)
+    dual, delta = _bareiss_dual(m)
+    assert delta == 1
+    assert (q * np.array(signs)[:, None]).tolist() == dual
 
 
 # --- sparse vertex products against the dense reference --------------------

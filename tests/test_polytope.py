@@ -241,6 +241,7 @@ class TestArrayGiftWrap:
         got = polytope._initial_raw(p)
         assert got.vertex_indices == want.vertex_indices
         assert got.dual.tolist() == want.dual.tolist()
+        assert got.dual.dtype == want.dual.dtype
         assert (got.det, got.outer_normal, got.height) == (want.det, want.outer_normal, want.height)
 
     @pytest.mark.parametrize("name, base", base_instances(), ids=[n for n, _ in base_instances()])
@@ -254,19 +255,43 @@ class TestArrayGiftWrap:
     def test_point_sets_flat_ones_included(self, points):
         self._same(Polytope(len(points[0]), tuple(points)))
 
+    @staticmethod
+    def _spy_fallback(monkeypatch):
+        """The polytopes whose start facet's dual `_raw_from_rows` computes."""
+        calls = []
+        raw_from_rows = polytope._raw_from_rows
+        monkeypatch.setattr(polytope, "_raw_from_rows",
+                            lambda p, idx: calls.append(p) or raw_from_rows(p, idx))
+        return calls
+
+    @pytest.mark.parametrize("m", [40, 120])
+    def test_large_sums(self, m, monkeypatch):
+        # disguised bundle_b(1)^3 + hexagon^m at d = 89 and 249, where the
+        # start facet's dual comes from the gift-wrap's kernel
+        calls = self._spy_fallback(monkeypatch)
+        p = reduce(direct_sum, [bundle_b(1)] * 3 + [hexagon()] * m)
+        self._same(random_image(p, 1))
+        assert calls == []
+
     @pytest.mark.parametrize("factor", [2**20, 2**29, 2**30 - 1, 2**40])
-    def test_large_entries(self, factor):
+    def test_large_entries(self, factor, monkeypatch):
         # vertices below 2**31 whose products with a kernel row leave the
-        # int64 bound mid-wrap (2**29 and up), and object vertices (2**40)
+        # int64 bound mid-wrap (2**29 and up), and object vertices (2**40);
+        # `fallbacks` says, per disguise, whether the kernel's rows broke
+        # the int64 bound, so that `_raw_from_rows` gave the dual
+        fallbacks = [factor > 2**20, True]
+        calls = self._spy_fallback(monkeypatch)
         base = direct_sum(bundle_b(1), direct_sum(hexagon(), example4d()))
-        for q in imaged(base, range(1, 3)):
+        for q, fallback in zip(imaged(base, range(1, 3)), fallbacks):
             rows = [list(v) for v in q.vertices]
             for row in rows:
                 row[1] += factor * row[0] + (factor // 3) * row[4]
                 row[6] -= factor * row[2]
             sheared = Polytope(q.dim, tuple(map(tuple, rows)))
             assert (sheared._array.dtype == object) == (sheared._abs_max >= 2**31)
+            calls.clear()
             self._same(sheared)
+            assert calls == [sheared] * fallback
 
 
 @pytest.mark.parametrize("x", [2**31 - 1, -(2**31 - 1), 2**31, -2**31,
