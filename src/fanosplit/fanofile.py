@@ -5,10 +5,12 @@ d space-separated decimal integers.  ``#`` starts a comment running to the
 end of the line; blank lines are ignored; line endings are LF.  Parsing then
 serializing is byte-identical up to comments and blank lines.
 
-`parse_fano` converts the vertex block to the polytope's exact vertex array
-at once, by one numpy call, and falls back to the exact line-by-line parse
-for any other block: one with a tab, an entry beyond 2**62 or a malformed
-line, whose error it locates.
+Two parses, one per kind of input.  `parse_fano` converts a plain vertex
+block (`_plain_block`) to the polytope's exact vertex array at once, by one
+numpy call.  Every other line -- the dimension line, and each line of a
+block with an entry beyond 2**62, a blank other than space, tab and CR, or
+a malformed line -- goes token by token through `_parse_ints`, which keeps
+entries exact and locates the first error.
 """
 
 from __future__ import annotations
@@ -37,23 +39,9 @@ def _significant_lines(text: str):
 
 
 def _parse_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
-    """The `expected` integers of a line, as a vertex row.  A well-formed
-    line is split and converted in one pass; any other line goes to
-    `_scan_ints`, which locates its error."""
-    tokens = body.split()
-    if len(tokens) == expected and "_" not in body:
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:
-            pass
-    return _scan_ints(lineno, body, expected, what)
-
-
-def _scan_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
-    """Token by token, raising FanoFileError at the first offending column
-    (`\\S+` and `str.split` agree on whitespace, so the tokens are the same).
-    A token with `_` is no decimal integer, though `int` reads Python's
-    digit-group underscores."""
+    """The `expected` integers of a line, token by token, raising
+    FanoFileError at the first offending column.  A token with `_` is no
+    decimal integer, though `int` reads Python's digit-group underscores."""
     tokens = list(_TOKEN.finditer(body))
     if len(tokens) != expected:
         col = tokens[expected].start() + 1 if len(tokens) > expected else len(body.rstrip()) + 1
@@ -75,13 +63,13 @@ def _scan_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, .
 def _plain_block(block: str, n: int, d: int) -> np.ndarray | None:
     """The n lines of `block` as one n x d int64 array, converted by one
     `np.fromstring` call, or None unless every line is d tokens [+-]digits
-    between single or repeated spaces, which `int` and numpy read alike."""
+    between blanks (space, tab, CR), which `int` and numpy read alike."""
     try:
         raw = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
     digit = (raw - 48) < 10  # uint8: the bytes below "0" wrap round
-    blank = (raw == 32) | (raw == 10)
+    blank = (raw == 32) | (raw == 10) | (raw == 9) | (raw == 13)
     sign = (raw == 43) | (raw == 45)
     signs = sign.nonzero()[0]  # each starts its token, and a digit follows it
     if not ((digit | blank | sign).all() and blank[signs - 1].all() and digit[signs + 1].all()):
@@ -144,7 +132,7 @@ def parse_fano(text: str) -> Polytope:
 
 def serialize_fano(p: Polytope) -> str:
     lines = [HEADER, f"{p.dim} {p.n}"]
-    lines.extend(" ".join(str(x) for x in v) for v in p.vertices)
+    lines.extend(" ".join(map(str, row)) for row in p._array.tolist())
     return "\n".join(lines) + "\n"
 
 

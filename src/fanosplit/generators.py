@@ -123,8 +123,7 @@ def random_image(p: Polytope, seed: int) -> Polytope:
         else:
             i = rng.randrange(d)
             m[i] = [-a for a in m[i]]
-    a, hv = p._exact
-    image = linalg._vertex_products(a, np.array(m, dtype=np.int64), hv)
+    image = linalg._vertex_products(p._array, np.array(m, dtype=np.int64), p._abs_max)
     order = list(range(p.n))
     rng.shuffle(order)
     return _array_polytope(image[order], linalg._max_abs(image))

@@ -36,8 +36,9 @@ only.
 The gift-wrap runs once per polytope (`_initial_raw_cached`, which keeps a
 failure too) and is the first thing `make_polytope` does after its duplicate
 check: a wrapped facet of d independent vertices, carrying no other vertex,
-proves the vertex set affinely full-dimensional when n > d.  Only when
-n <= d or the gift-wrap fails does the exact rank of the rows (x, 1) decide.
+proves the vertex set affinely full-dimensional when n > d, and n <= d
+points never are.  Only when the gift-wrap fails does the exact rank of the
+rows (x, 1) decide.
 
 Validation proves validity through the free-sum decomposition.  The
 gift-wrapped facet must be unimodular; its dual basis then gives lattice
@@ -123,12 +124,13 @@ def auto_mode(dim: int) -> Mode:
 class Polytope:
     """Immutable polytope given by its vertex list (exact integer coordinates).
 
-    The vertices are kept once, as one exact n x d array (`_exact`): int64
-    when every |entry| is below 2**31, exact Python ints otherwise.  The
-    tuples of `vertices` are built from it on first use.  The public
-    constructor `Polytope(dim, vertices)` starts from the tuples instead and
-    builds the array on first use; `make_polytope`, `fanofile.parse_fano`
-    and the block polytopes start from the array (`_array_polytope`).
+    The vertices are kept once, as one exact n x d array (`_array`, with its
+    max |entry| `_abs_max`) under `_array_polytope`'s rule: int64 when every
+    |entry| is below 2**31, exact Python ints otherwise.  The tuples of
+    `vertices` are built from it on first use.  `Polytope(dim, vertices)`
+    converts its rows to that array at once; `make_polytope`,
+    `fanofile.parse_fano`, `direct_sum` and the block polytopes build the
+    array themselves (`_array_polytope`).
     """
 
     dim: int
@@ -138,7 +140,8 @@ class Polytope:
         for v in vertices:
             if len(v) != dim:
                 raise NotFullDimError(f"vertex {v} has length {len(v)}, expected {dim}")
-        self.__dict__.update(dim=dim, n=len(vertices), vertices=vertices)
+        a, hi = linalg._to_array(vertices)
+        self.__dict__.update(vars(_array_polytope(a.reshape(len(vertices), dim), hi)))
 
     @cached_property
     def vertices(self) -> tuple[LatticeVector, ...]:
@@ -164,21 +167,6 @@ class Polytope:
         return self._vertex_index.get(tuple(v))
 
     @cached_property
-    def _exact(self) -> tuple[np.ndarray, int]:
-        """The vertex rows as an exact array, int64 below 2**31 and object
-        otherwise, with their max |entry|."""
-        a, hi = linalg._to_array(self.vertices)
-        return linalg._exact_array(a.reshape(self.n, self.dim), hi < _INT64_STORE), hi
-
-    @property
-    def _array(self) -> np.ndarray:
-        return self._exact[0]
-
-    @property
-    def _abs_max(self) -> int:
-        return self._exact[1]
-
-    @cached_property
     def _vertex_sum(self) -> LatticeVector:
         fits = linalg._products_fit(self._abs_max, 1, self.n)
         return tuple(linalg._exact_array(self._array, fits).sum(axis=0).tolist())
@@ -187,18 +175,19 @@ class Polytope:
     def _full_dim(self) -> bool:
         """Affine full dimension: the vectors (x, 1) have rank d + 1.
 
-        With n > d the start facet proves it: its d linearly independent
-        vertices span the one affine hyperplane through them, which
-        `_check_facet` has shown to carry no other vertex.  The exact rank
-        decides only when n <= d or the gift-wrap fails; validation re-raises
-        that failure from the cache.
+        n <= d points span at most an (n - 1)-flat, so they never do.  With
+        n > d the start facet proves it: its d linearly independent vertices
+        span the one affine hyperplane through them, which `_check_facet` has
+        shown to carry no other vertex.  The exact rank decides only when the
+        gift-wrap fails; validation re-raises that failure from the cache.
         """
-        if self.n > self.dim:
-            try:
-                _initial_raw_cached(self)
-                return True
-            except FanoError:
-                pass
+        if self.n <= self.dim:
+            return False
+        try:
+            _initial_raw_cached(self)
+            return True
+        except FanoError:
+            pass
         a = self._array
         lifted = np.hstack((a, np.ones((self.n, 1), dtype=a.dtype)))
         return linalg.int_rank(lifted, self.dim + 1) == self.dim + 1
@@ -217,11 +206,12 @@ class Polytope:
 
 
 def _array_polytope(a: np.ndarray, hi: int) -> Polytope:
-    """The polytope on the exact n x d array `a` of max |entry| `hi`, unchecked;
-    its store takes `Polytope._exact`'s dtype."""
+    """The polytope on the exact n x d array `a` of max |entry| `hi`,
+    unchecked.  The one store rule: the array is kept as int64 when `hi` is
+    below 2**31, as exact Python ints otherwise."""
     p = object.__new__(Polytope)
-    p.__dict__.update(dim=a.shape[1], n=a.shape[0],
-                      _exact=(linalg._exact_array(a, hi < _INT64_STORE), hi))
+    p.__dict__.update(dim=a.shape[1], n=a.shape[0], _abs_max=hi,
+                      _array=linalg._exact_array(a, hi < _INT64_STORE))
     return p
 
 
@@ -552,12 +542,14 @@ def _check_facet(p: Polytope, raw: FacetFrame) -> None:
                   linalg._exact_array([raw.height], raw.height < linalg._I64_SAFE))
 
 
-def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int, below: np.ndarray) -> int | None:
+def _wrap_target(values: np.ndarray, wv: np.ndarray, c: int) -> int | None:
     """The first vertex the ratio rule enters when the hyperplane at level c
     rotates towards w: the lowest index minimizing (c - values[i]) / wv[i]
-    over vertices below c with wv[i] > 0, or None.  Only the vertices with
-    the least floor of that ratio can minimize it; `_min_ratio` ranks them."""
-    idx = (below & (wv > 0)).nonzero()[0]
+    over vertices with wv[i] > 0, or None.  Each of them lies below c, since
+    w is orthogonal to every vertex on the hyperplane.  Only the vertices
+    with the least floor of that ratio can minimize it; `_min_ratio` ranks
+    them."""
+    idx = (wv > 0).nonzero()[0]
     if idx.size > 1:
         q = (c - values[idx]) // wv[idx]
         idx = idx[q == q.min()]
@@ -584,7 +576,7 @@ def _initial_raw(p: Polytope) -> FacetFrame:
     at the int64 bound, takes `_raw_from_rows` instead.
     """
     d = p.dim
-    vertices, hx = p._exact
+    vertices, hx = p._array, p._abs_max
     values = vertices[:, 0]
     c = int(values.max())
     if c <= 0:
@@ -604,11 +596,10 @@ def _initial_raw(p: Polytope) -> FacetFrame:
         hw = linalg._max_abs(wv)
         fits = values.dtype != object and linalg._products_fit(hw, hv + c, 2)
         values, wv = linalg._exact_array(values, fits), linalg._exact_array(wv, fits)
-        below = values < c
-        best = _wrap_target(values, wv, c, below)
+        best = _wrap_target(values, wv, c)
         if best is None:
             wv = -wv
-            best = _wrap_target(values, wv, c, below)
+            best = _wrap_target(values, wv, c)
         if best is None:
             raise InvariantViolationError("no rotation direction during gift-wrap")
         scale, shift = int(wv[best]), c - int(values[best])
@@ -820,6 +811,11 @@ def is_smooth_fano(p: Polytope, mode: Mode = Mode.FULL) -> SmoothFanoCertificate
     facets, and so does LOCAL up to dimension FULL_MODE_MAX_DIM.  Above it
     LOCAL checks the summand's start facet only and trusts the rest (proof
     `local-unproven`); pivots performed later keep checking every frame they touch.
+
+    An invalid certificate's `failure_kind` is the first failure met from
+    p's own gift-wrapped start facet, not a lattice invariant: a unimodular
+    image of p can fail at its start facet, with another kind, before the
+    summand that fails in p is reached.
     """
     cache = p._cert_cache
     key = ("cert", mode)

@@ -32,6 +32,7 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
+    _array_polytope,
     _block_polytopes,
     frame_coords,
     free_sum,
@@ -51,11 +52,12 @@ def guaranteed_hexagons(d: int, k: int) -> int:
 
 
 def direct_sum(p: Polytope, q: Polytope) -> Polytope:
-    """conv(P x {0} union {0} x Q): vertices are the zero-padded vertex lists."""
-    zp = (0,) * q.dim
-    zq = (0,) * p.dim
-    vertices = tuple(v + zp for v in p.vertices) + tuple(zq + w for w in q.vertices)
-    return Polytope(p.dim + q.dim, vertices)
+    """conv(P x {0} union {0} x Q): one block-diagonal vertex store, P's
+    rows with zeros on Q's coordinates, then Q's rows with zeros on P's."""
+    a = np.zeros((p.n + q.n, p.dim + q.dim), dtype=np.result_type(p._array, q._array))
+    a[:p.n, :p.dim] = p._array
+    a[p.n:, p.dim:] = q._array
+    return _array_polytope(a, max(p._abs_max, q._abs_max))
 
 
 def clean_pairs(p: Polytope, f: FacetFrame, g: GoodnessPartition) -> list[tuple[int, int]]:

@@ -35,27 +35,20 @@ import random
 import resource
 import sys
 import time
+from functools import reduce
 
 import numpy as np
 
 from fanosplit import linalg
 from fanosplit.generators import bundle_b, hexagon, random_image
-from fanosplit.polytope import (Mode, Polytope, _array_polytope, is_smooth_fano, make_polytope,
-                                special_facet)
-from fanosplit.splitting import hexagon_split
+from fanosplit.polytope import Mode, Polytope, is_smooth_fano, make_polytope, special_facet
+from fanosplit.splitting import direct_sum, hexagon_split
 from fanosplit.verify import verify_bounds
 
 
 def _family(m: int) -> Polytope:
-    """bundle_b(1)^3 + hexagon^m, the iterated `direct_sum`, as one
-    block-diagonal vertex array."""
-    parts = [bundle_b(1)] * 3 + [hexagon()] * m
-    a = np.zeros((sum(q.n for q in parts), sum(q.dim for q in parts)), dtype=np.int64)
-    i = j = 0
-    for q in parts:
-        a[i:i + q.n, j:j + q.dim] = q._array
-        i, j = i + q.n, j + q.dim
-    return _array_polytope(a, 1)
+    """bundle_b(1)^3 + hexagon^m, the iterated `direct_sum`."""
+    return reduce(direct_sum, [bundle_b(1)] * 3 + [hexagon()] * m)
 
 
 def _sheared(p: Polytope, shears: int, seed: int) -> Polytope:

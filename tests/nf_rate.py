@@ -18,6 +18,7 @@ import hashlib
 import re
 import sys
 import time
+from functools import reduce
 
 from fanosplit import equivalence
 from fanosplit.equivalence import DEFAULT_BUDGET, normal_form
@@ -27,19 +28,12 @@ from fanosplit.polytope import Mode, free_summands
 from fanosplit.splitting import direct_sum
 
 
-def _sum(*parts):
-    out = parts[0]
-    for q in parts[1:]:
-        out = direct_sum(out, q)
-    return out
-
-
 ROWS = {
     **{f"simplex({d})": (lambda d=d: simplex(d)) for d in range(7, 21)},
     "bundle_b(3)": lambda: bundle_b(3),
     "bundle_b(4)": lambda: bundle_b(4),
-    "hexagon^4": lambda: _sum(*[hexagon()] * 4),
-    "example4d+hexagon^2": lambda: _sum(example4d(), hexagon(), hexagon()),
+    "hexagon^4": lambda: reduce(direct_sum, [hexagon()] * 4),
+    "example4d+hexagon^2": lambda: reduce(direct_sum, [example4d(), hexagon(), hexagon()]),
 }
 
 

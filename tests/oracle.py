@@ -30,6 +30,10 @@ same dual dtype, and the same first error.
 Python ints and built by `make_polytope`, the reference for
 `fanofile.parse_fano` and its one-call block conversion.
 
+`direct_sum_tuples` is the direct sum as zero-padded vertex tuples, the
+reference for `splitting.direct_sum`, which assembles the block-diagonal
+vertex store.
+
 `determinant_rows` is fraction-free (Bareiss) elimination on lists of
 Python ints, the reference for `linalg.determinant`.
 
@@ -281,6 +285,14 @@ def parse_fano_lines(text: str) -> Polytope:
     for lineno, _ in lines:
         raise FanoFileError(lineno, 1, "unexpected data after the vertex block")
     return make_polytope(rows)
+
+
+def direct_sum_tuples(p: Polytope, q: Polytope) -> Polytope:
+    """conv(P x {0} union {0} x Q) from P's tuples padded by Q's zeros and
+    Q's tuples after P's zeros."""
+    zp, zq = (0,) * q.dim, (0,) * p.dim
+    return Polytope(p.dim + q.dim, tuple(v + zp for v in p.vertices)
+                    + tuple(zq + w for w in q.vertices))
 
 
 def determinant_rows(rows) -> int:

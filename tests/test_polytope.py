@@ -48,13 +48,16 @@ from fanosplit.polytope import (
     vertex_sum,
 )
 from fanosplit.equivalence import normal_form
+from fanosplit.fanofile import parse_fano, serialize_fano
 from fanosplit.splitting import direct_sum
 
+from cli_digest import FAILING_FACTORS
 from corpus import base_instances, imaged, large_sums
 from oracle import (
     brute_facets,
     brute_neighbor,
     brute_valid,
+    direct_sum_tuples,
     enumerate_raw_per_facet,
     initial_raw_lists,
     neighbor_raw_tuples,
@@ -133,6 +136,7 @@ class TestMakePolytope:
         assert "vertices" not in p.__dict__
         assert (repr(p), p.n) == ("Polytope(d=2, n=3)", 3) and "vertices" not in p.__dict__
         q = Polytope(2, ((1, 0), (0, 1), (-1, -1)))
+        assert "vertices" not in q.__dict__ and "vertices" not in direct_sum(p, q).__dict__
         assert p == q and hash(p) == hash(q) and p.vertices == q.vertices
         assert p != Polytope(2, ((1, 0), (0, 1), (-1, -2))) and p != Polytope(2, ((1, 0), (0, 1)))
         assert pivot(p, special_facet(p), 0)[1] == pivot(q, special_facet(q), 0)[1] == (-1, -1)
@@ -203,6 +207,22 @@ class TestFullDim:
         except NotFullDimError:
             pass
         assert ranks == [3]
+
+    @pytest.mark.parametrize("points", [
+        [(1,)], [(1, 0), (0, 1)], [(1, 0), (2, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(0, 0, 0, 0)], [(5, -3, 2, 2**70), (1, 1, 1, 1), (0, 2, 0, 2)],
+    ])
+    def test_at_most_d_points_make_no_rank_call(self, points, monkeypatch):
+        # n <= d points span at most an (n - 1)-flat
+        ranks = []
+        int_rank = linalg.int_rank
+        monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
+        p = Polytope(len(points[0]), tuple(points))
+        assert not p._full_dim
+        assert is_smooth_fano(p).failure_kind == "NotFullDim"
+        with pytest.raises(NotFullDimError):
+            make_polytope(points)
+        assert ranks == []
 
     @pytest.mark.parametrize("rows, witness", [
         ([(1, 1), (1, -1), (-1, 1), (-1, -1)],
@@ -304,6 +324,45 @@ def test_exact_vertex_array_boundaries(x):
     assert p._abs_max == hi and type(p._abs_max) is int
     assert p._array.dtype == (np.int64 if hi < 2**31 else object)
     assert p._array.tolist() == [list(row) for row in rows]
+
+
+# entries on both sides of the int64 store's bound 2**31 and beyond 2**62
+_STORE_ENTRIES = st.one_of(st.integers(-2, 2), st.sampled_from(
+    [s * b for b in (2**31 - 1, 2**31, 2**62 + 1, 2**63, 10**20) for s in (1, -1)]))
+
+
+class TestStoreRule:
+    """Every way to build a polytope keeps one store: int64 below 2**31,
+    exact ints otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[_STORE_ENTRIES] * d), min_size=d + 1, max_size=d + 3, unique=True)))
+    def test_constructors_keep_one_store(self, rows):
+        d = len(rows[0])
+        p = Polytope(d, tuple(rows))
+        assert "vertices" not in p.__dict__
+        try:
+            q = make_polytope(rows)
+        except FanoError:
+            return  # not full-dimensional: no file to round-trip
+        r = parse_fano(serialize_fano(q))
+        for other in (q, r):
+            assert other._array.dtype == p._array.dtype and other._abs_max == p._abs_max
+            assert np.array_equal(other._array, p._array)
+        assert p._array.dtype == (np.int64 if p._abs_max < 2**31 else object)
+        assert p.vertices == tuple(rows)
+
+    @pytest.mark.parametrize("big", [1, 2**31 - 1, 2**31, 2**63, 10**20])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_direct_sum_matches_tuple_padding(self, big, first):
+        small, large = hexagon(), Polytope(2, ((big, 1), (0, -1), (-1, 0)))
+        p, q = (large, small) if first else (small, large)
+        got, want = direct_sum(p, q), direct_sum_tuples(p, q)
+        assert "vertices" not in got.__dict__
+        assert got._array.dtype == want._array.dtype == (np.int64 if big < 2**31 else object)
+        assert got == want and got._abs_max == want._abs_max and got.vertices == want.vertices
+        assert direct_sum(got, got) == direct_sum_tuples(want, want)
 
 
 class TestFacetEnumeration:
@@ -904,6 +963,27 @@ class TestCertifyByDecomposition:
         monkeypatch.setattr(linalg, "int_rank", lambda rows, d: ranks.append(d) or int_rank(rows, d))
         assert is_smooth_fano(p, mode).describe() == "invalid kind=" + witness
         assert ranks == []
+
+    # The kind is the first failure met from the input's own gift-wrapped
+    # start facet, not a lattice invariant: the disguises of rows 2 and 6
+    # fail at the gift-wrap (a non-simplicial or non-unimodular start facet)
+    # before any summand is met, where the plain sums fail in their summand.
+    @pytest.mark.parametrize("rows, witness", zip(FAILING_FACTORS, [
+        "FacetNotUnimodular witness=factor on vertices (0, 1, 6): facet (0, 2) has |det| = 2",
+        "FacetNotSimplex witness=initial supporting hyperplane contains 5 vertices: "
+        "(0, 1, 2, 3, 6)",
+        "FacetNotSimplex witness=factor on vertices (0, 1, 6, 8): "
+        "pivot tie at ridge 1 of facet (1, 2): vertices (0, 3) are coplanar with the ridge",
+        "OriginNotInterior witness=factor on vertices (0, 1, 6): "
+        "no vertex below ridge 1 of facet (1, 2)",
+        "OriginNotInterior witness=factor on vertices (1,): "
+        "every vertex lies on the hyperplane of facet (1, 2, 4, 6)",
+        "FacetNotUnimodular witness=facet (1, 2, 3, 6) has |det| = 2",
+    ], strict=True))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_disguised_failing_factor_kind(self, rows, witness, mode):
+        p = random_image(direct_sum(Polytope(2, tuple(rows)), hexagon()), 1)
+        assert is_smooth_fano(p, mode).describe() == "invalid kind=" + witness
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_origin_row_is_not_a_vertex(self, mode):
