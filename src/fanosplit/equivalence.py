@@ -56,6 +56,13 @@ The normal form is computed one irreducible free summand at a time.
   skipped ordering or facet gives exactly the matrices of one searched, so
   the minimum is that of the full refined search, and `budget` counts the
   orderings searched after pruning.
+* A hexagon summand needs no search.  The hexagon's automorphisms act
+  transitively on its ordered edges, so in its block coordinates every
+  hexagon summand has the vertex set `polytope.HEXAGON_VERTICES`, whose
+  sorted rows are the matrix the search returns (`_HEXAGON_FORM`).  It is
+  charged the 3 orderings that search spends on any vertex order
+  (`_HEXAGON_ORDERINGS`), so `budget` runs out exactly where the search
+  would run it out; no facet is enumerated and no ordering searched.
 * The summand forms, sorted by (dim, n, matrix), are placed block-diagonally
   and the rows sorted.  The result is the vertex matrix of a polytope
   equivalent to P that depends only on P's class, so equal digests mean
@@ -69,9 +76,21 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitError
 from .linalg import IntMatrix
-from .polytope import Mode, Polytope, enumerate_facets, free_summands, vertex_sum
+from .polytope import (
+    HEXAGON_VERTICES,
+    Mode,
+    Polytope,
+    enumerate_facets,
+    free_summands,
+    is_standard_hexagon,
+    vertex_sum,
+)
 
 DEFAULT_BUDGET = 500_000
+
+# a hexagon summand's form, and the orderings its pruned search spends
+_HEXAGON_FORM = tuple(sorted(HEXAGON_VERTICES))
+_HEXAGON_ORDERINGS = 3
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -239,6 +258,17 @@ def _factor_form(q: Polytope, budget_state: list[int], budget: int) -> Matrix:
     return best[0]
 
 
+def _summand_form(q: Polytope, budget_state: list[int], budget: int) -> Matrix:
+    """q's form: _HEXAGON_FORM for a standard hexagon, charged the orderings
+    its search would spend, else `_factor_form`."""
+    if not is_standard_hexagon(q):
+        return _factor_form(q, budget_state, budget)
+    budget_state[0] += _HEXAGON_ORDERINGS
+    if budget_state[0] > budget:
+        raise SizeLimitError(budget)
+    return _HEXAGON_FORM
+
+
 def normal_form(p: Polytope, budget: int = DEFAULT_BUDGET) -> NormalForm:
     """Canonical matrix: the summands' forms, block-diagonal, rows sorted.
 
@@ -247,7 +277,7 @@ def normal_form(p: Polytope, budget: int = DEFAULT_BUDGET) -> NormalForm:
     exceed `budget` orderings.
     """
     budget_state = [0]
-    forms = sorted((q.dim, q.n, _factor_form(q, budget_state, budget))
+    forms = sorted((q.dim, q.n, _summand_form(q, budget_state, budget))
                    for q in free_summands(p, Mode.FULL))
     rows, lo = [], 0
     for dim, _, form in forms:

@@ -47,8 +47,10 @@ split P into a free sum.  The facets of a free sum are the joins of its
 summands' facets, so P is smooth Fano iff every block polytope is, and its
 facet count is their product.  One loop (`_certify`) proves each summand
 alone from its block of P's start facet, its unit vectors (`_seed_start`),
-with no gift-wrap of its own: a standard hexagon by its vertex set, every
-other one by enumerating its facets (FULL).  The proved block polytopes
+with no gift-wrap and no start-facet check of its own (P's start-facet
+check covers its block): a standard hexagon by its vertex set
+(`is_standard_hexagon`, which the normal form shares), every other one by
+enumerating its facets (FULL).  The proved block polytopes
 stay on P (`free_summands`, `free_sum`), for the normal form, the finest
 split and FULL `verify`.  A summand above FULL_MODE_MAX_DIM is checked only
 at its start facet when LOCAL is asked for, since facet counts grow
@@ -904,15 +906,15 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
         for _, own, q in blocks:
             if q is not p:
                 prefix = f"factor on vertices {own}: "
-                if set(q.vertices) == HEXAGON_VERTICES:
+                if is_standard_hexagon(q):
                     count *= 6
                     continue
                 # the block holds the unit vectors of its positions, at level
-                # 1, and every other vertex of it lies below
+                # 1, and every other vertex of it lies below, so its start
+                # facet needs no check of its own
                 if q.n == q.dim:
                     raise OriginNotInteriorError(
                         f"every vertex lies on the hyperplane of facet {start.vertex_indices}")
-                _check_facet(q, _initial_raw_cached(q))
             if mode is Mode.LOCAL and q.dim > FULL_MODE_MAX_DIM:
                 unproven = max(unproven or 0, q.dim)
                 continue
@@ -928,6 +930,13 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
                                      unproven_dim=unproven)
     proof = Proof.FULL if len(blocks) == 1 else Proof.BY_DECOMPOSITION
     return SmoothFanoCertificate(True, mode, facet_count=count, proof=proof)
+
+
+def is_standard_hexagon(q: Polytope) -> bool:
+    """Whether q's vertex set is HEXAGON_VERTICES, as every hexagon summand's
+    is in its block coordinates; the vertex tuples are built only for d = 2,
+    n = 6."""
+    return q.dim == 2 and q.n == 6 and set(q.vertices) == HEXAGON_VERTICES
 
 
 def _block_summands(p: Polytope) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:

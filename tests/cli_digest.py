@@ -20,7 +20,9 @@ these inputs, byte for byte, including every error message.  The inputs:
   disguise, through `check` and `check --mode local`;
 * two disguises of each SYMMETRIC polytope, each through `nf`, and the pair
   through `eq`: inputs whose normal forms the automorphism pruning cuts
-  short.
+  short;
+* the same for each HEXAGON_SUMS polytope, whose hexagon summands take
+  their normal form from their vertex set.
 
 The files are written to a fresh temporary directory, which is the working
 directory during the runs and is deleted afterwards; argv and the output name
@@ -42,6 +44,7 @@ import os
 import random
 import sys
 import tempfile
+from functools import reduce
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -49,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from corpus import base_instances  # noqa: E402
 from fanosplit import cli  # noqa: E402
 from fanosplit.fanofile import serialize_fano  # noqa: E402
-from fanosplit.generators import hexagon, random_image, simplex  # noqa: E402
+from fanosplit.generators import bundle_b, example4d, hexagon, random_image, simplex  # noqa: E402
 from fanosplit.polytope import Polytope  # noqa: E402
 from fanosplit.splitting import direct_sum  # noqa: E402
 
@@ -82,6 +85,10 @@ FAILING_FACTORS = [
 
 SYMMETRIC = [(f"simplex{d}", simplex(d)) for d in range(4, 8)]
 SYMMETRIC.append(("hexagon3", direct_sum(direct_sum(hexagon(), hexagon()), hexagon())))
+
+# sums of many hexagons and one other summand, as the theorem's inputs are
+HEXAGON_SUMS = [("bundle_b1_hexagon6", reduce(direct_sum, [bundle_b(1)] + [hexagon()] * 6)),
+                ("example4d_hexagon4", reduce(direct_sum, [example4d()] + [hexagon()] * 4))]
 
 
 def _point_set(rng: random.Random) -> list[tuple[int, ...]]:
@@ -148,7 +155,7 @@ def _argvs():
             f = f"factor_{i}_{tag}.fano"
             Path(f).write_text(serialize_fano(q), encoding="ascii")
             yield from (["check", f], ["check", "--mode", "local", f])
-    for name, base in SYMMETRIC:
+    for name, base in SYMMETRIC + HEXAGON_SUMS:
         files = []
         for seed in (1, 2):
             f = f"{name}_{seed}.fano"

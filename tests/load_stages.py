@@ -35,7 +35,6 @@ import random
 import resource
 import sys
 import time
-from functools import reduce
 
 import numpy as np
 
@@ -46,9 +45,19 @@ from fanosplit.splitting import direct_sum, hexagon_split
 from fanosplit.verify import verify_bounds
 
 
+def _balanced_sum(parts: list[Polytope]) -> Polytope:
+    """The `direct_sum` of parts, halves first: the sum is associative, and
+    each block is copied about log2(len(parts)) times, not once per summand
+    after it."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return direct_sum(_balanced_sum(parts[:half]), _balanced_sum(parts[half:]))
+
+
 def _family(m: int) -> Polytope:
-    """bundle_b(1)^3 + hexagon^m, the iterated `direct_sum`."""
-    return reduce(direct_sum, [bundle_b(1)] * 3 + [hexagon()] * m)
+    """bundle_b(1)^3 + hexagon^m."""
+    return _balanced_sum([bundle_b(1)] * 3 + [hexagon()] * m)
 
 
 def _sheared(p: Polytope, shears: int, seed: int) -> Polytope:

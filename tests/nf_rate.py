@@ -4,12 +4,13 @@
 
 For each input, a disguise of a named generator or sum (`random_image`,
 seed 1), it prints the dimension, the wall time of one `normal_form` call,
-the orderings it searched against the budget (counted by a second search,
-summand by summand) and the first 16 hex digits of the sha256 of its
-digest.  When the search exceeds `DEFAULT_BUDGET` the row reads
-SizeLimitError after the time it took to raise.  The rows are ROWS; name
-some of them to run only those, or name `simplex(N)` for any N.  Not a
-test: run it on two commits to compare them.
+the orderings it spent against the budget (counted by a second pass over
+its summands, through the per-summand entry point `normal_form` uses) and
+the first 16 hex digits of the sha256 of its digest.  When the search
+exceeds `DEFAULT_BUDGET` the row reads SizeLimitError after the time it
+took to raise.  The rows are ROWS; name some of them to run only those, or
+name `simplex(N)` for any N.  Not a test: run it on two commits to compare
+them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ ROWS = {
     "bundle_b(4)": lambda: bundle_b(4),
     "hexagon^4": lambda: reduce(direct_sum, [hexagon()] * 4),
     "example4d+hexagon^2": lambda: reduce(direct_sum, [example4d(), hexagon(), hexagon()]),
+    "example4d+hexagon^40": lambda: reduce(direct_sum, [example4d()] + [hexagon()] * 40),
+    "bundle_b(1)^3+hexagon^120":
+        lambda: reduce(direct_sum, [bundle_b(1)] * 3 + [hexagon()] * 120),
 }
 
 
@@ -47,26 +51,26 @@ def build(name: str):
 
 
 def orderings(p) -> int:
-    """The orderings normal_form(p) searches: its summands' searches on one count."""
+    """The orderings normal_form(p) spends: its summands' forms on one count."""
     budget_state = [0]
     for q in free_summands(p, Mode.FULL):
-        equivalence._factor_form(q, budget_state, DEFAULT_BUDGET)
+        equivalence._summand_form(q, budget_state, DEFAULT_BUDGET)
     return budget_state[0]
 
 
 def main(argv: list[str]) -> None:
-    print(f"{'input':20s} {'d':>3s} {'wall s':>9s} {'orderings':>10s}  digest")
+    print(f"{'input':26s} {'d':>3s} {'wall s':>9s} {'orderings':>10s}  digest")
     for name in argv or ROWS:
         p = random_image(build(name), 1)
         t0 = time.perf_counter()
         try:
             digest = normal_form(p).digest
         except SizeLimitError:
-            print(f"{name:20s} {p.dim:3d} {time.perf_counter() - t0:9.3f} SizeLimitError", flush=True)
+            print(f"{name:26s} {p.dim:3d} {time.perf_counter() - t0:9.3f} SizeLimitError", flush=True)
             continue
         t = time.perf_counter() - t0
         prefix = hashlib.sha256(digest).hexdigest()[:16]
-        print(f"{name:20s} {p.dim:3d} {t:9.3f} {orderings(p):10d}  {prefix}", flush=True)
+        print(f"{name:26s} {p.dim:3d} {t:9.3f} {orderings(p):10d}  {prefix}", flush=True)
 
 
 if __name__ == "__main__":

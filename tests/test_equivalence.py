@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 
 import pytest
 
@@ -175,8 +176,32 @@ def test_pruned_factor_forms_match_unpruned_search():
     for base in bases:
         for x in (base, random_image(base, 1), random_image(base, 2)):
             for q in free_summands(x):
-                pruned = equivalence._factor_form(q, [0], DEFAULT_BUDGET)
+                pruned = equivalence._summand_form(q, [0], DEFAULT_BUDGET)
                 assert pruned == factor_form_unpruned(q, [0]), x
+
+
+def test_hexagon_search_spends_the_charged_orderings():
+    # the form and charge a hexagon summand gets without a search are the
+    # search's own on every vertex order
+    form = equivalence._HEXAGON_FORM
+    assert form == tuple(sorted(polytope.HEXAGON_VERTICES))
+    for order in itertools.permutations(sorted(polytope.HEXAGON_VERTICES)):
+        budget_state = [0]
+        assert equivalence._factor_form(Polytope(2, order), budget_state, DEFAULT_BUDGET) == form
+        assert budget_state == [equivalence._HEXAGON_ORDERINGS], order
+
+
+def test_hexagon_summands_need_no_search(monkeypatch):
+    searched, enumerated = [], []
+    factor_form, enumerate_raw = equivalence._factor_form, polytope._enumerate_raw
+    monkeypatch.setattr(equivalence, "_factor_form",
+                        lambda q, *args: searched.append(q.dim) or factor_form(q, *args))
+    monkeypatch.setattr(polytope, "_enumerate_raw",
+                        lambda q: enumerated.append((q.dim, q.n)) or enumerate_raw(q))
+    p = random_image(direct_sum(bundle_b(1), power_sum(hexagon(), 3)), 1)
+    normal_form(p)
+    assert searched == [3]
+    assert (2, 6) not in enumerated
 
 
 @pytest.mark.parametrize("d", [9, 12])

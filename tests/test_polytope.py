@@ -916,6 +916,18 @@ class TestCertifyByDecomposition:
             assert is_smooth_fano(q).describe() == f"valid mode=full proof=full facets={len(frames)}"
         assert calls == [p]
 
+    def test_blocks_need_no_start_facet_check(self, monkeypatch):
+        # P's own start-facet check already holds for each block's start facet
+        checked = []
+        check_facet = polytope._check_facet
+        monkeypatch.setattr(polytope, "_check_facet",
+                            lambda q, raw: checked.append(q) or check_facet(q, raw))
+        b = bundle_b(1)
+        p = random_image(reduce(direct_sum, [b, b, pentagon(), hexagon()]), 1)
+        p = Polytope(p.dim, p.vertices)
+        assert is_smooth_fano(p).describe() == "valid mode=full proof=by-decomposition facets=4320"
+        assert checked == [p]
+
     @pytest.mark.parametrize("build", [lambda: bundle_b(2), lambda: direct_sum(bundle_b(1), hexagon())])
     def test_validated_polytope_is_freed_without_a_collection(self, build):
         # no cache entry refers back to its polytope, so reference counting
