@@ -57,8 +57,9 @@ The normal form is computed one irreducible free summand at a time.
   the minimum is that of the full refined search, and `budget` counts the
   orderings searched after pruning.
 * A hexagon summand needs no search.  The hexagon's automorphisms act
-  transitively on its ordered edges, so in its block coordinates every
-  hexagon summand has the vertex set `polytope.HEXAGON_VERTICES`, whose
+  transitively on its ordered edges, so in the coordinates of its start
+  facet every hexagon summand, and an irreducible hexagon P, has the vertex
+  set `polytope.HEXAGON_VERTICES` (`polytope.is_standard_hexagon`), whose
   sorted rows are the matrix the search returns (`_HEXAGON_FORM`).  It is
   charged the 3 orderings that search spends on any vertex order
   (`_HEXAGON_ORDERINGS`), so `budget` runs out exactly where the search

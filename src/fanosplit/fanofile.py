@@ -40,8 +40,9 @@ def _significant_lines(text: str):
 
 def _parse_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, ...]:
     """The `expected` integers of a line, token by token, raising
-    FanoFileError at the first offending column.  A token with `_` is no
-    decimal integer, though `int` reads Python's digit-group underscores."""
+    FanoFileError at the first offending column.  A token with `_` or a
+    non-ASCII character is no decimal integer, though `int` reads Python's
+    digit-group underscores and every Unicode decimal digit ('١', '１')."""
     tokens = list(_TOKEN.finditer(body))
     if len(tokens) != expected:
         col = tokens[expected].start() + 1 if len(tokens) > expected else len(body.rstrip()) + 1
@@ -50,7 +51,7 @@ def _parse_ints(lineno: int, body: str, expected: int, what: str) -> tuple[int, 
     for tok in tokens:
         text = tok.group()
         try:
-            if "_" in text:
+            if "_" in text or not text.isascii():
                 raise ValueError(text)
             out.append(int(text))
         except ValueError:

@@ -51,8 +51,9 @@ with no gift-wrap and no start-facet check of its own (P's start-facet
 check covers its block): a standard hexagon by its vertex set
 (`is_standard_hexagon`, which the normal form shares), every other one by
 enumerating its facets (FULL).  The proved block polytopes
-stay on P (`free_summands`, `free_sum`), for the normal form, the finest
-split and FULL `verify`.  A summand above FULL_MODE_MAX_DIM is checked only
+stay on P (`free_summands`, `free_sum`), for the normal form and the finest
+split; their enumeration proves the facet lemmas `verify` checks at the
+special facet alone.  A summand above FULL_MODE_MAX_DIM is checked only
 at its start facet when LOCAL is asked for, since facet counts grow
 exponentially while the splitting pipeline touches only one pivot path; the
 certificate then says its proof is incomplete.
@@ -233,7 +234,8 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     except ValueError:  # ragged rows
         a = None
     if a is None or a.ndim != 2 or not a.size or a.dtype.kind not in "bi":
-        rows = [[_entry(i, j, x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        rows = [[_entry(what, j, x) for j, x in enumerate(row)]
+                for i, row in enumerate(rows) for what in [f"vertex row {i}"]]
         if not rows:
             raise NotFullDimError("empty vertex list")
         d = len(rows[0])
@@ -246,11 +248,12 @@ def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
     return _checked_polytope(*linalg._to_array(a))
 
 
-def _entry(i: int, j: int, x) -> int:
+def _entry(what: str, j: int, x) -> int:
+    """x as an int, if `operator.index` takes it; else TypeError naming entry j of `what`."""
     try:
         return operator.index(x)
     except TypeError:
-        raise TypeError(f"vertex row {i} entry {j} is not an integer: {x!r}") from None
+        raise TypeError(f"{what} entry {j} is not an integer: {x!r}") from None
 
 
 def _checked_polytope(a: np.ndarray, hi: int) -> Polytope:
@@ -348,8 +351,10 @@ class FacetFrame:
         return self.positions[vertex_index]
 
     def coordinates(self, x: Sequence[int]) -> LatticeVector:
+        """The coordinates of the integer point x (TypeError names a non-integer entry)."""
         if len(x) != self.dim:
             raise DimensionError("coordinates shape mismatch")
+        x = [_entry("x", j, a) for j, a in enumerate(x)]
         return tuple(linalg.products_with(self.dual, x, self.dual_max))
 
     def level(self, x: Sequence[int]) -> int:
@@ -933,10 +938,16 @@ def _certify(p: Polytope, mode: Mode) -> SmoothFanoCertificate:
 
 
 def is_standard_hexagon(q: Polytope) -> bool:
-    """Whether q's vertex set is HEXAGON_VERTICES, as every hexagon summand's
-    is in its block coordinates; the vertex tuples are built only for d = 2,
-    n = 6."""
-    return q.dim == 2 and q.n == 6 and set(q.vertices) == HEXAGON_VERTICES
+    """Whether q, a block polytope or a validated one, has the vertex set
+    HEXAGON_VERTICES in its start facet's coordinates, as a smooth hexagon
+    has at each of its ordered edges, which its automorphisms permute
+    transitively.  Nothing is built unless d = 2 and n = 6."""
+    if q.dim != 2 or q.n != 6:
+        return False
+    if "block" in q._cert_cache:  # its start facet is its unit vectors
+        return set(q.vertices) == HEXAGON_VERTICES
+    start = _frame_from_raw(_initial_raw_cached(q))
+    return set(map(tuple, frame_coords(q, start).tolist())) == HEXAGON_VERTICES
 
 
 def _block_summands(p: Polytope) -> tuple[tuple[list[int], tuple[int, ...], Polytope], ...]:
@@ -1063,8 +1074,8 @@ def _opposites(indices: tuple[int, ...], columns: Iterable[Iterable[tuple[int, i
 
 
 def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:
-    """Build and verify the frame on a given vertex index set (must be a facet)."""
-    idx = sorted(int(i) for i in indices)
+    """Build and verify the frame on a given vertex index set (a facet; integers only)."""
+    idx = sorted(_entry("indices", j, i) for j, i in enumerate(indices))
     if len(idx) != p.dim:
         raise NotSimplicialError(f"a facet frame needs exactly {p.dim} vertices")
     bad = next((i for i in idx if not 0 <= i < p.n), None)

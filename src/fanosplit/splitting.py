@@ -36,6 +36,7 @@ from .polytope import (
     _block_polytopes,
     frame_coords,
     free_sum,
+    is_standard_hexagon,
     special_facet,
     vertex_deficit,
 )
@@ -157,13 +158,12 @@ def finest_split(p: Polytope, mode: Mode | None = None) -> Decomposition:
 
     Each factor is a `free_summands` entry on the input vertices it came
     from, and the change of basis is `free_sum`'s, so it maps every vertex to
-    its factor's row padded into the factor's block.  A smooth Fano polygon
-    with six vertices is the hexagon, so such a factor is tagged "hexagon",
-    every other one "residual".  Validating p proves every factor, so none
-    is validated here.
+    its factor's row padded into the factor's block.  A factor that
+    `is_standard_hexagon` is tagged "hexagon", every other one "residual".
+    Validating p proves every factor, so none is validated here.
     """
     basis, summands = free_sum(p, mode)
-    return _decomposition(basis, summands, ["hexagon" if (q.dim, q.n) == (2, 6) else "residual"
+    return _decomposition(basis, summands, ["hexagon" if is_standard_hexagon(q) else "residual"
                                             for _, q in summands])
 
 

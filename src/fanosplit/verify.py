@@ -9,13 +9,22 @@ whose quantification domain is empty report `not-applicable`.
 
 A genuine `fail` on a validated polytope is surfaced as a candidate
 implementation bug (or counterexample) and fails the whole report.
+
+Every check reads the special facet alone, in both modes.  The facet lemmas
+of opposite-coordinate (opp(F, v) has coordinate -1 at v) and
+level-zero-opposites (every level-0 vertex is such an opposite) hold at every
+facet FULL validation enumerates: the vertex y entered across ridge j has
+c_j(y) < 0, and the neighbour F - v_j + y has |det| = |c_j(y)| = 1.  A level-0
+x with c_j(x) < 0 has ratio 1/|c_j(x)| <= 1 <= 1 - level(y), and ties raise
+NotSimplicialError, so x = y; x is not the origin, so its row, summing to 0,
+has a negative entry.  A hexagon summand is the standard hexagon, where both
+hold by inspection.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +34,7 @@ from .polytope import (
     FacetFrame,
     Mode,
     Polytope,
-    _opposites,
-    enumerate_facets,
     frame_coords,
-    free_sum,
     require_smooth_fano,
     special_facet,
     vertex_deficit,
@@ -120,7 +126,6 @@ class _Ctx:
 
     def __init__(self, p: Polytope, mode: Mode):
         self.p = p
-        self.mode = mode
         self.d = p.dim
         self.n = p.n
         self.k = vertex_deficit(p)
@@ -131,37 +136,6 @@ class _Ctx:
         self.pos = self.frame.positions
         self.v_minus1 = [i for i, lv in enumerate(self.levels) if lv == -1]
         self.s_level = sum(self.g.gamma)  # the level of the vertex sum
-
-    @cached_property
-    def opposite_failures(self) -> tuple[str | None, str | None]:
-        """First failures of the opposite-coordinate and level-zero-opposites
-        checks, at the special facet (LOCAL) or on every facet of every free
-        summand (FULL): P's facets are their joins, and a summand's vertices
-        have coordinates in its block only.  A failure on a summand facet
-        names the summand's vertices, as validation's witnesses do.  At the
-        special facet only the opposite and level-0 rows become lists."""
-        if self.mode is Mode.FULL:
-            summands = free_sum(self.p, self.mode)[1]
-            walk = ((f"factor on vertices {own}: " if len(summands) > 1 else "", f.vertex_indices, rows,
-                     _opposites(f.vertex_indices, map(enumerate, zip(*rows)), levels), levels)
-                    for own, q in summands
-                    for f in enumerate_facets(q)
-                    for rows in [q.coords_rows(f.dual).tolist()]
-                    for levels in [list(map(sum, rows))])
-        else:
-            opp = [self.g.opp[v] for v in self.frame.vertex_indices]
-            read = sorted({*opp, *(i for i, lv in enumerate(self.levels) if lv == 0)})
-            walk = [("", self.frame.vertex_indices, dict(zip(read, self.coords[read].tolist())),
-                     opp, self.levels)]
-        coord_fail = zero_fail = None
-        for prefix, indices, rows, opp, levels in walk:
-            c = _opposite_coordinate_failure(indices, rows, opp)
-            z = _level_zero_failure(indices, rows, opp, levels)
-            coord_fail = coord_fail or c and prefix + c
-            zero_fail = zero_fail or z and prefix + z
-            if coord_fail and zero_fail:
-                break
-        return coord_fail, zero_fail
 
 
 def classify_level_minus_one(p: Polytope, f: FacetFrame) -> dict[str, tuple[int, ...]]:
@@ -270,34 +244,34 @@ def _check_sum_level(ctx):
     return ok, f"level of vertex sum is {ctx.s_level}, k={ctx.k}" if not ok else "", True
 
 
-def _opposite_coordinate_failure(indices, coords, opp):
-    for j in range(len(opp)):
-        if coords[opp[j]][j] != -1:
-            return (f"facet {indices}: coordinate of opposite vertex "
-                    f"{opp[j]} along position {j} is {coords[opp[j]][j]}")
-    return None
-
-
-def _level_zero_failure(indices, coords, opp, levels):
-    opp_set = set(opp)
-    for i in (i for i, level in enumerate(levels) if level == 0):
-        if i not in opp_set:
-            return f"level-0 vertex {i} is opposite to no vertex of {indices}"
-        for j, c in enumerate(coords[i]):
-            is_opp = opp[j] == i
-            if is_opp != (c < 0) or (c < 0 and c != -1):
-                return f"level-0 vertex {i}, facet position {j}: coordinate {c} vs opposite={is_opp}"
-    return None
-
-
 def _check_opposite_coordinate(ctx):
-    details = ctx.opposite_failures[0]
-    return details is None, details or "", True
+    frame = ctx.frame.vertex_indices
+    opp = [ctx.g.opp[v] for v in frame]
+    at = ctx.coords[opp, range(len(opp))].tolist()
+    j = next((j for j, c in enumerate(at) if c != -1), None)
+    if j is not None:
+        return False, (f"facet {frame}: coordinate of opposite vertex "
+                       f"{opp[j]} along position {j} is {at[j]}"), True
+    return True, "", True
 
 
 def _check_level_zero_opposites(ctx):
-    details = ctx.opposite_failures[1]
-    return details is None, details or "", True
+    # row t of `bad` marks where level-0 vertex zero[t] breaks its rule:
+    # coordinate -1 at each position it is opposite to, >= 0 at every other
+    frame = ctx.frame.vertex_indices
+    zero = [i for i, lv in enumerate(ctx.levels) if lv == 0]
+    rows = ctx.coords[zero]
+    is_opp = np.equal.outer(zero, [ctx.g.opp[v] for v in frame])
+    bad = np.where(is_opp, rows != -1, rows < 0)
+    failing = (~is_opp.any(axis=1) | bad.any(axis=1)).nonzero()[0]
+    if failing.size:
+        t = failing[0]
+        if not is_opp[t].any():
+            return False, f"level-0 vertex {zero[t]} is opposite to no vertex of {frame}", True
+        j = int(bad[t].argmax())
+        return False, (f"level-0 vertex {zero[t]}, facet position {j}: coordinate "
+                       f"{int(rows[t, j])} vs opposite={bool(is_opp[t, j])}"), True
+    return True, "", True
 
 
 def _check_unique_opposite_iff_phi(ctx):
@@ -549,11 +523,11 @@ _CHECKS = (
 
 
 def verify_bounds(p: Polytope, mode: Mode | None = None) -> BoundsReport:
-    """Run the full checklist on p at its special facet.
+    """Run the full checklist on p at its special facet, in either mode.
 
-    In FULL mode the opposite-coordinate and level-zero-opposites checks run
-    on every facet of every free summand, which is exact for every facet of
-    p; in LOCAL mode only at the special facet.
+    No other facet is read: at every other facet, the facet lemmas that
+    opposite-coordinate and level-zero-opposites check are proved by FULL
+    validation (module docstring).
     """
     used = require_smooth_fano(p, mode)
     ctx = _Ctx(p, used)

@@ -11,8 +11,9 @@ these inputs, byte for byte, including every error message.  The inputs:
   linearly flat, each through `check`, `check --mode local`, `analyze`,
   `split`, `nf`, `verify` and `eq` against the previous set;
 * two disguises of each corpus base (`tests/corpus.py`), each through
-  `check`, `analyze`, `split`, `split -o`, `nf` and `verify`, and the pair
-  through `eq` (the files `split -o` writes are digested too);
+  `check`, `analyze`, `split`, `split -o`, `nf`, `verify`,
+  `verify --mode local` and `verify --json`, and the pair through `eq` (the
+  files `split -o` writes are digested too);
 * a fixed list of malformed files;
 * argparse usage errors and `-h` / `nf -h`, each after a valid run, on the
   last corpus pair;
@@ -22,7 +23,11 @@ these inputs, byte for byte, including every error message.  The inputs:
   through `eq`: inputs whose normal forms the automorphism pruning cuts
   short;
 * the same for each HEXAGON_SUMS polytope, whose hexagon summands take
-  their normal form from their vertex set.
+  their normal form from their vertex set;
+* a disguise of simplex(13) + hexagon through `check`, `verify` and
+  `verify --json`: its simplex summand lies above the FULL range, so its
+  proof is `local-unproven`, and verify's checks at the special facet are
+  all it gets.
 
 The files are written to a fresh temporary directory, which is the working
 directory during the runs and is deleted afterwards; argv and the output name
@@ -135,7 +140,8 @@ def _argvs():
             files.append(f)
         for f in files:
             yield from (["check", f], ["analyze", f], ["split", f],
-                        ["split", f, "-o", f + ".split"], ["nf", f], ["verify", f])
+                        ["split", f, "-o", f + ".split"], ["nf", f], ["verify", f],
+                        ["verify", "--mode", "local", f], ["verify", "--json", f])
         yield ["eq", *files]
     for i, text in enumerate(MALFORMED):
         f = f"malformed_{i:02d}.fano"
@@ -163,6 +169,10 @@ def _argvs():
             files.append(f)
             yield ["nf", f]
         yield ["eq", *files]
+    f = "simplex13_hexagon.fano"
+    Path(f).write_text(serialize_fano(random_image(direct_sum(simplex(13), hexagon()), 1)),
+                       encoding="ascii")
+    yield from (["check", f], ["verify", f], ["verify", "--json", f])
 
 
 def _run(argv: list[str]) -> tuple[int | str, str, str]:

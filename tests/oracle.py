@@ -49,8 +49,10 @@ u, on Python ints: the dense v @ r.T, the reference for
 `linalg._vertex_products` and its sparse paths.
 
 `product_opposite_failures` runs the opposite-coordinate and
-level-zero-opposites checks over every facet of P itself, the reference for
-FULL `verify`'s walk over the facets of P's free summands.
+level-zero-opposites checks (`opposite_coordinate_failure`,
+`level_zero_failure`) over every facet of P itself: the facet lemmas that
+FULL validation proves at every facet, and that `verify` therefore checks at
+the special facet alone.
 
 `pair_orbit` is the six-vertex orbit {v, w, w - v, v - w, -v, -w} of a pair
 by vector arithmetic and vertex lookup, the reference for
@@ -105,7 +107,6 @@ from fanosplit.polytope import (
     require_smooth_fano,
     vertex_sum,
 )
-from fanosplit.verify import _level_zero_failure, _opposite_coordinate_failure
 
 
 def brute_facets(p: Polytope) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
@@ -248,7 +249,8 @@ def parse_ints_scan(lineno: int, body: str, expected: int, what: str) -> tuple[i
     out = []
     for tok in tokens:
         try:
-            if "_" in tok.group():  # a decimal integer has no digit-group underscores
+            # a decimal integer has no digit-group underscores and ASCII digits only
+            if "_" in tok.group() or not tok.group().isascii():
                 raise ValueError
             out.append(int(tok.group()))
         except ValueError:
@@ -483,9 +485,33 @@ def product_opposite_failures(p: Polytope) -> tuple[str | None, str | None]:
         coords = p.coords_rows(f.dual_basis.entries).tolist()
         levels = [sum(row) for row in coords]
         opp = _opposites(f.vertex_indices, map(enumerate, zip(*coords)), levels)
-        coord_fail = coord_fail or _opposite_coordinate_failure(f.vertex_indices, coords, opp)
-        zero_fail = zero_fail or _level_zero_failure(f.vertex_indices, coords, opp, levels)
+        coord_fail = coord_fail or opposite_coordinate_failure(f.vertex_indices, coords, opp)
+        zero_fail = zero_fail or level_zero_failure(f.vertex_indices, coords, opp, levels)
     return coord_fail, zero_fail
+
+
+def opposite_coordinate_failure(indices, coords, opp) -> str | None:
+    """The first frame position j whose opposite opp[j] has a coordinate
+    other than -1 there, as verify words it."""
+    for j in range(len(opp)):
+        if coords[opp[j]][j] != -1:
+            return (f"facet {indices}: coordinate of opposite vertex "
+                    f"{opp[j]} along position {j} is {coords[opp[j]][j]}")
+    return None
+
+
+def level_zero_failure(indices, coords, opp, levels) -> str | None:
+    """The first level-0 vertex that is no opposite, or has a coordinate
+    other than -1 where it is one or a negative one elsewhere."""
+    opp_set = set(opp)
+    for i in (i for i, level in enumerate(levels) if level == 0):
+        if i not in opp_set:
+            return f"level-0 vertex {i} is opposite to no vertex of {indices}"
+        for j, c in enumerate(coords[i]):
+            is_opp = opp[j] == i
+            if is_opp != (c < 0) or (c < 0 and c != -1):
+                return f"level-0 vertex {i}, facet position {j}: coordinate {c} vs opposite={is_opp}"
+    return None
 
 
 def dense_products(vertices, rows) -> list[list[int]]:
@@ -627,6 +653,18 @@ def extract_rows(p: Polytope, f, g, pairs, rows):
         lo = hi
     basis = IntMatrix(tuple(f.dual_basis.entries[j] for j in order))
     return Decomposition(tuple(factors), basis, len(pairs))
+
+
+def opposite_coordinate_rows(ctx):
+    frame = ctx.frame.vertex_indices
+    details = opposite_coordinate_failure(frame, ctx.coords, [ctx.g.opp[v] for v in frame])
+    return details is None, details or "", True
+
+
+def level_zero_opposites_rows(ctx):
+    frame = ctx.frame.vertex_indices
+    details = level_zero_failure(frame, ctx.coords, [ctx.g.opp[v] for v in frame], ctx.levels)
+    return details is None, details or "", True
 
 
 def expansion_structure_rows(ctx):

@@ -89,6 +89,7 @@ def _outcome(parse, line: str):
     # malformed: the error's column
     "1 0 -1 2", "1 0 -1 2 3 # c", "1 0", "1", "   1  ", "x 0 -1", "1 x -1", "1 0 x",
     "1.5 0 -1", "+1 -0 1_0", "1_0 0 -1", "1 0 1__0", "1 0 +-1", "1 0 _1", "1 0 0x1", "1 0 " + "9" * 5000,
+    "\u0661 0 -1", "1 0 -\uff11", "1 \u00b2 0",
 ])
 def test_parse_ints_matches_scan(line):
     assert _outcome(_parse_ints, line) == _outcome(parse_ints_scan, line)
@@ -108,6 +109,11 @@ def test_digit_group_underscores_are_not_integers(body, col, token):
     (HEX_TEXT.replace("-1 1\n", "-1 1_0\n"), 5, 4, "1_0"),
     (HEX_TEXT[:-len("0 -1\n")] + "0 -0_1\n", 8, 3, "-0_1"),
     (HEX_TEXT.replace("2 6", "2 0_6"), 2, 3, "0_6"),
+    # int() reads every Unicode decimal digit; the format has ASCII digits only
+    ("fano 1\n2 3\n\u0661 0\n0 1\n-1 -1\n", 3, 1, "\u0661"),
+    (HEX_TEXT.replace("-1 1\n", "-1 \uff11\n"), 5, 4, "\uff11"),
+    (HEX_TEXT.replace("2 6", "2 \uff16"), 2, 3, "\uff16"),
+    (HEX_TEXT.replace("2 6", "\u0662 6"), 2, 1, "\u0662"),
 ])
 def test_underscore_in_a_file_is_a_parse_error(text, line, col, token):
     with pytest.raises(FanoFileError) as exc:

@@ -453,6 +453,18 @@ class TestPivot:
             frame_from_indices(example4d(), indices)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("indices, message", [
+        ([0.9, 1.2], "indices entry 0 is not an integer: 0.9"),
+        (["0", "1"], "indices entry 0 is not an integer: '0'"),
+        ([0, np.float64(1)], "indices entry 1 is not an integer: np.float64(1.0)"),
+    ])
+    def test_frame_from_indices_takes_integers_only(self, indices, message):
+        # int() would truncate 0.9 and 1.2 to facet (0, 1) and read "0"
+        with pytest.raises(TypeError) as info:
+            frame_from_indices(hexagon(), indices)
+        assert str(info.value) == message
+        assert frame_from_indices(hexagon(), [np.int64(1), False]).vertex_indices == (0, 1)
+
     def test_pivot_involution(self):
         p = example4d()
         for f in enumerate_facets(p):
@@ -583,6 +595,19 @@ class TestVertexSumAndSpecialFacet:
             assert f.coordinates(x) == f.dual_basis.matvec(x)
         with pytest.raises(DimensionError):
             f.coordinates((1, 2))
+
+    @pytest.mark.parametrize("x, message", [
+        ((0.5, 1.5), "x entry 0 is not an integer: 0.5"),
+        ((1, "2"), "x entry 1 is not an integer: '2'"),
+        (np.array([1.0, 2.0]), "x entry 0 is not an integer: np.float64(1.0)"),
+    ])
+    def test_coordinates_take_integers_only(self, x, message):
+        # numpy would cast (0.5, 1.5) to (0, 1)
+        f = frame_from_indices(hexagon(), [0, 1])
+        with pytest.raises(TypeError) as info:
+            f.coordinates(x)
+        assert str(info.value) == message
+        assert f.coordinates(np.array([2, -3])) == f.coordinates((2, -3)) == (2, -3)
 
     def test_coordinates_are_exact_at_large_dimension(self):
         # from d = 80 on, one row's products touch only its nonzero columns

@@ -12,8 +12,8 @@ import oracle
 from fanosplit import analysis, polytope, verify
 from fanosplit.errors import InvariantViolationError, UnclassifiableVertexError
 from fanosplit.generators import bundle_b, example4d, hexagon, pentagon, random_image, simplex
-from fanosplit.polytope import (Mode, enumerate_facets, frame_from_indices, free_sum,
-                                is_smooth_fano, make_polytope, special_facet)
+from fanosplit.polytope import (Mode, frame_from_indices, free_summands, is_smooth_fano,
+                                make_polytope, special_facet)
 from fanosplit.splitting import direct_sum
 from fanosplit.verify import (
     FAIL,
@@ -190,10 +190,11 @@ class TestVerifyBounds:
         assert lines[-1] == "RESULT pass"
         assert all(l.startswith("CHECK ") for l in lines[1:-1])
 
-    def test_full_mode_runs_all_facets(self):
+    def test_both_modes_report_alike(self):
         report_full = verify_bounds(example4d(), Mode.FULL)
         report_local = verify_bounds(example4d(), Mode.LOCAL)
         assert report_full.passed and report_local.passed
+        assert report_full.lines()[1:] == report_local.lines()[1:]
 
     def test_to_dict_roundtrip(self):
         report = verify_bounds(simplex(3))
@@ -205,6 +206,8 @@ class TestVerifyBounds:
 # each check that reads the special facet's coordinate array, and the loop
 # over row tuples it replaced
 ROW_REFERENCES = (
+    (verify._check_opposite_coordinate, oracle.opposite_coordinate_rows),
+    (verify._check_level_zero_opposites, oracle.level_zero_opposites_rows),
     (verify._check_expansion_structure, oracle.expansion_structure_rows),
     (verify._check_expansion_bounds, oracle.expansion_bounds_rows),
     (verify._check_good_neighbor_normal, oracle.good_neighbor_normal_rows),
@@ -269,8 +272,17 @@ class TestArrayChecks:
                     got = check(ctx)
                     assert got == reference(rows), (check.__name__, got)
                     if not got[0]:
-                        seen.add((check.__name__, re.sub(r"-?\d+", "N", got[1])))
+                        text = re.sub(r"-?\d+", "N", got[1])
+                        seen.add((check.__name__, re.sub(r"(facet|of) \(N(, N)*\)", r"\1 F", text)))
         assert seen == {
+            ("_check_opposite_coordinate",
+             "facet F: coordinate of opposite vertex N along position N is N"),
+            ("_check_level_zero_opposites", "levelN vertex N is opposite to no vertex of F"),
+            ("_check_level_zero_opposites",
+             "levelN vertex N, facet position N: coordinate N vs opposite=False"),
+            ("_check_level_zero_opposites",
+             "levelN vertex N, facet position N: coordinate N vs opposite=True"),
+        } | {
             ("_check_expansion_structure", text) for text in (
                 "opp(N) has coordinate N at its own position",
                 "opp(N): negative coefficient at phi-paired N",
@@ -297,38 +309,48 @@ class TestArrayChecks:
 
 class TestSummandWalk:
     def test_matches_product_walk(self):
+        # the facet lemmas hold at every facet of every summand FULL validation
+        # proves, hexagon summands included, so verify checks the special facet only
         for name, p in base_instances():
-            for q in (p, random_image(p, 3)):
-                expect = product_opposite_failures(q)
-                assert _Ctx(q, Mode.FULL).opposite_failures == expect, name
+            for x in (p, random_image(p, 3), random_image(p, 4)):
+                for q in free_summands(x, Mode.FULL):
+                    assert product_opposite_failures(q) == (None, None), name
 
-    def test_reads_the_validated_summands(self, monkeypatch):
+    def test_full_verify_reads_only_the_special_facet(self, monkeypatch):
         p = random_image(direct_sum(bundle_b(1), bundle_b(1)), 5)
         assert is_smooth_fano(p, Mode.FULL).facet_count == 144
-        enumerations, walked = [], []
-        enumerate_raw = polytope._enumerate_raw
-        monkeypatch.setattr(polytope, "_enumerate_raw",
-                            lambda q: enumerations.append(q) or enumerate_raw(q))
-        opposites = verify._opposites
-        monkeypatch.setattr(verify, "_opposites",
-                            lambda indices, *rest: walked.append(indices) or opposites(indices, *rest))
+        frame = special_facet(p, Mode.FULL)
+        enumerations, duals = [], []
+        for name in ("enumerate_facets", "_enumerate_raw"):
+            fn = getattr(polytope, name)
+            monkeypatch.setattr(polytope, name, lambda q, fn=fn: enumerations.append(q) or fn(q))
+        coords_rows = polytope.Polytope.coords_rows
+        monkeypatch.setattr(polytope.Polytope, "coords_rows",
+                            lambda q, dual: duals.append(dual) or coords_rows(q, dual))
         assert verify_bounds(p, Mode.FULL).all_satisfied
         assert enumerations == []
-        assert len(walked) == 24  # 12 facets per summand, not 144 of p
+        assert all(dual is frame.dual for dual in duals)
+        assert not any(hasattr(verify, name) for name in ("enumerate_facets", "free_sum", "_opposites"))
 
-    def test_summand_failure_names_its_factor(self, monkeypatch):
-        # the first failure is at the summand's first facet in `enumerate_facets` order
-        monkeypatch.setattr(verify, "_level_zero_failure",
-                            lambda indices, rows, opp, levels: f"forced at {indices}")
+    def test_forced_failure_reads_the_same_in_both_modes(self, monkeypatch):
+        # a coordinate of opp(F, v) at v, and one of a level-0 vertex, made wrong
         p = random_image(direct_sum(bundle_b(1), hexagon()), 2)
-        own, q = free_sum(p, Mode.FULL)[1][0]
-        details = by_name(verify_bounds(p, Mode.FULL))["level-zero-opposites"].details
-        first = enumerate_facets(q)[0].vertex_indices
-        assert details == f"factor on vertices {own}: forced at {first}"
-        # an irreducible p is its own summand: no prefix
-        q = random_image(bundle_b(1), 2)
-        details = by_name(verify_bounds(q, Mode.FULL))["level-zero-opposites"].details
-        assert details == f"forced at {enumerate_facets(q)[0].vertex_indices}"
+        frame = special_facet(p, Mode.FULL)
+        g = verify.goodness_partition(p, frame)
+        opp = [g.opp[v] for v in frame.vertex_indices]
+        coords = polytope.frame_coords(p, frame).copy()
+        coords[opp[0], 0] = -2
+        i = next(i for i, level in enumerate(g.levels) if level == 0 and i not in opp[:2])
+        coords[i, 1] = -1
+        monkeypatch.setattr(verify, "frame_coords", lambda q, f: coords)
+        full, local = (verify_bounds(p, mode) for mode in (Mode.FULL, Mode.LOCAL))
+        assert full.lines()[1:] == local.lines()[1:]
+        zero = oracle.level_zero_failure(frame.vertex_indices, coords.tolist(), opp, g.levels)
+        assert zero is not None
+        assert by_name(full)["opposite-coordinate"].details == (
+            f"facet {frame.vertex_indices}: coordinate of opposite vertex {opp[0]} "
+            "along position 0 is -2")
+        assert by_name(full)["level-zero-opposites"].details == zero
 
 
 class TestClassifier:
