@@ -83,13 +83,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _load_or_invalid(path: str) -> Polytope | str:
+    """The polytope in `path`, else `check`'s line for a vertex set that is none."""
     try:
-        p = load_polytope(args.file)
+        return load_polytope(path)
     except FanoError as e:
         if isinstance(e, FanoFileError):
-            return _fail_io(str(e))
-        print(f"invalid construction={e}")
+            raise
+        return f"invalid construction={e}"
+
+
+def _cmd_check(args) -> int:
+    p = _load_or_invalid(args.file)
+    if isinstance(p, str):
+        print(p)
         return 1
     cert = is_smooth_fano(p, _resolve_mode(args.mode, p))
     print(f"{cert.describe()} d={p.dim} n={p.n}")
@@ -176,28 +183,32 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    polys = [(path, load_polytope(path)) for path in args.files]
+    # the JSON array keeps a file that fails construction, as `check` words it
+    polys = [(path, _load_or_invalid(path) if args.json else load_polytope(path))
+             for path in args.files]
 
     # every file is verified before anything is printed, so an error in a
-    # later file leaves stdout empty
+    # later file leaves stdout empty; a report, or the line of a failed file
     results = []
     for path, p in polys:
         try:
-            results.append((path, verify_bounds(p, _resolve_mode(args.mode, p)), None))
+            results.append((path, p if isinstance(p, str)
+                            else verify_bounds(p, _resolve_mode(args.mode, p))))
         except NotSmoothFanoError as e:
-            results.append((path, None, e.certificate))
+            results.append((path, e.certificate.describe()))
 
     reports = []
-    for path, report, cert in results:
+    for path, report in results:
+        failed = isinstance(report, str)
         if args.json:
-            reports.append({"file": path, **report.to_dict()} if report is not None
-                           else {"file": path, "passed": False, "certificate": cert.describe()})
+            reports.append({"file": path, "passed": False, "certificate": report} if failed
+                           else {"file": path, **report.to_dict()})
         else:
             print(f"== {path}")
-            print("\n".join(report.lines() if report is not None else [cert.describe()]))
+            print(report if failed else "\n".join(report.lines()))
     if args.json:
         print(json.dumps(reports, sort_keys=True))
-    return 0 if all(report is not None and report.passed for _, report, _ in results) else 1
+    return 0 if all(not isinstance(r, str) and r.passed for _, r in results) else 1
 
 
 @functools.cache

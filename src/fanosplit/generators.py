@@ -37,6 +37,7 @@ def pentagon() -> Polytope:
 
 def simplex(d: int) -> Polytope:
     """conv(e_1, ..., e_d, -e_1-...-e_d): the d-simplex with interior origin."""
+    (d,) = linalg._ints([d], "simplex dimension")
     if d < 1:
         raise ValueError(f"simplex dimension must be positive, got {d}")
     _check_size("simplex", d, d + 1, d)
@@ -73,6 +74,7 @@ def bundle_b(dprime: int) -> Polytope:
     hexagon in each coordinate pair (d'+2i-1, d'+2i).  It is smooth Fano and
     does not split into lower-dimensional smooth Fano polytopes.
     """
+    (dprime,) = linalg._ints([dprime], "bundleB parameter")
     if dprime < 1:
         raise ValueError(f"bundleB parameter must be positive, got {dprime}")
     _check_size("bundleB", dprime, 7 * dprime + 1, 3 * dprime)
@@ -130,6 +132,8 @@ def random_image(p: Polytope, seed: int) -> Polytope:
 
 
 _NO_PARAMS = {"hexagon": hexagon, "pentagon": pentagon, "example4d": example4d}
+_ONE_PARAM = {"simplex": (simplex, "the dimension", "simplex dimension"),
+              "bundleB": (bundle_b, "d'", "bundleB parameter")}
 
 
 def generate(name: str, params: Sequence = (), seed: int | None = None) -> Polytope:
@@ -137,20 +141,21 @@ def generate(name: str, params: Sequence = (), seed: int | None = None) -> Polyt
 
     Names: hexagon, pentagon, simplex (param: dimension), example4d,
     bundleB (param: d'), random_image (params: base name other than
-    random_image with its params; requires a seed).
+    random_image with its params; requires a seed).  ValueError otherwise.
     """
     if name in _NO_PARAMS:
         if params:
             raise ValueError(f"{name} takes no parameters")
         return _NO_PARAMS[name]()
-    if name == "simplex":
+    if name in _ONE_PARAM:
+        build, what, label = _ONE_PARAM[name]
         if len(params) != 1:
-            raise ValueError("simplex takes exactly one parameter: the dimension")
-        return simplex(int(params[0]))
-    if name == "bundleB":
-        if len(params) != 1:
-            raise ValueError("bundleB takes exactly one parameter: d'")
-        return bundle_b(int(params[0]))
+            raise ValueError(f"{name} takes exactly one parameter: {what}")
+        try:
+            (param,) = linalg._ints(params, label)
+        except TypeError as e:  # the parameter is not an integer
+            raise ValueError(str(e)) from None
+        return build(param)
     if name == "random_image":
         if not params:
             raise ValueError("random_image needs a base generator name")

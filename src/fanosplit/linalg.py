@@ -25,11 +25,21 @@ all zeros.  From it on:
   unless there are more pairs than output entries.  A sum has at most d
   terms either way, so `_products_fit` proves int64 as for the dense `@`,
   which runs in every other case.
+
+One integer rule, `_to_array`, admits an entry only if `operator.index`
+takes it, so nothing is rounded or parsed.  `Polytope(dim, vertices)`,
+`make_polytope`, `FacetFrame` (a hand-built dual, `coordinates`),
+`frame_from_indices`, `IntMatrix.from_rows`, `determinant`, `scaled_dual`,
+`inverse_if_unimodular`, `coordinates_in_basis`, `int_rank`,
+`IntKernel.reduce` without a bound and the generators' parameters pass it;
+`products_with`, `coords_rows`, `FacetFrame.level` and a hand-built
+`outer_normal` do not yet.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,7 +74,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple(map(tuple, _to_array(rows)[0].tolist())))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -113,15 +123,39 @@ def _max_abs(a: np.ndarray) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
-def _to_array(rows, square: bool = False) -> tuple[np.ndarray, int]:
-    """`rows` or an `IntMatrix` as a new exact array (int64 below _I64_SAFE), max |entry|."""
+def _ints(values, what: str) -> list[int]:
+    """`values` as ints by `operator.index`; TypeError names entry j as `what.format(j)`."""
+    out = []
+    for j, x in enumerate(values):
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise TypeError(f"{what.format(j)} is not an integer: {x!r}") from None
+    return out
+
+
+def _to_array(rows, what: str = "row", square: bool = False) -> tuple[np.ndarray, int]:
+    """A vector, rows or an `IntMatrix` as a new exact array (int64 below
+    _I64_SAFE), max |entry|.  An integer or bool array of at most 2 axes from
+    one `np.array` call is taken as it is; any other, ragged rows included,
+    goes through `_ints`, naming a non-integer as "x entry 1" in a vector
+    `what` = "x", else as "row 0 entry 1", before any shape error."""
     rows = rows.entries if isinstance(rows, IntMatrix) else rows
-    if square and any(len(r) != len(rows) for r in rows):
-        raise DimensionError("matrix is not square")
     try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.array(rows, dtype=object)
+        a = np.array(rows)
+    except ValueError:  # ragged rows
+        a = None
+    if a is None or a.dtype.kind not in "bi" or a.ndim > 2:
+        ints = (_ints(rows, what + " entry {}") if a is not None and a.ndim == 1
+                else [_ints(row, f"{what} {i} entry {{}}") for i, row in enumerate(rows)])
+        try:
+            a = np.array(ints, dtype=np.int64)
+        except OverflowError:
+            a = np.array(ints, dtype=object)
+        except ValueError:
+            raise DimensionError("ragged rows") from None
+    if square and a.shape != (len(a), len(a)) and a.shape != (0,):
+        raise DimensionError("matrix is not square")
     hi = max(int(a.max()), -int(a.min())) if a.size else 0  # np.abs overflows at -2**63
     return _exact_array(a.reshape(len(a), len(a)) if square else a, hi < _I64_SAFE), hi
 
@@ -216,6 +250,7 @@ def inverse_if_unimodular(m) -> IntMatrix:
 
 def coordinates_in_basis(basis, x: Sequence[int]) -> IntVector:
     """Coordinates c with x = sum_i c[i] * basis_row[i], for a unimodular basis."""
+    x = _to_array(x, "x")[0].tolist()
     if len(x) != len(basis.entries if isinstance(basis, IntMatrix) else basis):
         raise DimensionError("vector length does not match basis dimension")
     return inverse_if_unimodular(basis).transpose().matvec(x)
@@ -280,7 +315,7 @@ class IntKernel:
         first; every other row with a nonzero product is combined with it."""
         if not self._live:
             return False
-        vec, bound = _to_array(vec) if bound is None else (vec, bound)
+        vec, bound = _to_array(vec, "vector") if bound is None else (vec, bound)
         fits = self._rows.dtype != object and _products_fit(self._max, bound, self.dim)
         if not fits and self._dropped is not None:
             self._discard_dropped()

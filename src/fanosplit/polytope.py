@@ -11,7 +11,9 @@ primitive outer normal.  All geometry is exact:
   by exact integer cross-multiplication; on arrays, the enumeration's
   `_ratio_targets` and the gift-wrap's `_wrap_target` first keep the
   vertices with the least floor of the ratio, in numpy, and call
-  `_min_ratio` only where floors tie;
+  `_min_ratio` only where floors tie.  Three forms stay, one per input: the
+  gift-wrap's filtered column, one frame's negatives (`_ridge_target`, twice
+  as fast at d = 249 as the dense kernel) and a layer's dense kernel;
 * an initial facet is found by gift-wrapping -- rotate a supporting
   hyperplane one kernel direction at a time, entering the first minimizer
   of the ratio rule;
@@ -62,7 +64,6 @@ certificate then says its proof is incomplete.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -131,20 +132,16 @@ class Polytope:
     max |entry| `_abs_max`) under `_array_polytope`'s rule: int64 when every
     |entry| is below 2**31, exact Python ints otherwise.  The tuples of
     `vertices` are built from it on first use.  `Polytope(dim, vertices)`
-    converts its rows to that array at once; `make_polytope`,
-    `fanofile.parse_fano`, `direct_sum` and the block polytopes build the
-    array themselves (`_array_polytope`).
+    converts its rows to that array at once, checked like `make_polytope`'s
+    (`_vertex_array`); `fanofile.parse_fano`, `direct_sum` and the block
+    polytopes build the array themselves (`_array_polytope`).
     """
 
     dim: int
     n: int
 
     def __init__(self, dim: int, vertices: tuple[LatticeVector, ...]):
-        for v in vertices:
-            if len(v) != dim:
-                raise NotFullDimError(f"vertex {v} has length {len(v)}, expected {dim}")
-        a, hi = linalg._to_array(vertices)
-        self.__dict__.update(vars(_array_polytope(a.reshape(len(vertices), dim), hi)))
+        self.__dict__.update(vars(_array_polytope(*_vertex_array(vertices, dim))))
 
     @cached_property
     def vertices(self) -> tuple[LatticeVector, ...]:
@@ -219,41 +216,35 @@ def _array_polytope(a: np.ndarray, hi: int) -> Polytope:
 
 
 def make_polytope(rows: Iterable[Sequence[int]]) -> Polytope:
-    """Build a polytope from vertex rows of integers: Python ints, numpy
-    integers or bools (what `operator.index` takes; TypeError names the first
-    other entry).
+    """Build a polytope from vertex rows of integers (`linalg._to_array`'s
+    rule: TypeError names the first other entry).
 
     Rejects duplicates and point sets that are not full-dimensional.  The
     full-dimension proof gift-wraps the start facet that validation reuses
     (`Polytope._full_dim`).  Rows that are not actually vertices of the hull
     are only detected later, by validation (NotAVertexError).
     """
-    rows = list(rows)
+    return _checked_polytope(*_vertex_array(rows))
+
+
+def _vertex_array(rows, dim: int | None = None) -> tuple[np.ndarray, int]:
+    """Vertex rows as one exact n x d array and its max |entry|, checked in
+    this order: integer entries, d >= 1 (d = `dim`, else the first row's
+    length), every row of length d."""
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
     try:
-        a = np.array(rows)
-    except ValueError:  # ragged rows
+        a, hi = linalg._to_array(rows, "vertex row")
+    except DimensionError:  # ragged rows, their entries all integers
         a = None
-    if a is None or a.ndim != 2 or not a.size or a.dtype.kind not in "bi":
-        rows = [[_entry(what, j, x) for j, x in enumerate(row)]
-                for i, row in enumerate(rows) for what in [f"vertex row {i}"]]
-        if not rows:
-            raise NotFullDimError("empty vertex list")
-        d = len(rows[0])
-        if d < 1:
-            raise NotFullDimError("ambient dimension must be at least 1")
-        for v in rows:
-            if len(v) != d:
-                raise NotFullDimError(f"vertex {tuple(v)} has length {len(v)}, expected {d}")
-        a = rows
-    return _checked_polytope(*linalg._to_array(a))
-
-
-def _entry(what: str, j: int, x) -> int:
-    """x as an int, if `operator.index` takes it; else TypeError naming entry j of `what`."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise TypeError(f"{what} entry {j} is not an integer: {x!r}") from None
+    if not len(rows):
+        raise NotFullDimError("empty vertex list")
+    d = len(rows[0]) if dim is None else dim
+    if d < 1:
+        raise NotFullDimError("ambient dimension must be at least 1")
+    if a is None or a.shape[1:] != (d,):
+        v = next(v for v in rows if len(v) != d)
+        raise NotFullDimError(f"vertex {tuple(v)} has length {len(v)}, expected {d}")
+    return a, hi
 
 
 def _checked_polytope(a: np.ndarray, hi: int) -> Polytope:
@@ -318,7 +309,10 @@ class FacetFrame:
     def __init__(self, vertex_indices: tuple[int, ...], dual_basis, outer_normal: LatticeVector,
                  det: int = 1, height: int = 1, dual_max: int | None = None):
         if dual_max is None:  # rows in any integer form, not yet an exact array
-            dual_basis, dual_max = linalg._to_array(dual_basis)
+            dual_basis, dual_max = linalg._to_array(dual_basis, "dual row")
+            d = len(vertex_indices)
+            if dual_basis.shape != (d, d) or len(outer_normal) != d:
+                raise DimensionError(f"a frame on {d} vertices needs a {d} x {d} dual and normal")
         self.__dict__.update(vertex_indices=vertex_indices, dual=dual_basis, dual_max=dual_max,
                              det=det, outer_normal=outer_normal, height=height)
 
@@ -352,9 +346,9 @@ class FacetFrame:
 
     def coordinates(self, x: Sequence[int]) -> LatticeVector:
         """The coordinates of the integer point x (TypeError names a non-integer entry)."""
-        if len(x) != self.dim:
+        x, _ = linalg._to_array(x, "x")
+        if x.shape != (self.dim,):
             raise DimensionError("coordinates shape mismatch")
-        x = [_entry("x", j, a) for j, a in enumerate(x)]
         return tuple(linalg.products_with(self.dual, x, self.dual_max))
 
     def level(self, x: Sequence[int]) -> int:
@@ -1075,7 +1069,7 @@ def _opposites(indices: tuple[int, ...], columns: Iterable[Iterable[tuple[int, i
 
 def frame_from_indices(p: Polytope, indices: Sequence[int]) -> FacetFrame:
     """Build and verify the frame on a given vertex index set (a facet; integers only)."""
-    idx = sorted(_entry("indices", j, i) for j, i in enumerate(indices))
+    idx = sorted(linalg._to_array(indices, "indices")[0].tolist())
     if len(idx) != p.dim:
         raise NotSimplicialError(f"a facet frame needs exactly {p.dim} vertices")
     bad = next((i for i in idx if not 0 <= i < p.n), None)

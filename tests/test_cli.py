@@ -252,6 +252,11 @@ def test_gen_refuses_an_output_above_the_entry_cap(argv, refused, capsys):
         "", f"error: {refused} vertex entries, more than {MAX_ENTRIES}\n")
 
 
+def test_gen_refuses_a_non_integer_parameter(capsys):
+    assert main(["gen", "simplex", "2.9"]) == 2
+    assert capsys.readouterr() == ("", "error: simplex dimension is not an integer: '2.9'\n")
+
+
 def test_gen_rejects_nested_random_image(capsys):
     assert main(["gen", "random_image", "random_image", "hexagon", "--seed", "1"]) == 2
     assert capsys.readouterr() == (
@@ -389,11 +394,30 @@ def test_verify_json_keeps_invalid_files_in_the_array(tmp_path, capsys):
     good = write(tmp_path, "good.fano", example4d())
     square = make_polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     bad = write(tmp_path, "bad.fano", square)
-    assert main(["verify", "--json", bad, good]) == 1
+    dup = tmp_path / "dup.fano"
+    dup.write_text("fano 1\n2 4\n1 0\n0 1\n-1 -1\n1 0\n")
+    flat = tmp_path / "flat.fano"
+    flat.write_text("fano 1\n2 3\n1 0\n0 1\n2 -1\n")
+    assert main(["verify", "--json", bad, good, str(dup), str(flat)]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert [(r["file"], r["passed"]) for r in data] == [(bad, False), (good, True)]
+    assert [(r["file"], r["passed"]) for r in data] == [
+        (bad, False), (good, True), (str(dup), False), (str(flat), False)]
     assert data[0]["certificate"].startswith("invalid kind=FacetNotUnimodular witness=")
     assert data[0].keys() == {"file", "passed", "certificate"}
+    # the line `check` prints for a file that fails construction
+    assert data[2]["certificate"] == "invalid construction=vertex (1, 0) appears more than once"
+    assert data[3]["certificate"] == "invalid construction=vertex set is not full-dimensional"
+    for path, line in ((dup, data[2]["certificate"]), (flat, data[3]["certificate"])):
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr() == (line + "\n", "")
+    # text mode stops at the first such file, and a malformed file exits 2
+    assert main(["verify", good, str(dup)]) == 1
+    assert capsys.readouterr() == ("", "error: vertex (1, 0) appears more than once\n")
+    malformed = tmp_path / "malformed.fano"
+    malformed.write_text("fano 1\n2 3\n1 0\n0 x\n-1 -1\n")
+    assert main(["verify", "--json", str(dup), str(malformed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "line 4" in captured.err
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from fanosplit import generators
 from fanosplit.generators import (
     bundle_b,
     example4d,
@@ -93,6 +95,42 @@ def test_generate_rejects_unknown_and_bad_params():
         generate("hexagon", [2])
     with pytest.raises(ValueError, match="random_image cannot be the base of random_image"):
         generate("random_image", ["random_image", "hexagon"], seed=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: simplex(2.5), "simplex dimension is not an integer: 2.5"),
+    (lambda: simplex("3"), "simplex dimension is not an integer: '3'"),
+    (lambda: bundle_b(1.5), "bundleB parameter is not an integer: 1.5"),
+])
+def test_parameters_are_integers_only(build, message):
+    # unchecked, range(2.5) and [0] * 4.5 would fail with Python's own text
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+    assert simplex(np.int16(2)).vertices == simplex(2).vertices
+    assert bundle_b(True).vertices == bundle_b(1).vertices
+
+
+@pytest.mark.parametrize("name, param, message", [
+    ("simplex", 2.9, "simplex dimension is not an integer: 2.9"),
+    ("bundleB", 1.5, "bundleB parameter is not an integer: 1.5"),
+    ("bundleB", "1", "bundleB parameter is not an integer: '1'"),
+])
+def test_generate_refuses_a_non_integer_parameter(name, param, message):
+    # int() would build simplex(2) and bundle_b(1)
+    with pytest.raises(ValueError) as info:
+        generate(name, [param])
+    assert str(info.value) == message
+
+
+def test_generate_converts_only_the_parameter_check(monkeypatch):
+    # a TypeError from inside a generator is a fault, not a bad parameter
+    def broken(d):
+        raise TypeError("internal fault")
+    entry = (broken, *generators._ONE_PARAM["simplex"][1:])
+    monkeypatch.setitem(generators._ONE_PARAM, "simplex", entry)
+    with pytest.raises(TypeError, match="internal fault"):
+        generate("simplex", [2])
 
 
 @pytest.mark.parametrize("build", [

@@ -114,16 +114,72 @@ class TestMakePolytope:
             make_polytope(rows)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("rows", [
-        [(1, 0), (0, 1), (-1, -1)],
-        [(True, False), (np.int8(0), np.int64(1)), (-1, -1)],
-        np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16),
-        iter([[1, 0], [0, 1], [-1, -1]]),
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Polytope(2, ((1.7, 0), (0, 1), (-1, -1))),
+         TypeError, "vertex row 0 entry 0 is not an integer: 1.7"),
+        (lambda: Polytope(2, (("1", "0"), (0, 1), (-1, -1))),
+         TypeError, "vertex row 0 entry 0 is not an integer: '1'"),
+        (lambda: Polytope(2, ((2**70, 0), (0, 1.5), (-1, -1))),
+         TypeError, "vertex row 1 entry 1 is not an integer: 1.5"),
+        (lambda: Polytope(0, ((),)), NotFullDimError, "ambient dimension must be at least 1"),
+        (lambda: Polytope(1, (((1, 0),), ((-1, 0),))),
+         TypeError, "vertex row 0 entry 0 is not an integer: (1, 0)"),
+        (lambda: linalg.determinant([[1.5, 0], [0, 1]]),
+         TypeError, "row 0 entry 0 is not an integer: 1.5"),
+        (lambda: linalg.scaled_dual([[1, 0], [0, 1.5]]),
+         TypeError, "row 1 entry 1 is not an integer: 1.5"),
+        (lambda: linalg.inverse_if_unimodular([[1.5, 0], [0, 1]]),
+         TypeError, "row 0 entry 0 is not an integer: 1.5"),
+        (lambda: IntMatrix.from_rows([[1.5, 0], [0, 1]]),
+         TypeError, "row 0 entry 0 is not an integer: 1.5"),
+        (lambda: IntMatrix(((1.5,),)).det(), TypeError, "row 0 entry 0 is not an integer: 1.5"),
+        (lambda: linalg.coordinates_in_basis([[1, 0], [0, 1]], [0.5, 1]),
+         TypeError, "x entry 0 is not an integer: 0.5"),
+        (lambda: linalg.coordinates_in_basis([[1, 0], [0, 1.5]], [0, 1]),
+         TypeError, "row 1 entry 1 is not an integer: 1.5"),
+        (lambda: linalg.int_rank([[0.5, 0], [0, 1]], 2),
+         TypeError, "vector entry 0 is not an integer: 0.5"),
+        (lambda: FacetFrame((0, 1), [[1.5, 0], [0, 1]], (1, 1)),
+         TypeError, "dual row 0 entry 0 is not an integer: 1.5"),
+        (lambda: FacetFrame((0, 1), [[1, 0], [0, 1], [1, 1]], (1, 1)), DimensionError,
+         "a frame on 2 vertices needs a 2 x 2 dual and normal"),
+        (lambda: FacetFrame((0, 1), [[1, 0], [0, 1]], (1, 1, 1)), DimensionError,
+         "a frame on 2 vertices needs a 2 x 2 dual and normal"),
     ])
-    def test_integer_entries_of_any_kind(self, rows):
-        p = make_polytope(rows)
-        assert p.vertices == ((1, 0), (0, 1), (-1, -1)) and p._array.dtype == np.int64
-        assert all(type(x) is int for v in p.vertices for x in v)
+    def test_every_entry_point_takes_integers_only(self, call, error, message):
+        # a cast would read 1.5 as 1 and "1" as 1, so a non-integer input could
+        # be certified; a bad frame shape would end in numpy's matmul error
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("make", [
+        lambda: [(1, 0), (0, 1), (-1, -1)],
+        lambda: [(True, False), (np.int8(0), np.int64(1)), (-1, -1)],
+        lambda: np.array([[1, 0], [0, 1], [-1, -1]], dtype=np.int16),
+        lambda: iter([[1, 0], [0, 1], [-1, -1]]),
+        lambda: [(True, False), (np.uint64(0), np.int32(1)), (-1, -1)],
+    ])
+    def test_integer_entries_of_any_kind(self, make):
+        # each constructor gets a fresh input, so an iterator or a 2-D array reaches it as given
+        for p in (make_polytope(make()), Polytope(2, make())):
+            assert p.vertices == ((1, 0), (0, 1), (-1, -1)) and p._array.dtype == np.int64
+            assert all(type(x) is int for v in p.vertices for x in v)
+        m = IntMatrix.from_rows(make())
+        assert m.entries == ((1, 0), (0, 1), (-1, -1))
+        assert all(type(x) is int for r in m.entries for x in r)
+        assert linalg.int_rank(make(), 2) == 2
+        rows = list(make())
+        assert linalg.determinant(rows[:2]) == 1
+        assert linalg.coordinates_in_basis(rows[:2], rows[2]) == (-1, -1)
+        assert FacetFrame((0, 1), rows[:2], (1, 1)).coordinates(rows[2]) == (-1, -1)
+
+    def test_entries_beyond_int64_stay_exact(self):
+        big = 2**63
+        p = Polytope(2, ((big, 0), (0, 1), (-1, -1)))
+        assert p.vertices[0] == (big, 0) and p == make_polytope(p.vertices)
+        assert linalg.determinant([[big, 0], [np.int64(0), 1]]) == big
+        assert IntMatrix.from_rows([[big, 1]]).entries == ((big, 1),)
 
     @pytest.mark.parametrize("big", [0, 2**31, 2**62, 2**63, 10**20])
     def test_store_dtype(self, big):
